@@ -20,8 +20,9 @@ from enum import Enum
 import numpy as np
 
 # Column chunk width for the full-matrix scan; keeps the working set of the
-# vectorized sweep a few MB regardless of d.
-_SCAN_CHUNK = 2048
+# vectorized sweep under a few MB regardless of d (each of its arrays is
+# 0.4 MB at N = 100, and wider chunks scan no faster).
+_SCAN_CHUNK = 512
 
 
 class Orientation(Enum):
@@ -104,6 +105,24 @@ class FeatureMatrix:
             raise ValueError(f"axis {axis_index} out of range [0, {self.axis_count})")
         return self.values[:, axis_index]
 
+    def columns(self, indices) -> np.ndarray:
+        """N x k block of the given axes; a range is served as a view, not a copy."""
+        if isinstance(indices, range):
+            indices = slice(indices.start, indices.stop, indices.step)
+        return self.values[:, indices]
+
+
+def as_feature_source(features):
+    """The column source every scan reads.
+
+    A FeatureMatrix, or a lazy source with ``sample_count``, ``axis_count``,
+    ``column(i)`` and ``columns(indices)``, passes through; anything else is
+    validated into a FeatureMatrix.
+    """
+    if hasattr(features, "columns"):
+        return features
+    return FeatureMatrix(features)
+
 
 @dataclass(frozen=True)
 class AxisResult:
@@ -145,6 +164,53 @@ def _midpoint(lo: float, hi: float) -> float:
     return float(mid)
 
 
+def _sweep(block: np.ndarray, y: np.ndarray):
+    """Threshold sweep over every column of an N x k block at once.
+
+    Cut j (0 <= j < N) puts the first j sorted values of a column below the
+    threshold: cut 0 is the sentinel below the minimum, where everything
+    lands at-or-above and the two orientations realize the two single-class
+    assignments, and cut j > 0 lies between sorted values j-1 and j.
+    Returns three k x N arrays: the sorted columns, the correct-count of
+    ``BELOW_IS_PLUS`` at each cut, and the better of the two orientations'
+    counts, set to -1 where a cut falls between equal values (a duplicate
+    value collapses the interval).
+    """
+    rows = np.ascontiguousarray(block.T)  # one axis per row: sorts run over contiguous memory
+    order = np.argsort(rows, axis=1, kind="stable")
+    sv = np.take_along_axis(rows, order, axis=1)
+    plus = (y == 1)[order]
+    n = y.size
+    n_minus = n - int(np.count_nonzero(y == 1))
+    pb = np.cumsum(plus, axis=1) - plus       # positives strictly below each cut
+    below = np.arange(n)                      # points strictly below each cut
+    plus_side = 2 * pb - below + n_minus      # below predicted +1
+    cand = np.maximum(plus_side, n - plus_side)   # n - plus_side: below predicted -1
+    cand[:, 1:][sv[:, :-1] >= sv[:, 1:]] = -1
+    return sv, plus_side, cand
+
+
+def _checked(values, labels, ndim: int):
+    v = np.asarray(values, dtype=np.float64)
+    if v.ndim != ndim or v.size == 0:
+        raise ValueError(f"empty dataset: need a non-empty {ndim}-D array of feature values")
+    if not np.all(np.isfinite(v)):
+        raise ValueError("non-finite feature values")
+    y = _as_label_array(labels)
+    if y.shape[0] != v.shape[0]:
+        raise ValueError("features and labels disagree on N")
+    return v, y
+
+
+def best_counts(block, labels) -> np.ndarray:
+    """Best correct-count of every column of an N x k block, in one sweep.
+
+    Entry i equals ``axis_accuracy(block[:, i], labels).correct_count``.
+    """
+    v, y = _checked(block, labels, 2)
+    return _sweep(v, y)[2].max(axis=1)
+
+
 def axis_accuracy(values, labels, axis_index: int = 0) -> AxisResult:
     """Best threshold rule along one axis.
 
@@ -158,73 +224,26 @@ def axis_accuracy(values, labels, axis_index: int = 0) -> AxisResult:
 
     Runs in O(N log N): one sort plus a prefix-count sweep.
     """
-    v = np.asarray(values, dtype=np.float64)
-    if v.ndim != 1 or v.size == 0:
-        raise ValueError("empty dataset: need a non-empty 1-D value vector")
-    if not np.all(np.isfinite(v)):
-        raise ValueError("non-finite feature values")
-    y = _as_label_array(labels)
-    if y.shape != v.shape:
-        raise ValueError("values and labels disagree on N")
-
+    v, y = _checked(values, labels, 1)
+    sv, plus_side, cand = (a[0] for a in _sweep(v[:, None], y))
     n = v.size
-    order = np.argsort(v, kind="stable")
-    sv = v[order]
-    plus = y[order] == 1
-    n_plus = int(plus.sum())
-    n_minus = n - n_plus
-
-    # Sentinel below the minimum: everything lands at-or-above, so the two
-    # orientations realize the two single-class assignments.
-    sentinel = float(sv[0] - 1.0)
-    if n_minus >= n_plus:
-        best_count, best_tau, best_orient = n_minus, sentinel, Orientation.BELOW_IS_PLUS
+    j = int(np.argmax(cand))               # first max: lowest threshold wins ties
+    count = int(cand[j])
+    if j == 0:
+        tau = float(sv[0] - 1.0)
     else:
-        best_count, best_tau, best_orient = n_plus, sentinel, Orientation.BELOW_IS_MINUS
-
-    if n > 1:
-        pb = np.cumsum(plus)[:-1]          # positives among the first j+1 sorted points
-        below = np.arange(1, n)            # points strictly below the candidate cut
-        count_plus_side = 2 * pb - below + n_minus   # below predicted +1
-        count_minus_side = below - 2 * pb + n_plus   # below predicted -1
-        cand = np.maximum(count_plus_side, count_minus_side)
-        cand[sv[:-1] >= sv[1:]] = -1       # duplicate values collapse the interval
-        j = int(np.argmax(cand))           # first max: lowest threshold wins ties
-        if cand[j] > best_count:
-            best_count = int(cand[j])
-            best_tau = _midpoint(float(sv[j]), float(sv[j + 1]))
-            if count_plus_side[j] >= count_minus_side[j]:
-                best_orient = Orientation.BELOW_IS_PLUS
-            else:
-                best_orient = Orientation.BELOW_IS_MINUS
-
+        tau = _midpoint(float(sv[j - 1]), float(sv[j]))
+    if plus_side[j] >= n - plus_side[j]:
+        orient = Orientation.BELOW_IS_PLUS
+    else:
+        orient = Orientation.BELOW_IS_MINUS
     return AxisResult(
         axis_index=axis_index,
-        best_threshold=best_tau,
-        orientation=best_orient,
-        accuracy=best_count / n,
-        correct_count=int(best_count),
+        best_threshold=tau,
+        orientation=orient,
+        accuracy=count / n,
+        correct_count=count,
     )
-
-
-def _best_counts_per_axis(values: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """Vectorized best correct-count per column of an N x c block."""
-    n = values.shape[0]
-    plus_mask = labels == 1
-    n_plus = int(plus_mask.sum())
-    n_minus = n - n_plus
-
-    best = np.full(values.shape[1], max(n_plus, n_minus), dtype=np.int64)
-    if n == 1:
-        return best
-
-    order = np.argsort(values, axis=0, kind="stable")
-    sv = np.take_along_axis(values, order, axis=0)
-    pb = np.cumsum(plus_mask[order], axis=0)[:-1]
-    below = np.arange(1, n, dtype=np.int64)[:, None]
-    cand = np.maximum(2 * pb - below + n_minus, below - 2 * pb + n_plus)
-    cand[sv[:-1] >= sv[1:]] = 0
-    return np.maximum(best, cand.max(axis=0))
 
 
 def r_min_deterministic(features, labels):
@@ -232,49 +251,36 @@ def r_min_deterministic(features, labels):
 
     Parameters
     ----------
-    features : FeatureMatrix or ndarray of shape (N, d)
+    features : FeatureMatrix, lazy column source, or ndarray of shape (N, d)
     labels : length-N vector over {-1, +1}
 
     Returns
     -------
-    (r_min, best, all_axis_accuracies)
+    (r_min, best, axis_accuracies)
         ``r_min`` is the max over axes of the per-axis optimum, ``best`` the
         winning AxisResult (ties broken by lowest axis index), and
-        ``all_axis_accuracies`` the full length-d vector of per-axis optima
+        ``axis_accuracies`` the full length-d vector of per-axis optima
         for survival-function analysis.
     """
-    if isinstance(features, FeatureMatrix):
-        mat = features.values
-    else:
-        mat = np.asarray(features, dtype=np.float64)
-        if mat.ndim != 2 or mat.size == 0:
-            raise ValueError("empty dataset: feature matrix must be non-empty N x d")
-        if not np.all(np.isfinite(mat)):
-            raise ValueError("non-finite feature values in matrix")
-    y = _as_label_array(labels)
-    if y.shape[0] != mat.shape[0]:
-        raise ValueError("features and labels disagree on N")
-
-    n, d = mat.shape
-    counts = np.empty(d, dtype=np.int64)
-    for start in range(0, d, _SCAN_CHUNK):
-        stop = min(start + _SCAN_CHUNK, d)
-        counts[start:stop] = _best_counts_per_axis(mat[:, start:stop], y)
-
+    source = as_feature_source(features)
+    d = source.axis_count
+    counts = np.concatenate([
+        best_counts(source.columns(range(start, min(start + _SCAN_CHUNK, d))), labels)
+        for start in range(0, d, _SCAN_CHUNK)
+    ])
     best_axis = int(np.argmax(counts))  # first max: lowest axis index
-    best = axis_accuracy(mat[:, best_axis], y, axis_index=best_axis)
-    return best.accuracy, best, counts / n
+    best = axis_accuracy(source.column(best_axis), labels, axis_index=best_axis)
+    return best.accuracy, best, counts / source.sample_count
 
 
 def classifier_accuracy(classifier: ThresholdClassifier, features, labels) -> float:
     """Empirical accuracy of a threshold rule: fraction of samples it labels correctly."""
-    if not isinstance(features, FeatureMatrix):
-        features = FeatureMatrix(np.asarray(features, dtype=np.float64))
+    source = as_feature_source(features)
     y = _as_label_array(labels)
-    if y.shape[0] != features.sample_count:
+    if y.shape[0] != source.sample_count:
         raise ValueError("features and labels disagree on N")
-    pred = classifier.predict(features)
-    return float(np.sum(pred == y)) / features.sample_count
+    pred = classifier.predict(source)
+    return float(np.sum(pred == y)) / source.sample_count
 
 
 def as_linear_classifier(classifier: ThresholdClassifier, axis_count: int):
@@ -301,6 +307,6 @@ def as_linear_classifier(classifier: ThresholdClassifier, axis_count: int):
 
 def linear_predict(weights: np.ndarray, bias: float, features) -> np.ndarray:
     """Predict +/-1 from a hyperplane; decision value exactly 0 maps to +1."""
-    mat = features.values if isinstance(features, FeatureMatrix) else np.asarray(features, dtype=np.float64)
-    z = mat @ np.asarray(weights, dtype=np.float64) + bias
+    source = as_feature_source(features)
+    z = source.columns(range(source.axis_count)) @ np.asarray(weights, dtype=np.float64) + bias
     return np.where(z >= 0, 1, -1).astype(np.int64)

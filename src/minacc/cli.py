@@ -35,12 +35,8 @@ from .featmap import (
 )
 from .sampling import (
     CoverageQuery,
-    adaptive_estimate,
-    conservative_estimate,
     coverage_probability_bound,
     coverage_probability_exact,
-    deterministic_estimate,
-    pilot_estimate,
     sample_size,
 )
 from .svmref import model_to_json, svm_train
@@ -51,6 +47,13 @@ _METHOD_ALIASES = {
     "conservative": "conservative",
     "pilot": "pilot",
     "adaptive": "adaptive",
+}
+
+
+# experiment flags whose value is not the config field's value as given
+_EXPERIMENT_FLAG_VALUE = {
+    "methods": lambda alias: (_METHOD_ALIASES[alias],),
+    "p_values": lambda p: (p,),
 }
 
 
@@ -113,15 +116,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_exp = sub.add_parser("experiment", help="run the full configured sweep")
     p_exp.add_argument("--config", help="key=value config file; defaults used when omitted")
-    p_exp.add_argument("--seed", type=int, help="override master_seed")
-    p_exp.add_argument("--out", help="override output_dir")
+    # Every dest but config's and format's names the ExperimentConfig field it overrides.
+    p_exp.add_argument("--seed", dest="master_seed", metavar="SEED", type=int,
+                       help="override master_seed")
+    p_exp.add_argument("--out", dest="output_dir", metavar="OUT", help="override output_dir")
     p_exp.add_argument("--format", choices=("csv", "json", "both"), default="both")
-    p_exp.add_argument("--method", choices=tuple(_METHOD_ALIASES),
+    p_exp.add_argument("--method", dest="methods", choices=tuple(_METHOD_ALIASES),
                        help="restrict the run to a single estimator")
-    p_exp.add_argument("--p", type=float, help="restrict conservative runs to one prior")
+    p_exp.add_argument("--p", dest="p_values", metavar="P", type=float,
+                       help="restrict conservative runs to one prior")
     p_exp.add_argument("--delta", type=float)
     p_exp.add_argument("--repetitions", type=int)
-    p_exp.add_argument("--qubits", type=int)
+    p_exp.add_argument("--qubits", dest="qubit_count", metavar="QUBITS", type=int)
     p_exp.add_argument("--n-pilot", type=int)
     p_exp.add_argument("--batch-size", type=int)
     p_exp.add_argument("--patience", type=int)
@@ -176,31 +182,14 @@ def _cmd_minacc(args) -> int:
             f"feature file has {features.sample_count} rows but dataset has {labels.shape[0]}"
         )
     method = _METHOD_ALIASES[args.method]
-    if method == "deterministic":
-        result = deterministic_estimate(features, labels)
-    elif method == "conservative":
-        result = conservative_estimate(
-            features, labels, p_conservative=args.p, delta=args.delta, rng_seed=args.seed
-        )
-    elif method == "pilot":
-        result = pilot_estimate(
-            features, labels, n_pilot=args.n_pilot, delta=args.delta,
-            cap_fraction=args.cap_fraction, rng_seed=args.seed,
-        )
-    else:
-        result = adaptive_estimate(
-            features, labels, batch_size=args.batch_size, patience=args.patience,
-            stability_eps=args.stability_eps, budget_fraction=args.budget_fraction,
-            rng_seed=args.seed,
-        )
-    best = result.axis_results[-1] if result.axis_results else None
+    result = harness.run_estimator(method, features, labels, args.p, args, args.seed)
+    best = result.best
     print(f"method={method}")
     print(f"r_hat={result.r_hat:.6f}")
     print(f"axes_evaluated={result.axes_evaluated}")
     print(f"stop_reason={result.stopping_reason.value}")
-    if best is not None:
-        print(f"best_axis={best.axis_index} threshold={best.best_threshold!r} "
-              f"orientation={best.orientation.value}")
+    print(f"best_axis={best.axis_index} threshold={best.best_threshold!r} "
+          f"orientation={best.orientation.value}")
     if result.pilot_stats is not None:
         stats = result.pilot_stats
         print(f"pilot_eta={stats.eta_pilot:.6f} pilot_p_hat={stats.p_hat:.6f} "
@@ -250,33 +239,16 @@ def _cmd_experiment(args) -> int:
     else:
         config = harness.ExperimentConfig()
 
-    overrides = {}
-    if args.seed is not None:
-        overrides["master_seed"] = args.seed
+    overrides = {
+        field.name: _EXPERIMENT_FLAG_VALUE.get(field.name, lambda v: v)(value)
+        for field in dataclasses.fields(config)
+        if (value := getattr(args, field.name, None)) is not None
+    }
+    if args.master_seed is not None:
         overrides["datasets"] = tuple(
-            dataclasses.replace(s, seed=harness.derive_seed(args.seed, s.kind, "datagen"))
+            dataclasses.replace(s, seed=harness.derive_seed(args.master_seed, s.kind, "datagen"))
             for s in config.datasets
         )
-    if args.out is not None:
-        overrides["output_dir"] = args.out
-    if args.method is not None:
-        overrides["methods"] = (_METHOD_ALIASES[args.method],)
-    if args.p is not None:
-        overrides["p_values"] = (args.p,)
-    if args.delta is not None:
-        overrides["delta"] = args.delta
-    if args.repetitions is not None:
-        overrides["repetitions"] = args.repetitions
-    if args.qubits is not None:
-        overrides["qubit_count"] = args.qubits
-    if args.n_pilot is not None:
-        overrides["n_pilot"] = args.n_pilot
-    if args.batch_size is not None:
-        overrides["batch_size"] = args.batch_size
-    if args.patience is not None:
-        overrides["patience"] = args.patience
-    if args.budget_fraction is not None:
-        overrides["budget_fraction"] = args.budget_fraction
     if overrides:
         config = dataclasses.replace(config, **overrides)
 

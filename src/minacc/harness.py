@@ -52,7 +52,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .axiscore import LabeledDataset, axis_accuracy, r_min_deterministic
+from .axiscore import r_min_deterministic
 from .datagen import CIRCLES, DATASET_KINDS, DatasetSpec, generate, standardize, stratified_split
 from .featmap import (
     EncodingCircuitSpec,
@@ -64,6 +64,7 @@ from .sampling import (
     EstimatorMethod,
     adaptive_estimate,
     conservative_estimate,
+    deterministic_estimate,
     pilot_estimate,
     survival_function,
 )
@@ -225,23 +226,12 @@ def parse_config(source) -> ExperimentConfig:
         else:
             kwargs[key] = _clean_value(raw)
 
-    master_seed = kwargs.get("master_seed", 0)
-    if "datasets" in kwargs:
-        specs = []
-        for kind in kwargs["datasets"]:
-            if kind not in DATASET_KINDS:
-                raise ValueError(f"unknown dataset kind {kind!r}")
-            specs.append(
-                DatasetSpec(
-                    kind=kind,
-                    n_samples=n_samples,
-                    seed=derive_seed(master_seed, kind, "datagen"),
-                    informative_features=2 if kind == CIRCLES else 4,
-                )
-            )
-        kwargs["datasets"] = tuple(specs)
-    elif n_samples != 1000:
-        kwargs["datasets"] = default_datasets(master_seed, n_samples)
+    specs = {s.kind: s for s in default_datasets(kwargs.get("master_seed", 0), n_samples)}
+    kinds = kwargs.get("datasets", DATASET_KINDS)
+    for kind in kinds:
+        if kind not in specs:
+            raise ValueError(f"unknown dataset kind {kind!r}")
+    kwargs["datasets"] = tuple(specs[kind] for kind in kinds)
     return ExperimentConfig(**kwargs)
 
 
@@ -251,7 +241,8 @@ def parse_config(source) -> ExperimentConfig:
 
 def _prepare_dataset(spec: DatasetSpec, config: ExperimentConfig):
     """generate -> standardize -> split/subsample -> embed; returns the train
-    split, a column-access object for estimators, and the dense matrix."""
+    split and its feature matrix, which the scan, the estimators and the SVM
+    baselines all read."""
     full = generate(spec)
     standardized, _ = standardize(full)
     train, _ = stratified_split(
@@ -266,59 +257,39 @@ def _prepare_dataset(spec: DatasetSpec, config: ExperimentConfig):
             feature_dim=config.axis_count,
             seed=derive_seed(config.master_seed, spec.kind, "embed"),
         )
-        lazy = LazyProxyFeatures(train, proj)
-        return train, lazy, lazy.materialize()
+        return train, LazyProxyFeatures(train, proj).materialize()
     circuit = EncodingCircuitSpec(qubit_count=config.qubit_count)
-    dense = pauli_feature_matrix(train, circuit)
-    return train, dense, dense
+    return train, pauli_feature_matrix(train, circuit)
 
 
-def _cache_path(config: ExperimentConfig, spec: DatasetSpec) -> str:
-    tag = derive_seed(config.master_seed, spec.kind, "embed")
-    name = f"axisacc_{spec.kind}_{config.embedding}_d{config.axis_count}_s{tag}.npy"
-    return os.path.join(config.output_dir, name)
-
-
-def _ground_truth(dense, labels, cache_path):
-    """Exhaustive per-axis accuracies, loaded from cache when available."""
-    if cache_path and os.path.exists(cache_path):
-        accuracies = np.load(cache_path)
-        if accuracies.shape == (dense.axis_count,):
-            winner = int(np.argmax(accuracies))
-            best = axis_accuracy(dense.column(winner), labels, axis_index=winner)
-            return float(accuracies[winner]), best, accuracies
-    r_min, best, accuracies = r_min_deterministic(dense, labels)
-    if cache_path:
-        try:
-            os.makedirs(os.path.dirname(cache_path) or ".", exist_ok=True)
-            np.save(cache_path, accuracies)
-        except OSError:
-            pass  # caching is best-effort
-    return r_min, best, accuracies
-
-
-def _run_estimator(method: str, features, labels, p, config: ExperimentConfig, seed: int):
+def run_estimator(method: str, features, labels, p, settings, seed: int):
+    """Run one estimator by its ``EstimatorMethod`` value.  ``settings`` is
+    anything carrying the estimator parameters by their ExperimentConfig
+    names (an ExperimentConfig or the CLI's parsed arguments); ``p`` is the
+    conservative prior."""
+    if method == EstimatorMethod.DETERMINISTIC.value:
+        return deterministic_estimate(features, labels)
     if method == EstimatorMethod.CONSERVATIVE.value:
         return conservative_estimate(
-            features, labels, p_conservative=p, delta=config.delta, rng_seed=seed
+            features, labels, p_conservative=p, delta=settings.delta, rng_seed=seed
         )
     if method == EstimatorMethod.PILOT.value:
         return pilot_estimate(
             features,
             labels,
-            n_pilot=config.n_pilot,
-            delta=config.delta,
-            cap_fraction=config.cap_fraction,
+            n_pilot=settings.n_pilot,
+            delta=settings.delta,
+            cap_fraction=settings.cap_fraction,
             rng_seed=seed,
         )
     if method == EstimatorMethod.ADAPTIVE.value:
         return adaptive_estimate(
             features,
             labels,
-            batch_size=config.batch_size,
-            patience=config.patience,
-            stability_eps=config.stability_eps,
-            budget_fraction=config.budget_fraction,
+            batch_size=settings.batch_size,
+            patience=settings.patience,
+            stability_eps=settings.stability_eps,
+            budget_fraction=settings.budget_fraction,
             rng_seed=seed,
         )
     raise ValueError(f"unknown estimator method {method!r}")
@@ -346,18 +317,18 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     for spec in config.datasets:
         name = spec.kind
         try:
-            train, column_source, dense = _prepare_dataset(spec, config)
+            train, features = _prepare_dataset(spec, config)
         except Exception as exc:  # one bad dataset must not sink the others
             report.errors.append({"dataset": name, "stage": "pipeline", "message": str(exc)})
             continue
 
         try:
             linear = svm_train(
-                dense.values, train.labels, kernel=KERNEL_LINEAR,
+                features.values, train.labels, kernel=KERNEL_LINEAR,
                 C=config.svm_c, tol=config.svm_tol, max_iter=config.svm_max_iter,
             )
             rbf = svm_train(
-                dense.values, train.labels, kernel=KERNEL_RBF,
+                features.values, train.labels, kernel=KERNEL_RBF,
                 C=config.svm_c, tol=config.svm_tol, max_iter=config.svm_max_iter,
             )
             raw_linear = svm_train(
@@ -382,9 +353,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         if need_ground_truth:
             try:
                 start = time.perf_counter()
-                r_min, _, accuracies = _ground_truth(
-                    dense, train.labels, _cache_path(config, spec)
-                )
+                r_min, _, accuracies = r_min_deterministic(features, train.labels)
                 det_ms = (time.perf_counter() - start) * 1000.0
             except Exception as exc:
                 report.errors.append(
@@ -405,7 +374,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
                         p=None,
                         rep=0,
                         r_hat=r_min,
-                        axes_evaluated=dense.axis_count,
+                        axes_evaluated=features.axis_count,
                         stop_reason="exhausted",
                         svm_linear=svm_lin,
                         svm_rbf=svm_rbf,
@@ -432,7 +401,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
                     seed = derive_seed(config.master_seed, name, method, p, rep)
                     try:
                         start = time.perf_counter()
-                        result = _run_estimator(method, column_source, train.labels, p, config, seed)
+                        result = run_estimator(method, features, train.labels, p, config, seed)
                         wall_ms = (time.perf_counter() - start) * 1000.0
                         if r_min is not None and result.r_hat > r_min:
                             raise RuntimeError(

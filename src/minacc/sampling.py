@@ -27,7 +27,13 @@ from enum import Enum
 
 import numpy as np
 
-from .axiscore import AxisResult, FeatureMatrix, axis_accuracy, r_min_deterministic
+from .axiscore import (
+    AxisResult,
+    as_feature_source,
+    axis_accuracy,
+    best_counts,
+    r_min_deterministic,
+)
 
 _STABILITY_WINDOW_DEFAULT = 5
 
@@ -146,8 +152,8 @@ class SurvivalFunction:
         return float(self.values[idx])
 
 
-def survival_function(all_axis_accuracies) -> SurvivalFunction:
-    acc = np.asarray(all_axis_accuracies, dtype=np.float64)
+def survival_function(axis_accuracies) -> SurvivalFunction:
+    acc = np.asarray(axis_accuracies, dtype=np.float64)
     if acc.ndim != 1 or acc.size == 0:
         raise ValueError("need a non-empty accuracy vector")
     srt = np.sort(acc)
@@ -211,78 +217,62 @@ class PilotStats:
 
 @dataclass(frozen=True)
 class EstimateResult:
-    """Outcome of a minimum-accuracy estimate.
+    """Outcome of a minimum-accuracy estimate, the same shape for every method.
 
-    ``r_hat`` equals the max accuracy over ``axis_results`` and, by the
-    subset argument, never exceeds the exact full-scan value.  For the
-    deterministic method ``axis_results`` holds only the winning axis and
-    the full per-axis vector is exposed as ``all_axis_accuracies``.
+    ``axis_accuracies[i]`` is the per-axis optimum of ``sampled_axes[i]``.
+    ``best`` is the threshold rule of the first sampled axis reaching their
+    maximum, and ``r_hat`` its accuracy; by the subset argument ``r_hat``
+    never exceeds the exact full-scan value.
     """
 
     r_hat: float
     sampled_axes: list[int]
-    axis_results: list[AxisResult]
+    axis_accuracies: np.ndarray
+    best: AxisResult
     method: EstimatorMethod
     stopping_reason: StopReason
     axes_evaluated: int
     pilot_stats: PilotStats | None = None
-    all_axis_accuracies: np.ndarray | None = None
 
 
-def _column_access(features):
-    """(sample_count, axis_count, column_fn) for eager matrices or lazy sources."""
-    if isinstance(features, FeatureMatrix):
-        return features.sample_count, features.axis_count, features.column
-    if hasattr(features, "column") and hasattr(features, "axis_count"):
-        return features.sample_count, features.axis_count, features.column
-    mat = np.asarray(features, dtype=np.float64)
-    if mat.ndim != 2 or mat.size == 0:
-        raise ValueError("empty dataset: feature matrix must be non-empty N x d")
-    return mat.shape[0], mat.shape[1], lambda i: mat[:, i]
-
-
-def _evaluate_axes(column, labels, axes) -> list[AxisResult]:
-    return [axis_accuracy(column(i), labels, axis_index=i) for i in axes]
-
-
-def _best(results) -> AxisResult:
-    # integer-count comparison; ties keep the earlier (first-sampled) axis
-    return max(results, key=lambda r: r.correct_count)
+def _result(source, labels, axes, counts, method, reason, pilot_stats=None) -> EstimateResult:
+    """Recover the winner's threshold rule; every other axis stays a count."""
+    j = int(np.argmax(counts))  # first max: the earliest sampled axis wins ties
+    best = axis_accuracy(source.column(axes[j]), labels, axis_index=axes[j])
+    return EstimateResult(
+        r_hat=best.accuracy,
+        sampled_axes=axes,
+        axis_accuracies=counts / source.sample_count,
+        best=best,
+        method=method,
+        stopping_reason=reason,
+        axes_evaluated=len(axes),
+        pilot_stats=pilot_stats,
+    )
 
 
 def deterministic_estimate(features, labels) -> EstimateResult:
     """Exhaustive scan wrapped in the common estimator result shape."""
-    _, d, column = _column_access(features)
-    if isinstance(features, FeatureMatrix) or isinstance(features, np.ndarray):
-        r_min, best, all_acc = r_min_deterministic(features, labels)
-    else:
-        mat = np.column_stack([column(i) for i in range(d)])
-        r_min, best, all_acc = r_min_deterministic(mat, labels)
+    r_min, best, accuracies = r_min_deterministic(features, labels)
     return EstimateResult(
         r_hat=r_min,
-        sampled_axes=list(range(d)),
-        axis_results=[best],
+        sampled_axes=list(range(accuracies.size)),
+        axis_accuracies=accuracies,
+        best=best,
         method=EstimatorMethod.DETERMINISTIC,
         stopping_reason=StopReason.EXHAUSTED,
-        axes_evaluated=d,
-        all_axis_accuracies=all_acc,
+        axes_evaluated=accuracies.size,
     )
 
 
 def conservative_estimate(features, labels, p_conservative: float, delta: float, rng_seed) -> EstimateResult:
     """Fixed-size estimate: t = ceil(log(1/delta)/p_conservative) axes (clamped to d)."""
-    _, d, column = _column_access(features)
-    t = min(sample_size(p_conservative, delta), d)
-    axes = sample_axes(d, t, rng_seed)
-    results = _evaluate_axes(column, labels, axes)
-    return EstimateResult(
-        r_hat=_best(results).accuracy,
-        sampled_axes=axes,
-        axis_results=results,
-        method=EstimatorMethod.CONSERVATIVE,
-        stopping_reason=StopReason.FIXED_SIZE_REACHED,
-        axes_evaluated=t,
-    )
+    source = as_feature_source(features)
+    t = min(sample_size(p_conservative, delta), source.axis_count)
+    axes = sample_axes(source.axis_count, t, rng_seed)
+    counts = best_counts(source.columns(axes), labels)
+    return _result(source, labels, axes, counts, EstimatorMethod.CONSERVATIVE,
+                   StopReason.FIXED_SIZE_REACHED)
 
 
 def pilot_estimate(
@@ -302,7 +292,8 @@ def pilot_estimate(
     replacement from the unexplored axes, up to
     min(ceil(log(1/delta)/p_hat), ceil(cap_fraction * d), d).
     """
-    n, d, column = _column_access(features)
+    source = as_feature_source(features)
+    n, d = source.sample_count, source.axis_count
     if not 1 <= n_pilot <= d:
         raise ValueError("sample exceeds population: n_pilot must lie in [1, d]")
     if not 0.0 < cap_fraction <= 1.0:
@@ -310,12 +301,12 @@ def pilot_estimate(
 
     sampler = _AxisSampler(d, rng_seed)
     axes = sampler.draw(n_pilot)
-    results = _evaluate_axes(column, labels, axes)
+    counts = best_counts(source.columns(axes), labels)
 
-    counts = np.sort(np.array([r.correct_count for r in results], dtype=np.int64))
-    eta_count = int(counts[math.ceil(0.75 * n_pilot) - 1])
+    ranked = np.sort(counts)
+    eta_count = int(ranked[math.ceil(0.75 * n_pilot) - 1])
     eta = eta_count / n
-    p_hat = float(np.sum(counts >= eta_count)) / n_pilot
+    p_hat = float(np.sum(ranked >= eta_count)) / n_pilot
     t_required = sample_size(p_hat, delta)
 
     cap = math.ceil(cap_fraction * d)
@@ -324,7 +315,7 @@ def pilot_estimate(
     if extra > 0:
         more = sampler.draw(extra)
         axes = axes + more
-        results = results + _evaluate_axes(column, labels, more)
+        counts = np.concatenate([counts, best_counts(source.columns(more), labels)])
 
     total = len(axes)
     if total >= d:
@@ -333,15 +324,8 @@ def pilot_estimate(
         reason = StopReason.FIXED_SIZE_REACHED
     else:
         reason = StopReason.BUDGET_EXHAUSTED
-    return EstimateResult(
-        r_hat=_best(results).accuracy,
-        sampled_axes=axes,
-        axis_results=results,
-        method=EstimatorMethod.PILOT,
-        stopping_reason=reason,
-        axes_evaluated=total,
-        pilot_stats=PilotStats(eta_pilot=eta, p_hat=p_hat, t_required=t_required),
-    )
+    return _result(source, labels, axes, counts, EstimatorMethod.PILOT, reason,
+                   PilotStats(eta_pilot=eta, p_hat=p_hat, t_required=t_required))
 
 
 def adaptive_estimate(
@@ -373,12 +357,13 @@ def adaptive_estimate(
     if stability_window < 2:
         raise ValueError("stability_window must be >= 2")
 
-    n, d, column = _column_access(features)
+    source = as_feature_source(features)
+    n, d = source.sample_count, source.axis_count
     budget = math.ceil(budget_fraction * d)
     sampler = _AxisSampler(d, rng_seed)
 
     axes: list[int] = []
-    results: list[AxisResult] = []
+    batch_counts: list[np.ndarray] = []
     best_count = -1
     no_improve = 0
     history: list[float] = []
@@ -386,11 +371,11 @@ def adaptive_estimate(
     while True:
         take = min(batch_size, budget - len(axes), d - len(axes))
         batch = sampler.draw(take)
-        batch_results = _evaluate_axes(column, labels, batch)
+        counts = best_counts(source.columns(batch), labels)
         axes.extend(batch)
-        results.extend(batch_results)
+        batch_counts.append(counts)
 
-        batch_best = max(r.correct_count for r in batch_results)
+        batch_best = int(counts.max())
         if batch_best > best_count:
             best_count = batch_best
             no_improve = 0
@@ -412,11 +397,5 @@ def adaptive_estimate(
             reason = StopReason.STABLE
             break
 
-    return EstimateResult(
-        r_hat=_best(results).accuracy,
-        sampled_axes=axes,
-        axis_results=results,
-        method=EstimatorMethod.ADAPTIVE,
-        stopping_reason=reason,
-        axes_evaluated=len(axes),
-    )
+    return _result(source, labels, axes, np.concatenate(batch_counts),
+                   EstimatorMethod.ADAPTIVE, reason)

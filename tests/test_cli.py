@@ -9,7 +9,12 @@ import json
 import numpy as np
 import pytest
 
-from minacc.axiscore import r_min_deterministic
+from minacc.axiscore import (
+    Orientation,
+    ThresholdClassifier,
+    classifier_accuracy,
+    r_min_deterministic,
+)
 from minacc.cli import main
 from minacc.datagen import DatasetSpec, dataset_from_csv, generate, spec_from_json
 from minacc.featmap import load_feature_matrix
@@ -143,6 +148,29 @@ def test_minacc_sampling_methods(tmp_path, capsys, small_data):
     )
     assert code == 0
     assert "pilot_p_hat" in parsed_lines(stdout)
+
+
+@pytest.mark.parametrize("method_args", [
+    ("--method", "conservative", "--p", "0.25", "--seed", "11"),
+    ("--method", "pilot", "--n-pilot", "8", "--cap-fraction", "0.5", "--seed", "1"),
+    ("--method", "adaptive", "--batch-size", "4", "--budget-fraction", "0.5", "--seed", "1"),
+])
+def test_minacc_printed_witness_reproduces_r_hat(tmp_path, capsys, small_data, method_args):
+    feats = tmp_path / "feats.bin"
+    run_cli(capsys, "embed", "--data", str(small_data), "--qubits", "2",
+            "--seed", "5", "--out", str(feats))
+    code, stdout, _ = run_cli(
+        capsys, "minacc", "--features", str(feats), "--data", str(small_data), *method_args
+    )
+    assert code == 0
+    values = parsed_lines(stdout)
+    witness = ThresholdClassifier(
+        int(values["best_axis"]), float(values["threshold"]), Orientation(values["orientation"])
+    )
+    accuracy = classifier_accuracy(
+        witness, load_feature_matrix(feats), dataset_from_csv(small_data).labels
+    )
+    assert f"{accuracy:.6f}" == values["r_hat"]
 
 
 def test_minacc_row_count_mismatch(tmp_path, capsys, small_data):

@@ -233,23 +233,15 @@ def test_run_experiment_baselines_only(tmp_path):
         assert 0.0 <= row.svm_linear <= 1.0
 
 
-def test_axis_accuracy_cache_roundtrip(tmp_path):
-    config = small_config(
-        tmp_path, methods=("deterministic",), datasets=default_datasets(0, 60)[:1]
-    )
-    first = run_experiment(config)
-    cache_files = list((tmp_path / "results").glob("axisacc_*.npy"))
-    assert len(cache_files) == 1
-    # a cached vector of the right shape is trusted as-is
-    poisoned = np.full(16, 0.25)
-    poisoned[3] = 0.875
-    np.save(cache_files[0], poisoned)
-    second = run_experiment(config)
-    assert second.r_min[config.datasets[0].kind] == 0.875
-    # wrong-shape caches are ignored and recomputed
-    np.save(cache_files[0], np.ones(7))
-    third = run_experiment(config)
-    assert third.r_min == first.r_min
+def test_rerun_with_fewer_training_rows_recomputes_r_min(tmp_path):
+    # A rerun in the same output_dir on other training rows must not reuse
+    # anything from the first run: same R_min as a fresh directory, and no
+    # estimate flagged as exceeding it.
+    run_experiment(small_config(tmp_path / "shared", subsample_train=30))
+    rerun = run_experiment(small_config(tmp_path / "shared", subsample_train=12))
+    fresh = run_experiment(small_config(tmp_path / "fresh", subsample_train=12))
+    assert rerun.errors == []
+    assert rerun.r_min == fresh.r_min
 
 
 def test_pearson_edge_cases():

@@ -188,7 +188,7 @@ def test_deterministic_estimate_equals_exhaustive_scan():
     assert result.method is EstimatorMethod.DETERMINISTIC
     assert result.stopping_reason is StopReason.EXHAUSTED
     assert result.axes_evaluated == features.axis_count
-    assert result.all_axis_accuracies is not None
+    assert np.array_equal(result.axis_accuracies, r_min_deterministic(features, labels)[2])
 
 
 def test_conservative_sample_size_and_reason():
@@ -232,7 +232,7 @@ def test_estimators_never_exceed_r_min():
         ]
         for result in results:
             assert result.r_hat <= r_min
-            assert result.r_hat == max(r.accuracy for r in result.axis_results)
+            assert result.r_hat == max(result.axis_accuracies) == result.best.accuracy
 
 
 def test_subset_monotonicity():
