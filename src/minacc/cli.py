@@ -24,15 +24,7 @@ from .datagen import (
     spec_to_json,
     standardize,
 )
-from .featmap import (
-    EncodingCircuitSpec,
-    LazyProxyFeatures,
-    ProjectionSpec,
-    feature_matrix_to_csv,
-    load_feature_matrix,
-    pauli_feature_matrix,
-    save_feature_matrix,
-)
+from .featmap import feature_matrix_to_csv, load_feature_matrix, save_feature_matrix
 from .sampling import (
     CoverageQuery,
     coverage_probability_bound,
@@ -158,13 +150,7 @@ def _cmd_gen_data(args) -> int:
 
 def _cmd_embed(args) -> int:
     dataset = dataset_from_csv(args.data)
-    if args.embedding == "proxy":
-        spec = ProjectionSpec(
-            input_dim=dataset.input_dim, feature_dim=4 ** args.qubits, seed=args.seed
-        )
-        features = LazyProxyFeatures(dataset, spec).materialize()
-    else:
-        features = pauli_feature_matrix(dataset, EncodingCircuitSpec(qubit_count=args.qubits))
+    features = harness.embed_dataset(dataset, args.embedding, args.qubits, args.seed)
     if args.format == "csv":
         feature_matrix_to_csv(features, args.out)
     else:
@@ -267,6 +253,12 @@ def _cmd_experiment(args) -> int:
               f"svm_rbf={svm.get('rbf', float('nan')):.6f}")
     for err in report.errors:
         print(f"warning: {err}", file=sys.stderr)
+    for name, fits in report.svm_fits.items():
+        for source, models in fits.items():
+            for kernel, fit in models.items():
+                if not fit["converged"]:
+                    print(f"warning: dataset={name} {source} {kernel} SVM baseline did not "
+                          f"converge in {fit['sweeps']} sweeps", file=sys.stderr)
     if report.errors and not report.rows:
         return 1
     return 0

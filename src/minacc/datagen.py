@@ -237,19 +237,34 @@ def dataset_to_csv(dataset: LabeledDataset, path) -> None:
             writer.writerow([repr(float(v)) for v in row] + [int(label)])
 
 
-def dataset_from_csv(path) -> LabeledDataset:
+def read_numeric_csv(path) -> tuple[list[str], np.ndarray]:
+    """Header and float rows (one array row per non-blank line) of a CSV.
+    Malformed input raises ValueError naming the file and the line."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
-        if not header or header[-1] != "y":
-            raise ValueError("dataset CSV must end with a 'y' label column")
-        inputs, labels = [], []
+        header = next(reader, None)
+        if not header:
+            raise ValueError(f"{path}, line 1: no header row")
+        rows = []
         for row in reader:
             if not row:
                 continue
-            inputs.append([float(v) for v in row[:-1]])
-            labels.append(int(float(row[-1])))
-    return LabeledDataset(inputs=np.asarray(inputs, dtype=np.float64), labels=np.asarray(labels))
+            if len(row) != len(header):
+                raise ValueError(
+                    f"{path}, line {reader.line_num}: {len(row)} fields, header has {len(header)}"
+                )
+            try:
+                rows.append([float(v) for v in row])
+            except ValueError as exc:
+                raise ValueError(f"{path}, line {reader.line_num}: {exc}") from exc
+    return header, np.asarray(rows, dtype=np.float64).reshape(len(rows), len(header))
+
+
+def dataset_from_csv(path) -> LabeledDataset:
+    header, table = read_numeric_csv(path)
+    if header[-1] != "y":
+        raise ValueError("dataset CSV must end with a 'y' label column")
+    return LabeledDataset(inputs=table[:, :-1], labels=table[:, -1].astype(np.int64))
 
 
 def spec_to_json(spec: DatasetSpec, path=None) -> str:

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .axiscore import FeatureMatrix, LabeledDataset
+from .datagen import read_numeric_csv
 
 _DENSE_QUBIT_LIMIT = 12      # statevector simulation guard
 _MATRIX_QUBIT_LIMIT = 7      # full 4^n-column materialization guard
@@ -267,15 +268,21 @@ def save_feature_matrix(features: FeatureMatrix, path, flags: int = 0) -> None:
 
 
 def load_feature_matrix(path) -> FeatureMatrix:
+    """Reads the binary layout of ``save_feature_matrix`` or, recognised by
+    its ``axis_0`` header, the CSV layout of ``feature_matrix_to_csv``."""
     with open(path, "rb") as fh:
         head = fh.read(_HEADER.size)
+        if head.startswith(b"axis_0"):
+            return feature_matrix_from_csv(path)
         if len(head) != _HEADER.size:
             raise ValueError("feature file truncated: incomplete header")
         n, d, _flags = _HEADER.unpack(head)
-        data = np.frombuffer(fh.read(), dtype="<f8")
-    if data.size != n * d:
-        raise ValueError(f"feature file truncated: expected {n * d} values, got {data.size}")
-    return FeatureMatrix(data.reshape(n, d).astype(np.float64))
+        body = fh.read()
+    if len(body) != 8 * n * d:
+        raise ValueError(
+            f"feature file truncated: expected {n * d} values ({8 * n * d} bytes), got {len(body)} bytes"
+        )
+    return FeatureMatrix(np.frombuffer(body, dtype="<f8").reshape(n, d).astype(np.float64))
 
 
 def feature_matrix_to_csv(features: FeatureMatrix, path) -> None:
@@ -287,10 +294,7 @@ def feature_matrix_to_csv(features: FeatureMatrix, path) -> None:
 
 
 def feature_matrix_from_csv(path) -> FeatureMatrix:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        rows = [[float(v) for v in row] for row in reader if row]
-    if not rows or len(header) == 0:
+    _, values = read_numeric_csv(path)
+    if values.size == 0:
         raise ValueError("empty dataset: no feature rows in CSV")
-    return FeatureMatrix(np.asarray(rows, dtype=np.float64))
+    return FeatureMatrix(values)

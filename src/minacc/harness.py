@@ -5,11 +5,13 @@ subsample the train side, embed, compute the exhaustive ground truth, run the
 configured estimators repeatedly with derived sub-seeds, and train SVM
 baselines for comparison.  Results land in a fixed-format CSV (one row per
 repetition plus mean/min/max aggregate rows) and a JSON document carrying the
-full-precision values, survival functions, and summary statistics.
+full-precision values, survival functions, SVM convergence, and summary
+statistics.
 
 Config files are plain text, one ``key = value`` per line.  ``#`` starts a
 comment, lists are comma separated, and quotes or brackets around values are
-tolerated.  Recognized keys and their defaults:
+tolerated.  The keys are the ``ExperimentConfig`` fields, each read as the
+type of its default, plus ``n_samples``.  Keys and their defaults:
 
     datasets        = linear_separable, multi_cluster, circles
     n_samples       = 1000
@@ -48,7 +50,8 @@ import json
 import math
 import os
 import time
-from dataclasses import asdict, dataclass, field
+import typing
+from dataclasses import asdict, astuple, dataclass, field, fields
 
 import numpy as np
 
@@ -68,7 +71,7 @@ from .sampling import (
     pilot_estimate,
     survival_function,
 )
-from .svmref import KERNEL_LINEAR, KERNEL_RBF, svm_train
+from .svmref import KERNELS, svm_train
 
 CSV_HEADER = "dataset,method,p,rep,r_hat,axes_evaluated,stop_reason,svm_linear,svm_rbf,wall_ms"
 
@@ -162,30 +165,44 @@ class ReportRow:
 @dataclass
 class ExperimentReport:
     config: ExperimentConfig
-    rows: list[ReportRow]
-    r_min: dict                     # dataset -> exhaustive ground truth
-    survival: dict                  # dataset -> {"thresholds": [...], "values": [...]}
-    embedded_svm: dict              # dataset -> {"linear": acc, "rbf": acc}
-    raw_svm: dict                   # dataset -> baselines on unembedded inputs
+    rows: list[ReportRow] = field(default_factory=list)
+    r_min: dict = field(default_factory=dict)         # dataset -> exhaustive ground truth
+    survival: dict = field(default_factory=dict)      # dataset -> {"thresholds": [...], "values": [...]}
+    embedded_svm: dict = field(default_factory=dict)  # dataset -> {"linear": acc, "rbf": acc}
+    raw_svm: dict = field(default_factory=dict)       # dataset -> baselines on unembedded inputs
     correlation: dict = field(default_factory=dict)
-    errors: list = field(default_factory=list)
+    errors: list = field(default_factory=list)        # {"dataset", "stage", ..., "message", "type"}
+    # dataset -> {"embedded"|"raw": {"linear"|"rbf": {"converged": bool, "sweeps": int}}}
+    svm_fits: dict = field(default_factory=dict)
 
 
 # ---------------------------------------------------------------------------
 # config parsing
 # ---------------------------------------------------------------------------
 
-_LIST_KEYS = {"datasets", "methods", "p_values"}
-_INT_KEYS = {"qubit_count", "n_pilot", "batch_size", "patience", "repetitions",
-             "master_seed", "svm_max_iter", "n_samples"}
-_FLOAT_KEYS = {"delta", "cap_fraction", "stability_eps", "budget_fraction",
-               "train_fraction", "svm_c", "svm_tol"}
-_STR_KEYS = {"embedding", "output_dir"}
-_KNOWN_KEYS = _LIST_KEYS | _INT_KEYS | _FLOAT_KEYS | _STR_KEYS | {"subsample_train"}
+# Every ExperimentConfig field is a config key, read by the type of its
+# default (of its first element for tuples).  `datasets` and `n_samples`
+# together build the dataset specs, so they are read by hand.
+_FIELDS = {f.name: f for f in fields(ExperimentConfig)}
+_FIELD_TYPES = typing.get_type_hints(ExperimentConfig)
 
 
 def _clean_value(raw: str) -> str:
     return raw.strip().strip("[]()").strip().strip("\"'")
+
+
+def _clean_list(raw: str) -> list[str]:
+    return [item for item in map(_clean_value, raw.split(",")) if item]
+
+
+def _field_value(name: str, raw: str):
+    default = _FIELDS[name].default
+    if isinstance(default, tuple):
+        return tuple(map(type(default[0]), _clean_list(raw)))
+    value = _clean_value(raw)
+    if value.lower() in ("none", "") and type(None) in typing.get_args(_FIELD_TYPES[name]):
+        return None
+    return type(default)(value)
 
 
 def parse_config(source) -> ExperimentConfig:
@@ -204,30 +221,14 @@ def parse_config(source) -> ExperimentConfig:
             raise ValueError(f"config line {lineno}: expected 'key = value', got {line!r}")
         key, raw = body.split("=", 1)
         key = key.strip().lower()
-        if key not in _KNOWN_KEYS:
+        if key not in _FIELDS and key != "n_samples":
             raise ValueError(f"config line {lineno}: unknown key {key!r}")
         values[key] = raw
 
-    kwargs = {}
-    n_samples = 1000
-    if "n_samples" in values:
-        n_samples = int(_clean_value(values.pop("n_samples")))
-    for key, raw in values.items():
-        if key in _LIST_KEYS:
-            items = [_clean_value(part) for part in raw.split(",") if _clean_value(part)]
-            kwargs[key] = tuple(float(it) for it in items) if key == "p_values" else tuple(items)
-        elif key in _INT_KEYS:
-            kwargs[key] = int(_clean_value(raw))
-        elif key in _FLOAT_KEYS:
-            kwargs[key] = float(_clean_value(raw))
-        elif key == "subsample_train":
-            cleaned = _clean_value(raw).lower()
-            kwargs[key] = None if cleaned in ("none", "") else int(cleaned)
-        else:
-            kwargs[key] = _clean_value(raw)
-
+    n_samples = int(_clean_value(values.pop("n_samples", "1000")))
+    kinds = _clean_list(values.pop("datasets")) if "datasets" in values else DATASET_KINDS
+    kwargs = {key: _field_value(key, raw) for key, raw in values.items()}
     specs = {s.kind: s for s in default_datasets(kwargs.get("master_seed", 0), n_samples)}
-    kinds = kwargs.get("datasets", DATASET_KINDS)
     for kind in kinds:
         if kind not in specs:
             raise ValueError(f"unknown dataset kind {kind!r}")
@@ -238,6 +239,15 @@ def parse_config(source) -> ExperimentConfig:
 # ---------------------------------------------------------------------------
 # pipeline
 # ---------------------------------------------------------------------------
+
+def embed_dataset(dataset, embedding: str, qubit_count: int, seed: int):
+    """The d = 4^qubit_count feature matrix of ``dataset``: the tanh proxy
+    with projection seed ``seed``, or the exact Pauli expectations."""
+    if embedding == "proxy":
+        proj = ProjectionSpec(input_dim=dataset.input_dim, feature_dim=4 ** qubit_count, seed=seed)
+        return LazyProxyFeatures(dataset, proj).materialize()
+    return pauli_feature_matrix(dataset, EncodingCircuitSpec(qubit_count=qubit_count))
+
 
 def _prepare_dataset(spec: DatasetSpec, config: ExperimentConfig):
     """generate -> standardize -> split/subsample -> embed; returns the train
@@ -251,15 +261,8 @@ def _prepare_dataset(spec: DatasetSpec, config: ExperimentConfig):
         subsample_train=config.subsample_train,
         seed=derive_seed(config.master_seed, spec.kind, "split"),
     )
-    if config.embedding == "proxy":
-        proj = ProjectionSpec(
-            input_dim=train.input_dim,
-            feature_dim=config.axis_count,
-            seed=derive_seed(config.master_seed, spec.kind, "embed"),
-        )
-        return train, LazyProxyFeatures(train, proj).materialize()
-    circuit = EncodingCircuitSpec(qubit_count=config.qubit_count)
-    return train, pauli_feature_matrix(train, circuit)
+    seed = derive_seed(config.master_seed, spec.kind, "embed")
+    return train, embed_dataset(train, config.embedding, config.qubit_count, seed)
 
 
 def run_estimator(method: str, features, labels, p, settings, seed: int):
@@ -308,134 +311,97 @@ def pearson(xs, ys):
     return float((xc * yc).sum() / denom)
 
 
-def run_experiment(config: ExperimentConfig) -> ExperimentReport:
-    report = ExperimentReport(
-        config=config, rows=[], r_min={}, survival={}, embedded_svm={}, raw_svm={}
-    )
-    need_ground_truth = bool(config.methods)
+def _run_dataset(spec: DatasetSpec, config: ExperimentConfig, report: ExperimentReport) -> None:
+    """One dataset through the pipeline, recorded into ``report``.  A failing
+    stage records an error and ends the dataset; a failing estimator cell
+    records an error and skips only that cell."""
+    name = spec.kind
 
-    for spec in config.datasets:
-        name = spec.kind
-        try:
-            train, features = _prepare_dataset(spec, config)
-        except Exception as exc:  # one bad dataset must not sink the others
-            report.errors.append({"dataset": name, "stage": "pipeline", "message": str(exc)})
-            continue
+    def fail(stage, exc, **cell):
+        report.errors.append(
+            {"dataset": name, "stage": stage, **cell, "message": str(exc), "type": type(exc).__name__}
+        )
 
-        try:
-            linear = svm_train(
-                features.values, train.labels, kernel=KERNEL_LINEAR,
-                C=config.svm_c, tol=config.svm_tol, max_iter=config.svm_max_iter,
-            )
-            rbf = svm_train(
-                features.values, train.labels, kernel=KERNEL_RBF,
-                C=config.svm_c, tol=config.svm_tol, max_iter=config.svm_max_iter,
-            )
-            raw_linear = svm_train(
-                train.inputs, train.labels, kernel=KERNEL_LINEAR,
-                C=config.svm_c, tol=config.svm_tol, max_iter=config.svm_max_iter,
-            )
-            raw_rbf = svm_train(
-                train.inputs, train.labels, kernel=KERNEL_RBF,
-                C=config.svm_c, tol=config.svm_tol, max_iter=config.svm_max_iter,
-            )
-        except Exception as exc:
-            report.errors.append({"dataset": name, "stage": "svm", "message": str(exc)})
-            continue
-        svm_lin, svm_rbf = linear.training_accuracy, rbf.training_accuracy
-        report.embedded_svm[name] = {"linear": svm_lin, "rbf": svm_rbf}
-        report.raw_svm[name] = {
-            "linear": raw_linear.training_accuracy,
-            "rbf": raw_rbf.training_accuracy,
-        }
+    try:
+        train, features = _prepare_dataset(spec, config)
+    except Exception as exc:  # one bad dataset must not sink the others
+        return fail("pipeline", exc)
 
-        r_min = None
-        if need_ground_truth:
-            try:
-                start = time.perf_counter()
-                r_min, _, accuracies = r_min_deterministic(features, train.labels)
-                det_ms = (time.perf_counter() - start) * 1000.0
-            except Exception as exc:
-                report.errors.append(
-                    {"dataset": name, "stage": "deterministic", "message": str(exc)}
+    try:
+        fits = {
+            source: {
+                kernel: svm_train(
+                    x, train.labels, kernel=kernel,
+                    C=config.svm_c, tol=config.svm_tol, max_iter=config.svm_max_iter,
                 )
-                continue
-            report.r_min[name] = r_min
-            surv = survival_function(accuracies)
-            report.survival[name] = {
-                "thresholds": surv.thresholds.tolist(),
-                "values": surv.values.tolist(),
+                for kernel in KERNELS
             }
-            if EstimatorMethod.DETERMINISTIC.value in config.methods:
-                report.rows.append(
-                    ReportRow(
-                        dataset=name,
-                        method=EstimatorMethod.DETERMINISTIC.value,
-                        p=None,
-                        rep=0,
-                        r_hat=r_min,
-                        axes_evaluated=features.axis_count,
-                        stop_reason="exhausted",
-                        svm_linear=svm_lin,
-                        svm_rbf=svm_rbf,
-                        wall_ms=det_ms,
-                    )
-                )
+            for source, x in (("embedded", features.values), ("raw", train.inputs))
+        }
+    except Exception as exc:
+        return fail("svm", exc)
+    report.embedded_svm[name] = {k: m.training_accuracy for k, m in fits["embedded"].items()}
+    report.raw_svm[name] = {k: m.training_accuracy for k, m in fits["raw"].items()}
+    report.svm_fits[name] = {
+        source: {k: {"converged": m.converged, "sweeps": m.n_sweeps} for k, m in models.items()}
+        for source, models in fits.items()
+    }
+    svm = report.embedded_svm[name]
 
-        if not config.methods:
-            report.rows.append(
-                ReportRow(
-                    dataset=name, method="baseline", p=None, rep=0,
-                    r_hat=None, axes_evaluated=0, stop_reason="",
-                    svm_linear=svm_lin, svm_rbf=svm_rbf, wall_ms=0.0,
-                )
-            )
+    def add_row(method, p, rep, r_hat, axes_evaluated, stop_reason, wall_ms):
+        report.rows.append(ReportRow(
+            name, method, p, rep, r_hat, axes_evaluated, stop_reason, svm["linear"], svm["rbf"], wall_ms
+        ))
+
+    if not config.methods:
+        add_row("baseline", None, 0, None, 0, "", 0.0)
+        return
+
+    try:
+        start = time.perf_counter()
+        r_min, _, accuracies = r_min_deterministic(features, train.labels)
+        det_ms = (time.perf_counter() - start) * 1000.0
+    except Exception as exc:
+        return fail(EstimatorMethod.DETERMINISTIC.value, exc)
+    report.r_min[name] = r_min
+    surv = survival_function(accuracies)
+    report.survival[name] = {"thresholds": surv.thresholds.tolist(), "values": surv.values.tolist()}
+    # the exhaustive row leads the dataset's rows wherever `methods` lists it
+    if EstimatorMethod.DETERMINISTIC.value in config.methods:
+        add_row(EstimatorMethod.DETERMINISTIC.value, None, 0, r_min, features.axis_count, "exhausted", det_ms)
+
+    cells = [
+        (method, p, rep)
+        for method in config.methods
+        if method != EstimatorMethod.DETERMINISTIC.value
+        for p in (config.p_values if method == EstimatorMethod.CONSERVATIVE.value else (None,))
+        for rep in range(config.repetitions)
+    ]
+    for method, p, rep in cells:
+        seed = derive_seed(config.master_seed, name, method, p, rep)
+        try:
+            start = time.perf_counter()
+            result = run_estimator(method, features, train.labels, p, config, seed)
+            wall_ms = (time.perf_counter() - start) * 1000.0
+            if result.r_hat > r_min:
+                raise RuntimeError(f"estimate {result.r_hat} exceeds exhaustive value {r_min}")
+        except Exception as exc:
+            fail(method, exc, p=p, rep=rep)
             continue
+        add_row(method, p, rep, result.r_hat, result.axes_evaluated, result.stopping_reason.value, wall_ms)
 
-        for method in config.methods:
-            if method == EstimatorMethod.DETERMINISTIC.value:
-                continue
-            p_cells = config.p_values if method == EstimatorMethod.CONSERVATIVE.value else (None,)
-            for p in p_cells:
-                for rep in range(config.repetitions):
-                    seed = derive_seed(config.master_seed, name, method, p, rep)
-                    try:
-                        start = time.perf_counter()
-                        result = run_estimator(method, features, train.labels, p, config, seed)
-                        wall_ms = (time.perf_counter() - start) * 1000.0
-                        if r_min is not None and result.r_hat > r_min:
-                            raise RuntimeError(
-                                f"estimate {result.r_hat} exceeds exhaustive value {r_min}"
-                            )
-                    except Exception as exc:
-                        report.errors.append(
-                            {
-                                "dataset": name, "stage": method, "p": p, "rep": rep,
-                                "message": str(exc),
-                            }
-                        )
-                        continue
-                    report.rows.append(
-                        ReportRow(
-                            dataset=name,
-                            method=method,
-                            p=p,
-                            rep=rep,
-                            r_hat=result.r_hat,
-                            axes_evaluated=result.axes_evaluated,
-                            stop_reason=result.stopping_reason.value,
-                            svm_linear=svm_lin,
-                            svm_rbf=svm_rbf,
-                            wall_ms=wall_ms,
-                        )
-                    )
+
+def run_experiment(config: ExperimentConfig) -> ExperimentReport:
+    report = ExperimentReport(config=config)
+    for spec in config.datasets:
+        _run_dataset(spec, config, report)
 
     names = [n for n in report.r_min if n in report.embedded_svm]
     if len(names) >= 2:
         truths = [report.r_min[n] for n in names]
         report.correlation = {
-            "r_min_vs_svm_linear": pearson(truths, [report.embedded_svm[n]["linear"] for n in names]),
-            "r_min_vs_svm_rbf": pearson(truths, [report.embedded_svm[n]["rbf"] for n in names]),
+            f"r_min_vs_svm_{kernel}": pearson(truths, [report.embedded_svm[n][kernel] for n in names])
+            for kernel in KERNELS
         }
     return report
 
@@ -453,39 +419,24 @@ def _fmt(value) -> str:
 
 
 def _row_fields(row: ReportRow) -> list:
-    return [
-        row.dataset, row.method, _fmt(row.p), row.rep, _fmt(row.r_hat),
-        row.axes_evaluated, row.stop_reason, _fmt(row.svm_linear),
-        _fmt(row.svm_rbf), _fmt(row.wall_ms),
-    ]
+    return [_fmt(value) for value in astuple(row)]
 
 
 def _aggregate_rows(rows: list[ReportRow]) -> list[list]:
-    """mean/min/max rows per (dataset, method, p) cell, in first-seen order."""
+    """mean/min/max rows per (dataset, method, p) cell, in first-seen order;
+    the stat label takes the place of the repetition."""
     cells: dict = {}
     for row in rows:
         cells.setdefault((row.dataset, row.method, row.p), []).append(row)
+    numeric = ("r_hat", "axes_evaluated", "svm_linear", "svm_rbf", "wall_ms")
     out = []
     for (dataset, method, p), members in cells.items():
         if any(r.r_hat is None for r in members):
             continue
-        stats = {
-            "mean": lambda v: float(np.mean(v)),
-            "min": lambda v: float(np.min(v)),
-            "max": lambda v: float(np.max(v)),
-        }
-        for label, fn in stats.items():
-            out.append(
-                [
-                    dataset, method, _fmt(p), label,
-                    _fmt(fn([r.r_hat for r in members])),
-                    _fmt(fn([float(r.axes_evaluated) for r in members])),
-                    "",
-                    _fmt(fn([r.svm_linear for r in members])),
-                    _fmt(fn([r.svm_rbf for r in members])),
-                    _fmt(fn([r.wall_ms for r in members])),
-                ]
-            )
+        columns = {key: [float(getattr(r, key)) for r in members] for key in numeric}
+        for label, fn in (("mean", np.mean), ("min", np.min), ("max", np.max)):
+            stats = {key: float(fn(values)) for key, values in columns.items()}
+            out.append(_row_fields(ReportRow(dataset, method, p, label, stop_reason="", **stats)))
     return out
 
 
@@ -493,36 +444,22 @@ def report_to_csv_text(report: ExperimentReport) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_HEADER.split(","))
-    for row in report.rows:
-        writer.writerow(_row_fields(row))
-    for fields in _aggregate_rows(report.rows):
-        writer.writerow(fields)
+    writer.writerows(map(_row_fields, report.rows))
+    writer.writerows(_aggregate_rows(report.rows))
     return buf.getvalue()
 
 
+def _as_lists(value):
+    """Tuples become lists, at any depth, as JSON reads them back."""
+    if isinstance(value, dict):
+        return {key: _as_lists(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_as_lists(item) for item in value]
+    return value
+
+
 def report_to_dict(report: ExperimentReport) -> dict:
-    config = asdict(report.config)
-    config["datasets"] = [asdict(s) for s in report.config.datasets]
-    config["methods"] = list(report.config.methods)
-    config["p_values"] = list(report.config.p_values)
-    return {
-        "config": config,
-        "rows": [
-            {
-                "dataset": r.dataset, "method": r.method, "p": r.p, "rep": r.rep,
-                "r_hat": r.r_hat, "axes_evaluated": r.axes_evaluated,
-                "stop_reason": r.stop_reason, "svm_linear": r.svm_linear,
-                "svm_rbf": r.svm_rbf, "wall_ms": r.wall_ms,
-            }
-            for r in report.rows
-        ],
-        "r_min": dict(report.r_min),
-        "survival": dict(report.survival),
-        "embedded_svm": dict(report.embedded_svm),
-        "raw_svm": dict(report.raw_svm),
-        "correlation": dict(report.correlation),
-        "errors": list(report.errors),
-    }
+    return _as_lists(asdict(report))
 
 
 def emit_report(report: ExperimentReport, fmt: str = "csv", path=None) -> list[str]:
@@ -569,6 +506,6 @@ def reports_equivalent(a, b) -> bool:
             with open(source) as fh:
                 text = fh.read()
         parsed = list(csv.reader(io.StringIO(text)))
-        return [fields[:-1] for fields in parsed if fields]
+        return [row[:-1] for row in parsed if row]
 
     return rows_of(a) == rows_of(b)

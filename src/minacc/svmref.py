@@ -12,7 +12,7 @@ N around 100.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -216,20 +216,15 @@ def svm_predict(model: SvmModel, features: np.ndarray) -> np.ndarray:
 # serialization
 # ---------------------------------------------------------------------------
 
+# every field but the explicit weights, which are rebuilt from the support set
+_SAVED_FIELDS = tuple(f for f in fields(SvmModel) if f.name != "weights")
+
+
 def model_to_json(model: SvmModel, path=None) -> str:
-    payload = {
-        "kernel": model.kernel,
-        "gamma": model.gamma,
-        "C": model.C,
-        "dual_coef": model.dual_coef.tolist(),
-        "bias": model.bias,
-        "support_indices": model.support_indices.tolist(),
-        "support_vectors": model.support_vectors.tolist(),
-        "training_accuracy": model.training_accuracy,
-        "converged": model.converged,
-        "n_sweeps": model.n_sweeps,
-        "objective_history": model.objective_history.tolist(),
-    }
+    payload = {}
+    for f in _SAVED_FIELDS:
+        value = getattr(model, f.name)
+        payload[f.name] = value.tolist() if isinstance(value, np.ndarray) else value
     text = json.dumps(payload, indent=2)
     if path is not None:
         with open(path, "w") as fh:
@@ -244,22 +239,13 @@ def model_from_json(source) -> SvmModel:
         with open(source) as fh:
             text = fh.read()
     raw = json.loads(text)
-    support_vectors = np.asarray(raw["support_vectors"], dtype=np.float64)
-    if support_vectors.size == 0:
-        support_vectors = support_vectors.reshape(0, 0)
-    model = SvmModel(
-        kernel=raw["kernel"],
-        gamma=raw["gamma"],
-        C=raw["C"],
-        dual_coef=np.asarray(raw["dual_coef"], dtype=np.float64),
-        bias=raw["bias"],
-        support_indices=np.asarray(raw["support_indices"], dtype=np.int64),
-        support_vectors=support_vectors,
-        training_accuracy=raw["training_accuracy"],
-        converged=raw["converged"],
-        n_sweeps=raw["n_sweeps"],
-        objective_history=np.asarray(raw["objective_history"], dtype=np.float64),
-    )
-    if model.kernel == KERNEL_LINEAR and 0 < support_vectors.shape[1] <= _EXPLICIT_WEIGHT_LIMIT:
-        model.weights = model.dual_coef @ support_vectors
+    values = {f.name: raw[f.name] for f in _SAVED_FIELDS}
+    for name, value in values.items():
+        if isinstance(value, list):  # the arrays
+            values[name] = np.asarray(value, dtype=np.int64 if name == "support_indices" else np.float64)
+    model = SvmModel(**values)
+    if model.support_vectors.size == 0:
+        model.support_vectors = model.support_vectors.reshape(0, 0)
+    if model.kernel == KERNEL_LINEAR and 0 < model.support_vectors.shape[1] <= _EXPLICIT_WEIGHT_LIMIT:
+        model.weights = model.dual_coef @ model.support_vectors
     return model

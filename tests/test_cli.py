@@ -173,6 +173,24 @@ def test_minacc_printed_witness_reproduces_r_hat(tmp_path, capsys, small_data, m
     assert f"{accuracy:.6f}" == values["r_hat"]
 
 
+@pytest.mark.parametrize("method", ["det", "conservative"])
+def test_csv_feature_file_reads_like_binary(tmp_path, capsys, small_data, method):
+    outputs = {}
+    for fmt in ("binary", "csv"):
+        feats = tmp_path / f"feats.{fmt}"
+        run_cli(capsys, "embed", "--data", str(small_data), "--qubits", "2",
+                "--seed", "5", "--out", str(feats), "--format", fmt)
+        code, stdout, err = run_cli(
+            capsys, "minacc", "--features", str(feats), "--data", str(small_data),
+            "--method", method, "--p", "0.5",
+        )
+        assert code == 0, err
+        code, svm_out, err = run_cli(capsys, "svm", "--data", str(small_data), "--features", str(feats))
+        assert code == 0, err
+        outputs[fmt] = (parsed_lines(stdout), parsed_lines(svm_out))
+    assert outputs["csv"] == outputs["binary"]
+
+
 def test_minacc_row_count_mismatch(tmp_path, capsys, small_data):
     feats = tmp_path / "feats.bin"
     run_cli(capsys, "embed", "--data", str(small_data), "--qubits", "2",
@@ -262,6 +280,22 @@ def test_experiment_end_to_end(tmp_path, capsys):
                           "stop_reason,svm_linear,svm_rbf,wall_ms")
 
 
+def test_experiment_warns_about_unconverged_baselines(tmp_path, capsys):
+    config = tmp_path / "exp.cfg"
+    config.write_text(
+        "datasets = circles\nn_samples = 60\nqubit_count = 2\nsubsample_train = 30\n"
+        f"methods = deterministic\nsvm_max_iter = 1\noutput_dir = {tmp_path / 'results'}\n"
+    )
+    code, _, err = run_cli(capsys, "experiment", "--config", str(config), "--format", "json")
+    assert code == 0
+    fits = json.loads((tmp_path / "results" / "report.json").read_text())["svm_fits"]["circles"]
+    assert fits == {source: {kernel: {"converged": False, "sweeps": 1} for kernel in ("linear", "rbf")}
+                    for source in ("embedded", "raw")}
+    warnings = [line for line in err.splitlines() if "did not converge" in line]
+    assert len(warnings) == 4
+    assert "warning: dataset=circles embedded linear" in warnings[0]
+
+
 def test_experiment_flag_overrides(tmp_path, capsys):
     config = tmp_path / "exp.cfg"
     config.write_text(
@@ -290,6 +324,11 @@ def test_cli_error_paths(tmp_path, capsys):
         "--out", str(tmp_path / "x.bin"),
     )
     assert code == 1 and "error:" in err
+    # so do malformed dataset files, naming the file and the line
+    empty = tmp_path / "empty.csv"
+    empty.write_text("")
+    code, _, err = run_cli(capsys, "embed", "--data", str(empty), "--out", str(tmp_path / "x.bin"))
+    assert code == 1 and f"error: {empty}, line 1:" in err
     # argparse rejects unknown flags with exit 2
     with pytest.raises(SystemExit) as exc:
         main(["coverage", "--nope", "1"])

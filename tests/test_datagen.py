@@ -245,6 +245,19 @@ def test_dataset_csv_header_check(tmp_path):
         dataset_from_csv(path)
 
 
+@pytest.mark.parametrize("text, line", [
+    ("", 1),
+    ("x_1,x_2,y\n0.1,0.2,1\n0.3,-1\n", 3),
+    ("x_1,y\n0.1,1\n0.2,-1,7\n", 3),
+    ("x_1,y\n0.1,1\n\nabc,-1\n", 4),
+])
+def test_malformed_dataset_csv_names_file_and_line(tmp_path, text, line):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=rf"bad\.csv, line {line}:"):
+        dataset_from_csv(path)
+
+
 def test_spec_json_roundtrip(tmp_path):
     spec = DatasetSpec(kind=CIRCLES, n_samples=250, seed=42, noise_sigma=0.2,
                        radius_factor=0.4)

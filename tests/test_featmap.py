@@ -284,3 +284,18 @@ def test_csv_roundtrip_is_exact(tmp_path):
     assert np.array_equal(loaded.values, feats.values)
     header = path.read_text().splitlines()[0]
     assert header.split(",")[0] == "axis_0"
+    # the feature-file loader recognises the CSV layout by that header
+    assert np.array_equal(load_feature_matrix(path).values, feats.values)
+
+
+@pytest.mark.parametrize("text, line", [
+    ("", 1),
+    ("axis_0,axis_1\n0.1,0.2\n0.3\n", 3),
+    ("axis_0,axis_1\n0.1,0.2\n\n0.3,0.4,0.5\n", 4),
+    ("axis_0,axis_1\n0.1,zero\n", 2),
+])
+def test_malformed_feature_csv_names_file_and_line(tmp_path, text, line):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=rf"bad\.csv, line {line}:"):
+        feature_matrix_from_csv(path)

@@ -5,6 +5,7 @@ d = 16 (qubit_count 2) so the whole pipeline executes in well under a second.
 """
 
 import csv
+import dataclasses
 import io
 import json
 import re
@@ -12,6 +13,7 @@ import re
 import numpy as np
 import pytest
 
+from minacc import harness
 from minacc.datagen import CIRCLES, LINEAR_SEPARABLE, MULTI_CLUSTER, DatasetSpec
 from minacc.harness import (
     CSV_HEADER,
@@ -139,6 +141,52 @@ def test_parse_config_rejects_unknown_keys_and_bad_lines():
         parse_config("datasets = moons")
 
 
+def test_docstring_key_table_is_the_default_config():
+    table = [line for line in harness.__doc__.splitlines() if re.match(r"^ {4}\w+ +=", line)]
+    keys = {line.split("=")[0].strip() for line in table}
+    assert keys == {f.name for f in dataclasses.fields(ExperimentConfig)} | {"n_samples"}
+    assert parse_config("\n".join(table)) == ExperimentConfig()
+
+
+# a value unlike the default for every ExperimentConfig field: (config text, parsed value)
+NON_DEFAULTS = {
+    "datasets": ("circles", (CIRCLES,)),
+    "qubit_count": ("3", 3),
+    "embedding": ("pauli", "pauli"),
+    "methods": ("pilot, adaptive", ("pilot", "adaptive")),
+    "p_values": ("[0.5]", (0.5,)),
+    "delta": ("1", 1.0),              # an integer given for a float key
+    "n_pilot": ("7", 7),
+    "cap_fraction": ("0.5", 0.5),
+    "batch_size": ("8", 8),
+    "patience": ("5", 5),
+    "stability_eps": ("0.01", 0.01),
+    "budget_fraction": ("0.5", 0.5),
+    "repetitions": ("2", 2),
+    "master_seed": ("9", 9),
+    "train_fraction": ("0.5", 0.5),
+    "subsample_train": ("none", None),
+    "svm_c": ("2.5", 2.5),
+    "svm_tol": ("0.01", 0.01),
+    "svm_max_iter": ("50", 50),
+    "output_dir": ("'out/run'", "out/run"),
+}
+
+
+def test_parse_config_reads_every_field_by_its_type():
+    assert set(NON_DEFAULTS) == {f.name for f in dataclasses.fields(ExperimentConfig)}
+    config = parse_config("\n".join(f"{key} = {text}" for key, (text, _) in NON_DEFAULTS.items()))
+    default = ExperimentConfig()
+    for key, (_, expected) in NON_DEFAULTS.items():
+        value = getattr(config, key)
+        if key == "datasets":
+            assert value == tuple(s for s in default_datasets(9) if s.kind in expected)
+            continue
+        assert value == expected and value != getattr(default, key), key
+        pairs = zip(value, expected) if isinstance(expected, tuple) else [(value, expected)]
+        assert all(type(got) is type(want) for got, want in pairs), key
+
+
 def test_parse_config_from_file(tmp_path):
     path = tmp_path / "exp.cfg"
     path.write_text("qubit_count = 2\nrepetitions = 1\n")
@@ -187,6 +235,49 @@ def test_run_experiment_small_full_grid(tmp_path):
             assert r.svm_rbf == report.embedded_svm[kind]["rbf"]
 
     assert set(report.correlation) == {"r_min_vs_svm_linear", "r_min_vs_svm_rbf"}
+    for kind in kinds:
+        fits = report.svm_fits[kind]
+        assert {source: set(models) for source, models in fits.items()} == {
+            "embedded": {"linear", "rbf"}, "raw": {"linear", "rbf"}
+        }
+        for models in fits.values():
+            assert all(fit["converged"] and 1 <= fit["sweeps"] < config.svm_max_iter
+                       for fit in models.values())
+
+
+def test_deterministic_row_leads_wherever_listed(tmp_path):
+    report = run_experiment(small_config(tmp_path, methods=("conservative", "deterministic")))
+    assert report.errors == [] and len(report.r_min) == 3
+    for kind in report.r_min:
+        methods = [r.method for r in report.rows if r.dataset == kind]
+        assert methods == ["deterministic"] + ["conservative"] * 4
+
+
+def test_scan_failure_keeps_svm_baselines(tmp_path, monkeypatch):
+    def broken_scan(features, labels):
+        raise FloatingPointError("scan exploded")
+
+    monkeypatch.setattr(harness, "r_min_deterministic", broken_scan)
+    config = small_config(tmp_path)
+    report = run_experiment(config)
+    assert report.rows == [] and report.r_min == {}
+    kinds = [s.kind for s in config.datasets]
+    assert sorted(report.embedded_svm) == sorted(report.raw_svm) == sorted(kinds)
+    assert report.errors == [
+        {"dataset": kind, "stage": "deterministic", "message": "scan exploded",
+         "type": "FloatingPointError"}
+        for kind in kinds
+    ]
+
+
+def test_unconverged_baselines_are_reported(tmp_path):
+    # one sweep cannot converge on 30 rows; the accuracies are still reported
+    report = run_experiment(small_config(tmp_path, methods=(), svm_max_iter=1))
+    assert report.errors == [] and len(report.svm_fits) == 3
+    for kind, fits in report.svm_fits.items():
+        assert set(report.embedded_svm[kind]) == {"linear", "rbf"}
+        for models in fits.values():
+            assert all(fit == {"converged": False, "sweeps": 1} for fit in models.values())
 
 
 def test_run_experiment_is_deterministic(tmp_path):
@@ -215,6 +306,7 @@ def test_run_experiment_records_cell_errors_and_continues(tmp_path):
     config = small_config(tmp_path, n_pilot=100)
     report = run_experiment(config)
     assert all(e["stage"] == "pilot" for e in report.errors)
+    assert all(e["type"] == "ValueError" for e in report.errors)
     assert len(report.errors) == 3 * config.repetitions
     assert all("n_pilot" in e["message"] for e in report.errors)
     methods_seen = {r.method for r in report.rows}
@@ -317,6 +409,7 @@ def test_emit_json_roundtrip(tmp_path):
         loaded = json.load(fh)
     assert loaded == report_to_dict(report)
     assert loaded["config"]["qubit_count"] == 2
+    assert loaded["svm_fits"] == report.svm_fits
     with pytest.raises(ValueError, match="format"):
         emit_report(report, fmt="yaml")
 
