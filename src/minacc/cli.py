@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import pathlib
 import sys
 
 from . import harness
@@ -221,7 +222,7 @@ def _cmd_svm(args) -> int:
 
 def _cmd_experiment(args) -> int:
     if args.config:
-        config = harness.parse_config(args.config)
+        config = harness.parse_config(pathlib.Path(args.config))
     else:
         config = harness.ExperimentConfig()
 

@@ -9,10 +9,11 @@ the N x d matrix, growing d extends rather than reshuffles earlier columns,
 and the lazy and eager paths are bit-identical because they run the same
 per-column code.
 
-For small n there is also the real thing: an angle-encoding statevector
-simulator and expectation values of all 4^n Pauli strings (eigenvalues +-1,
-so features lie in [-1, 1] and the squared entries of one sample sum to
-2^n for pure states).
+For n <= 8 there is also the real thing: an angle-encoding statevector simulator and
+expectation values of all 4^n Pauli strings (eigenvalues +-1, so features lie in [-1, 1]
+and the squared entries of one sample sum to 2^n for pure states).  A Walsh-Hadamard
+transform over k of conj(psi[k ^ x]) psi[k] gives every Z-mask of X-mask x, O(n 4^n) per
+state; values within their rounding bound (n + 3) eps/2 of zero become exactly 0.0.
 """
 
 from __future__ import annotations
@@ -28,9 +29,10 @@ from .axiscore import FeatureMatrix, LabeledDataset
 from .datagen import read_numeric_csv
 
 _DENSE_QUBIT_LIMIT = 12      # statevector simulation guard
-_MATRIX_QUBIT_LIMIT = 7      # full 4^n-column materialization guard
+_MATRIX_QUBIT_LIMIT = 8      # full 4^n-column materialization guard
 
 _PAULI_LETTERS = "IXYZ"
+_PAULI_DIGITS = str.maketrans(_PAULI_LETTERS, "0123")
 
 
 # ---------------------------------------------------------------------------
@@ -113,16 +115,21 @@ class PauliString:
     index: int
     letters: str
 
+    def __post_init__(self):
+        n = len(self.letters)
+        if n < 1:
+            raise ValueError("need at least one qubit")
+        if not 0 <= self.index < 4 ** n:
+            raise ValueError(f"Pauli index {self.index} out of range [0, {4 ** n})")
+        if self.letters.strip(_PAULI_LETTERS) or int(self.letters.translate(_PAULI_DIGITS), 4) != self.index:
+            raise ValueError(f"Pauli letters {self.letters!r} do not spell index {self.index}")
+
     @property
     def qubit_count(self) -> int:
         return len(self.letters)
 
 
 def pauli_string(index: int, n: int) -> PauliString:
-    if n < 1:
-        raise ValueError("need at least one qubit")
-    if not 0 <= index < 4 ** n:
-        raise ValueError(f"Pauli index {index} out of range [0, {4 ** n})")
     letters = "".join(_PAULI_LETTERS[(index >> (2 * (n - 1 - q))) & 3] for q in range(n))
     return PauliString(index=index, letters=letters)
 
@@ -155,11 +162,8 @@ def _apply_ry(state: np.ndarray, theta: float, qubit: int, n: int) -> np.ndarray
 
 
 def _ring_pairs(n: int):
-    if n < 2:
-        return []
-    if n == 2:
-        return [(0, 1)]
-    return [(j, (j + 1) % n) for j in range(n)]
+    # a ring of n > 2 qubits; one pair for n = 2, none for n = 1
+    return [(j, (j + 1) % n) for j in range(n if n > 2 else n - 1)]
 
 
 def encode_state(x, spec: EncodingCircuitSpec) -> np.ndarray:
@@ -186,69 +190,61 @@ def encode_state(x, spec: EncodingCircuitSpec) -> np.ndarray:
     return state
 
 
-def _pauli_action(letters: str):
-    """(index permutation, per-source phase) such that sigma|b> = phase[b] |perm[b]>."""
-    n = len(letters)
-    size = 2 ** n
-    idx = np.arange(size)
-    flip = 0
-    phase = np.ones(size, dtype=np.complex128)
-    for q, letter in enumerate(letters):
-        bitpos = n - 1 - q
-        bit = (idx >> bitpos) & 1
-        if letter == "X":
-            flip |= 1 << bitpos
-        elif letter == "Y":
-            flip |= 1 << bitpos
-            phase = phase * np.where(bit == 0, 1j, -1j)
-        elif letter == "Z":
-            phase = phase * np.where(bit == 1, -1.0 + 0j, 1.0 + 0j)
-        elif letter != "I":
-            raise ValueError(f"invalid Pauli letter {letter!r}")
-    return idx ^ flip, phase
+def _pauli_masks(index, n: int):
+    """(X-mask, Z-mask, i^{#Y}) of Pauli index(es): sigma|k> = i^{#Y} (-1)^{|z & k|} |k ^ x>."""
+    x = z = y_count = 0
+    for q in range(n):
+        digit = (index >> (2 * (n - 1 - q))) & 3
+        x = (x << 1) | ((digit ^ (digit >> 1)) & 1)
+        z = (z << 1) | (digit >> 1)
+        y_count = y_count + (digit == 2)
+    return x, z, np.array([1, 1j, -1, -1j])[y_count % 4]
+
+
+def _transformed_products(psi: np.ndarray, x_masks: np.ndarray, n: int) -> np.ndarray:
+    """[r, z] = <psi| X^{x_masks[r]} Z^z |psi>: one Walsh-Hadamard transform along k
+    of the products conj(psi[k ^ x]) psi[k] gives every Z-mask of an X-mask."""
+    k = np.arange(2 ** n)
+    w = (np.conj(psi[np.bitwise_xor.outer(x_masks, k)]) * psi).reshape((-1,) + (2,) * n)
+    for axis in range(1, n + 1):
+        lo, hi = np.take(w, 0, axis), np.take(w, 1, axis)
+        w = np.stack((lo + hi, lo - hi), axis=axis)
+    return w.reshape(len(x_masks), 2 ** n)
+
+
+def _expectation_values(raw, norm_sq, n: int):
+    """Raw <psi|sigma|psi> / <psi|psi>, imaginary part checked, clipped, and 0.0 within
+    (n + 3) eps/2: the rounding of the products (3) and of the n butterfly stages."""
+    if norm_sq == 0.0:
+        raise ValueError("empty dataset: statevector has zero norm")
+    if np.any(np.abs(np.imag(raw)) > 1e-10 * norm_sq):
+        raise ValueError("Pauli expectation has a non-negligible imaginary part")
+    values = np.clip(np.real(raw) / norm_sq, -1.0, 1.0)
+    return np.where(np.abs(values) <= (n + 3) * np.finfo(np.float64).eps / 2, 0.0, values)
 
 
 def pauli_expectation(state, sigma: PauliString) -> float:
-    """<psi| sigma |psi> / <psi|psi> without materializing the 2^n x 2^n matrix.
-
-    The string acts as a bit-flip permutation with per-basis-state phases,
-    so the expectation is one shuffled inner product.  Dividing by the squared
-    norm cancels the few-ulp drift a simulated state picks up, which keeps the
-    all-identity expectation exactly 1.0 (same float over itself).  The value
-    is real for any state; the residual imaginary part is checked against
-    1e-10 and the result clamped to [-1, 1].
-    """
+    """<psi| sigma |psi> / <psi|psi>, bit-identical to its ``pauli_feature_matrix`` entry."""
+    n = sigma.qubit_count
     psi = np.asarray(state, dtype=np.complex128).ravel()
-    if psi.size != 2 ** sigma.qubit_count:
+    if psi.size != 2 ** n:
         raise ValueError("statevector length does not match Pauli string")
-    perm, phase = _pauli_action(sigma.letters)
-    val = np.vdot(psi, (phase * psi)[perm])
-    norm_sq = np.vdot(psi, psi).real
-    if norm_sq == 0.0:
-        raise ValueError("empty dataset: statevector has zero norm")
-    if abs(val.imag) > 1e-10 * norm_sq:
-        raise ValueError("Pauli expectation has a non-negligible imaginary part")
-    return float(np.clip(val.real / norm_sq, -1.0, 1.0))
+    x, z, phase = _pauli_masks(sigma.index, n)
+    w = _transformed_products(psi, np.array([0, x]), n)
+    return float(_expectation_values(phase * w[1, z], w[0, 0].real, n))
 
 
 def pauli_feature_matrix(dataset: LabeledDataset, spec: EncodingCircuitSpec) -> FeatureMatrix:
-    """All 4^n Pauli expectations per sample, columns in Pauli index order."""
+    """All 4^n Pauli expectations per sample, columns in Pauli index order,
+    gathered from one transformed 2^n x 2^n product table per sample."""
     n = spec.qubit_count
     if n > _MATRIX_QUBIT_LIMIT:
-        raise ValueError(
-            f"dense simulation limit: full 4^n feature matrix needs n <= {_MATRIX_QUBIT_LIMIT}"
-        )
-    d = 4 ** n
-    actions = [_pauli_action(pauli_string(i, n).letters) for i in range(d)]
-    out = np.empty((dataset.sample_count, d), dtype=np.float64)
-    for k in range(dataset.sample_count):
-        state = encode_state(dataset.inputs[k], spec)
-        conj = np.conj(state)
-        norm_sq = np.sum(conj * state).real
-        for i, (perm, phase) in enumerate(actions):
-            val = np.sum(conj * (phase * state)[perm])
-            out[k, i] = val.real / norm_sq
-    np.clip(out, -1.0, 1.0, out=out)
+        raise ValueError(f"dense simulation limit: 4^n features need n <= {_MATRIX_QUBIT_LIMIT}")
+    x, z, phase = _pauli_masks(np.arange(4 ** n), n)
+    out = np.empty((dataset.sample_count, 4 ** n), dtype=np.float64)
+    for row, inputs in zip(out, dataset.inputs):
+        w = _transformed_products(encode_state(inputs, spec), np.arange(2 ** n), n)
+        row[:] = _expectation_values(phase * w[x, z], w[0, 0].real, n)
     return FeatureMatrix(out)
 
 

@@ -58,6 +58,7 @@ import numpy as np
 from .axiscore import r_min_deterministic
 from .datagen import CIRCLES, DATASET_KINDS, DatasetSpec, generate, standardize, stratified_split
 from .featmap import (
+    _MATRIX_QUBIT_LIMIT,
     EncodingCircuitSpec,
     LazyProxyFeatures,
     ProjectionSpec,
@@ -131,12 +132,14 @@ class ExperimentConfig:
         object.__setattr__(self, "datasets", tuple(self.datasets))
         object.__setattr__(self, "methods", tuple(self.methods))
         object.__setattr__(self, "p_values", tuple(float(p) for p in self.p_values))
+        if not self.datasets:
+            raise ValueError("datasets must name at least one dataset")
         if self.qubit_count < 1:
             raise ValueError("qubit_count must be >= 1")
         if self.embedding not in _EMBEDDINGS:
             raise ValueError(f"embedding must be one of {_EMBEDDINGS}")
-        if self.embedding == "pauli" and self.qubit_count > 7:
-            raise ValueError("pauli embedding is dense-simulated; qubit_count must be <= 7")
+        if self.embedding == "pauli" and self.qubit_count > _MATRIX_QUBIT_LIMIT:
+            raise ValueError(f"dense pauli embedding needs qubit_count <= {_MATRIX_QUBIT_LIMIT}")
         for m in self.methods:
             if m not in _METHOD_NAMES:
                 raise ValueError(f"unknown method {m!r}; choose from {_METHOD_NAMES}")
@@ -206,9 +209,9 @@ def _field_value(name: str, raw: str):
 
 
 def parse_config(source) -> ExperimentConfig:
-    """Build an ExperimentConfig from config-file text or a path to one."""
-    text = str(source)
-    if "\n" not in text and "=" not in text:
+    """Build an ExperimentConfig from a path (os.PathLike: the file is read) or config text (str)."""
+    text = source
+    if isinstance(source, os.PathLike):
         with open(source) as fh:
             text = fh.read()
 
@@ -498,11 +501,11 @@ def emit_report(report: ExperimentReport, fmt: str = "csv", path=None) -> list[s
 
 
 def reports_equivalent(a, b) -> bool:
-    """Compare two report CSVs (paths or raw text) ignoring the wall_ms column."""
+    """Compare two report CSVs (os.PathLike paths or str text) ignoring the wall_ms column."""
 
     def rows_of(source):
-        text = str(source)
-        if "\n" not in text:
+        text = source
+        if isinstance(source, os.PathLike):
             with open(source) as fh:
                 text = fh.read()
         parsed = list(csv.reader(io.StringIO(text)))

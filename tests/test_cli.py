@@ -296,6 +296,27 @@ def test_experiment_warns_about_unconverged_baselines(tmp_path, capsys):
     assert "warning: dataset=circles embedded linear" in warnings[0]
 
 
+def test_experiment_reads_a_config_path_containing_equals(tmp_path, capsys):
+    config = tmp_path / "a=b.cfg"
+    config.write_text(
+        "datasets = circles\nn_samples = 60\nqubit_count = 2\nsubsample_train = 30\n"
+        f"methods = deterministic\noutput_dir = {tmp_path / 'results'}\n"
+    )
+    code, stdout, err = run_cli(capsys, "experiment", "--config", str(config), "--format", "json")
+    assert code == 0, err
+    assert "dataset=circles r_min=" in stdout
+    assert (tmp_path / "results" / "report.json").exists()
+
+
+def test_experiment_rejects_an_empty_dataset_list(tmp_path, capsys):
+    config = tmp_path / "exp.cfg"
+    config.write_text(f"datasets =\nqubit_count = 2\noutput_dir = {tmp_path / 'results'}\n")
+    code, _, err = run_cli(capsys, "experiment", "--config", str(config))
+    assert code == 1
+    assert "error:" in err and "datasets" in err
+    assert not (tmp_path / "results").exists()
+
+
 def test_experiment_flag_overrides(tmp_path, capsys):
     config = tmp_path / "exp.cfg"
     config.write_text(

@@ -11,10 +11,11 @@ import math
 import numpy as np
 import pytest
 
-from minacc.axiscore import LabeledDataset
+from minacc.axiscore import LabeledDataset, best_counts
 from minacc.featmap import (
     EncodingCircuitSpec,
     LazyProxyFeatures,
+    PauliString,
     ProjectionSpec,
     encode_state,
     feature_matrix_from_csv,
@@ -223,6 +224,45 @@ def test_feature_matrix_matches_dense_oracle():
             assert feats.values[k, i] == pytest.approx(oracle, abs=1e-10)
 
 
+def test_feature_matrix_matches_dense_oracle_at_four_qubits():
+    rng = np.random.default_rng(14)
+    data = small_dataset(rng, n_samples=3, n_features=4)
+    spec = EncodingCircuitSpec(qubit_count=4)
+    feats = pauli_feature_matrix(data, spec)
+    oracles = [dense_pauli(pauli_string(i, 4).letters) for i in range(4 ** 4)]
+    for k in range(3):
+        psi = encode_state(data.inputs[k], spec)
+        expected = [np.vdot(psi, mat @ psi).real for mat in oracles]
+        assert feats.values[k] == pytest.approx(expected, abs=1e-10)
+        # one string at a time runs the same arithmetic as the whole table
+        singles = [pauli_expectation(psi, pauli_string(i, 4)) for i in range(4 ** 4)]
+        assert singles == feats.values[k].tolist()
+
+
+def test_vanishing_expectations_are_exact_zeros():
+    # IYIY, YIYI and YYYY vanish on every state of this circuit; rounding
+    # noise in their place would let the scan split the labels on it
+    rng = np.random.default_rng(3)
+    labels = np.tile([1, -1], 12)
+    data = LabeledDataset(inputs=rng.uniform(-2, 2, size=(24, 4)), labels=labels)
+    feats = pauli_feature_matrix(data, EncodingCircuitSpec(qubit_count=4))
+    indices = [int("".join(str("IXYZ".index(c)) for c in word), 4)
+               for word in ("IYIY", "YIYI", "YYYY")]
+    block = feats.values[:, indices]
+    assert np.all(block == block[0])
+    assert best_counts(block, labels).tolist() == [12, 12, 12]
+
+
+def test_feature_matrix_at_eight_qubits():
+    rng = np.random.default_rng(15)
+    data = small_dataset(rng, n_samples=2, n_features=4)
+    feats = pauli_feature_matrix(data, EncodingCircuitSpec(qubit_count=8))
+    assert feats.axis_count == 4 ** 8
+    assert np.all(feats.values[:, 0] == 1.0)
+    purity = np.sum(feats.values ** 2, axis=1)
+    assert purity == pytest.approx(np.full(2, 2.0 ** 8), abs=1e-8)
+
+
 def test_identity_column_and_purity():
     rng = np.random.default_rng(9)
     for n in (2, 3):
@@ -238,10 +278,16 @@ def test_identity_column_and_purity():
 def test_expectation_input_validation():
     with pytest.raises(ValueError, match="does not match"):
         pauli_expectation(np.ones(4) / 2.0, pauli_string(1, 1))
+    with pytest.raises(ValueError, match="do not spell"):
+        PauliString(index=5, letters="ZZ")
+    with pytest.raises(ValueError, match="out of range"):
+        PauliString(index=17, letters="XX")
+    with pytest.raises(ValueError, match="do not spell"):
+        PauliString(index=0, letters="QQ")
     rng = np.random.default_rng(10)
     data = small_dataset(rng, n_samples=2, n_features=2)
     with pytest.raises(ValueError, match="dense simulation limit"):
-        pauli_feature_matrix(data, EncodingCircuitSpec(qubit_count=8))
+        pauli_feature_matrix(data, EncodingCircuitSpec(qubit_count=9))
 
 
 # ---------------------------------------------------------------------------

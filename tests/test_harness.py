@@ -85,8 +85,8 @@ def test_config_validation():
         ExperimentConfig(embedding="fourier")
     with pytest.raises(ValueError, match="qubit_count"):
         ExperimentConfig(qubit_count=0)
-    with pytest.raises(ValueError, match="<= 7"):
-        ExperimentConfig(embedding="pauli", qubit_count=8)
+    with pytest.raises(ValueError, match="<= 8"):
+        ExperimentConfig(embedding="pauli", qubit_count=9)
     with pytest.raises(ValueError, match="unknown method"):
         ExperimentConfig(methods=("deterministic", "oracle"))
     with pytest.raises(ValueError, match="repetitions"):
@@ -139,6 +139,13 @@ def test_parse_config_rejects_unknown_keys_and_bad_lines():
         parse_config("qubit_count = 2\njust some words\n")
     with pytest.raises(ValueError, match="unknown dataset kind"):
         parse_config("datasets = moons")
+
+
+def test_empty_dataset_list_is_rejected():
+    with pytest.raises(ValueError, match="datasets"):
+        ExperimentConfig(datasets=())
+    with pytest.raises(ValueError, match="datasets"):
+        parse_config("datasets =\nqubit_count = 2")
 
 
 def test_docstring_key_table_is_the_default_config():
@@ -428,3 +435,11 @@ def test_reports_equivalent_ignores_wall_clock(tmp_path):
     # but a real field difference is caught
     mutated = text.replace("circles", "rings", 1)
     assert not reports_equivalent(text, mutated)
+
+
+def test_reports_equivalent_reads_paths_and_one_line_text(tmp_path):
+    header_only = CSV_HEADER + "\n"
+    path = tmp_path / "report.csv"
+    path.write_text(header_only)
+    assert reports_equivalent(path, header_only.strip())
+    assert not reports_equivalent(path, header_only.replace("wall_ms", "x,wall_ms"))
