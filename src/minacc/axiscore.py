@@ -108,8 +108,17 @@ class FeatureMatrix:
     def columns(self, indices) -> np.ndarray:
         """N x k block of the given axes; a range is served as a view, not a copy."""
         if isinstance(indices, range):
-            indices = slice(indices.start, indices.stop, indices.step)
-        return self.values[:, indices]
+            return self.values[:, indices.start:indices.stop:indices.step]
+        return self.values[:, checked_axes(indices, self.axis_count)]
+
+
+def checked_axes(indices, axis_count: int) -> np.ndarray:
+    """Axis indices as an int64 array; any index outside [0, axis_count) is a ValueError."""
+    axes = np.asarray(indices, dtype=np.int64)
+    outside = axes[(axes < 0) | (axes >= axis_count)]
+    if outside.size:
+        raise ValueError(f"axis {outside[0]} out of range [0, {axis_count})")
+    return axes
 
 
 def as_feature_source(features):

@@ -2,12 +2,13 @@
 
 The proxy embedding tanh(W^T x) with a seeded Gaussian W (sd 1/sqrt(m))
 imitates the bounded, high-dimensional geometry of Pauli expectation values
-at d = 4^n scale without simulating circuits.  Each projection column is
-generated from its own child seed (parent seed, column index), so a column
-can be produced on demand: estimators that touch t << d axes never build
-the N x d matrix, growing d extends rather than reshuffles earlier columns,
-and the lazy and eager paths are bit-identical because they run the same
-per-column code.
+at d = 4^n scale without simulating circuits.  Column i of W is a function
+of (seed, i) alone: Philox4x32-10, a counter-based generator keyed by the
+seed and counting (i, draw pair), feeds Box-Muller.  Any set of columns is
+therefore produced on demand, in one vectorized block: estimators that touch
+t << d axes never build the N x d matrix, growing d extends rather than
+reshuffles earlier columns, and the lazy and eager paths are bit-identical
+because every value goes through the same elementwise block code.
 
 For n <= 8 there is also the real thing: an angle-encoding statevector simulator and
 expectation values of all 4^n Pauli strings (eigenvalues +-1, so features lie in [-1, 1]
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .axiscore import FeatureMatrix, LabeledDataset
+from .axiscore import FeatureMatrix, LabeledDataset, checked_axes
 from .datagen import read_numeric_csv
 
 _DENSE_QUBIT_LIMIT = 12      # statevector simulation guard
@@ -41,7 +42,8 @@ _PAULI_DIGITS = str.maketrans(_PAULI_LETTERS, "0123")
 
 @dataclass(frozen=True)
 class ProjectionSpec:
-    """Seeded random projection R^m -> R^d; column i is reproducible from (seed, i)."""
+    """Seeded random projection R^m -> R^d; column i is reproducible from (seed, i).
+    The seed is the 64-bit Philox key, so it must lie in [0, 2^64)."""
 
     input_dim: int
     feature_dim: int
@@ -50,20 +52,75 @@ class ProjectionSpec:
     def __post_init__(self):
         if self.input_dim < 1 or self.feature_dim < 1:
             raise ValueError("projection dimensions must be >= 1")
+        if not 0 <= self.seed < 2 ** 64:
+            raise ValueError(f"projection seed {self.seed} out of range [0, 2^64)")
+
+
+_LOW32 = 0xFFFFFFFF
+_PHILOX_M = np.array([0xD2511F53, 0xCD9E8D57], dtype=np.uint64)   # round multipliers
+# round r adds r times the key increments to the key, mod 2^32
+_PHILOX_KEY_STEPS = np.outer(np.arange(10, dtype=np.uint64),
+                             np.array([0x9E3779B9, 0xBB67AE85], dtype=np.uint64))
+
+# Columns per block of the proxy embedding: the N x 512 accumulator stays a few
+# hundred KB at N = 100, and no N x d temporary is built beside the output.
+_PROXY_BLOCK = 512
+
+
+def _philox4x32(even: np.ndarray, odd: np.ndarray, key) -> tuple[np.ndarray, np.ndarray]:
+    """Philox4x32-10 (Salmon et al., SC'11) on uint64 arrays holding 32-bit words.
+
+    ``even`` stacks counter words (0, 2) and ``odd`` words (1, 3), each of
+    shape (2, ...); ``key`` is (k0, k1).  Returns the output words stacked the
+    same way.  A round multiplies words 0 and 2, so each pair steps as one array.
+    """
+    pair = (2,) + (1,) * (even.ndim - 1)
+    multipliers = _PHILOX_M.reshape(pair)
+    round_keys = (np.array(key, dtype=np.uint64) + _PHILOX_KEY_STEPS) & _LOW32
+    for round_key in round_keys.reshape((10,) + pair):
+        product = (even * multipliers)[::-1]
+        even, odd = (product >> 32) ^ odd ^ round_key, product & _LOW32
+    return even, odd
+
+
+def projection_block(spec: ProjectionSpec, indices) -> np.ndarray:
+    """Columns ``indices`` of W (m x k): i.i.d. normals with sd 1/sqrt(m), column
+    i a function of (seed, i) alone.  Counter (i lo32, i hi32, j, 0) under key
+    seed gives draw pair j of column i; its 53-bit uniforms from words (0, 1)
+    and (2, 3) become entries 2j and 2j + 1 by Box-Muller."""
+    axes = checked_axes(indices, spec.feature_dim)
+    m = spec.input_dim
+    even = np.empty((2, (m + 1) // 2, axes.size), dtype=np.uint64)
+    odd = np.zeros_like(even)
+    even[0], odd[0] = axes & _LOW32, axes >> 32
+    even[1] = np.arange((m + 1) // 2)[:, None]
+    seed = int(spec.seed)
+    high, low = _philox4x32(even, odd, (seed & _LOW32, seed >> 32))
+    u1, u2 = ((high << 32 | low) >> 11).astype(np.float64) * 2.0 ** -53
+    radius, angle = np.sqrt(-2.0 * np.log(1.0 - u1)), 2.0 * np.pi * u2
+    normals = np.stack((radius * np.cos(angle), radius * np.sin(angle)), axis=1)
+    return normals.reshape(-1, axes.size)[:m] * (m ** -0.5)
 
 
 def projection_column(spec: ProjectionSpec, axis_index: int) -> np.ndarray:
-    """Column i of W: m i.i.d. normals with sd 1/sqrt(m) from child seed (seed, i)."""
-    if not 0 <= axis_index < spec.feature_dim:
-        raise ValueError(f"axis {axis_index} out of range [0, {spec.feature_dim})")
-    ss = np.random.SeedSequence(entropy=int(spec.seed), spawn_key=(int(axis_index),))
-    rng = np.random.default_rng(ss)
-    return rng.standard_normal(spec.input_dim) * (spec.input_dim ** -0.5)
+    """Column i of W."""
+    return projection_block(spec, [axis_index])[:, 0]
 
 
-def _proxy_column(inputs: np.ndarray, spec: ProjectionSpec, axis_index: int) -> np.ndarray:
-    # single code path shared by lazy and eager embeddings (bit-exactness)
-    return np.tanh(inputs @ projection_column(spec, axis_index))
+def _proxy_block(inputs: np.ndarray, spec: ProjectionSpec, indices) -> np.ndarray:
+    """tanh(sum_j x_j w_j) for the given columns: the one path of every proxy
+    value.  Each block of columns is summed over j in order by elementwise
+    ufuncs into a contiguous accumulator (a BLAS matmul may order its sums by
+    the block's width), so a value does not depend on the columns beside it."""
+    axes = checked_axes(indices, spec.feature_dim)
+    out = np.empty((inputs.shape[0], axes.size), dtype=np.float64)
+    for start in range(0, axes.size, _PROXY_BLOCK):
+        w = projection_block(spec, axes[start:start + _PROXY_BLOCK])
+        acc = inputs[:, :1] * w[0]
+        for j in range(1, spec.input_dim):
+            acc += inputs[:, j:j + 1] * w[j]
+        out[:, start:start + w.shape[1]] = np.tanh(acc, out=acc)
+    return out
 
 
 class LazyProxyFeatures:
@@ -86,13 +143,10 @@ class LazyProxyFeatures:
         return self.spec.feature_dim
 
     def column(self, axis_index: int) -> np.ndarray:
-        return _proxy_column(self._inputs, self.spec, axis_index)
+        return _proxy_block(self._inputs, self.spec, [axis_index])[:, 0]
 
     def columns(self, indices) -> np.ndarray:
-        out = np.empty((self.sample_count, len(indices)), dtype=np.float64)
-        for j, i in enumerate(indices):
-            out[:, j] = self.column(i)
-        return out
+        return _proxy_block(self._inputs, self.spec, indices)
 
     def materialize(self) -> FeatureMatrix:
         return FeatureMatrix(self.columns(range(self.axis_count)))

@@ -5,8 +5,8 @@ subsample the train side, embed, compute the exhaustive ground truth, run the
 configured estimators repeatedly with derived sub-seeds, and train SVM
 baselines for comparison.  Results land in a fixed-format CSV (one row per
 repetition plus mean/min/max aggregate rows) and a JSON document carrying the
-full-precision values, survival functions, SVM convergence, and summary
-statistics.
+full-precision values, survival functions, SVM convergence, stage timings,
+and summary statistics.
 
 Config files are plain text, one ``key = value`` per line.  ``#`` starts a
 comment, lists are comma separated, and quotes or brackets around values are
@@ -177,6 +177,8 @@ class ExperimentReport:
     errors: list = field(default_factory=list)        # {"dataset", "stage", ..., "message", "type"}
     # dataset -> {"embedded"|"raw": {"linear"|"rbf": {"converged": bool, "sweeps": int}}}
     svm_fits: dict = field(default_factory=dict)
+    # dataset -> seconds per stage that ran: "embed_s", "svm_s" (all four baselines), "scan_s"
+    timings: dict = field(default_factory=dict)
 
 
 # ---------------------------------------------------------------------------
@@ -252,10 +254,9 @@ def embed_dataset(dataset, embedding: str, qubit_count: int, seed: int):
     return pauli_feature_matrix(dataset, EncodingCircuitSpec(qubit_count=qubit_count))
 
 
-def _prepare_dataset(spec: DatasetSpec, config: ExperimentConfig):
-    """generate -> standardize -> split/subsample -> embed; returns the train
-    split and its feature matrix, which the scan, the estimators and the SVM
-    baselines all read."""
+def _training_split(spec: DatasetSpec, config: ExperimentConfig):
+    """generate -> standardize -> split/subsample; returns the train split,
+    whose embedding the scan, the estimators and the SVM baselines all read."""
     full = generate(spec)
     standardized, _ = standardize(full)
     train, _ = stratified_split(
@@ -264,8 +265,7 @@ def _prepare_dataset(spec: DatasetSpec, config: ExperimentConfig):
         subsample_train=config.subsample_train,
         seed=derive_seed(config.master_seed, spec.kind, "split"),
     )
-    seed = derive_seed(config.master_seed, spec.kind, "embed")
-    return train, embed_dataset(train, config.embedding, config.qubit_count, seed)
+    return train
 
 
 def run_estimator(method: str, features, labels, p, settings, seed: int):
@@ -319,19 +319,28 @@ def _run_dataset(spec: DatasetSpec, config: ExperimentConfig, report: Experiment
     stage records an error and ends the dataset; a failing estimator cell
     records an error and skips only that cell."""
     name = spec.kind
+    timings = report.timings[name] = {}
 
     def fail(stage, exc, **cell):
         report.errors.append(
             {"dataset": name, "stage": stage, **cell, "message": str(exc), "type": type(exc).__name__}
         )
 
+    def timed(stage, fn, *args):
+        start = time.perf_counter()
+        result = fn(*args)
+        timings[stage] = time.perf_counter() - start
+        return result
+
     try:
-        train, features = _prepare_dataset(spec, config)
+        train = _training_split(spec, config)
+        seed = derive_seed(config.master_seed, name, "embed")
+        features = timed("embed_s", embed_dataset, train, config.embedding, config.qubit_count, seed)
     except Exception as exc:  # one bad dataset must not sink the others
         return fail("pipeline", exc)
 
-    try:
-        fits = {
+    def fit_baselines():
+        return {
             source: {
                 kernel: svm_train(
                     x, train.labels, kernel=kernel,
@@ -341,6 +350,9 @@ def _run_dataset(spec: DatasetSpec, config: ExperimentConfig, report: Experiment
             }
             for source, x in (("embedded", features.values), ("raw", train.inputs))
         }
+
+    try:
+        fits = timed("svm_s", fit_baselines)
     except Exception as exc:
         return fail("svm", exc)
     report.embedded_svm[name] = {k: m.training_accuracy for k, m in fits["embedded"].items()}
@@ -361,9 +373,7 @@ def _run_dataset(spec: DatasetSpec, config: ExperimentConfig, report: Experiment
         return
 
     try:
-        start = time.perf_counter()
-        r_min, _, accuracies = r_min_deterministic(features, train.labels)
-        det_ms = (time.perf_counter() - start) * 1000.0
+        r_min, _, accuracies = timed("scan_s", r_min_deterministic, features, train.labels)
     except Exception as exc:
         return fail(EstimatorMethod.DETERMINISTIC.value, exc)
     report.r_min[name] = r_min
@@ -371,7 +381,8 @@ def _run_dataset(spec: DatasetSpec, config: ExperimentConfig, report: Experiment
     report.survival[name] = {"thresholds": surv.thresholds.tolist(), "values": surv.values.tolist()}
     # the exhaustive row leads the dataset's rows wherever `methods` lists it
     if EstimatorMethod.DETERMINISTIC.value in config.methods:
-        add_row(EstimatorMethod.DETERMINISTIC.value, None, 0, r_min, features.axis_count, "exhausted", det_ms)
+        add_row(EstimatorMethod.DETERMINISTIC.value, None, 0, r_min, features.axis_count, "exhausted",
+                timings["scan_s"] * 1000.0)
 
     cells = [
         (method, p, rep)

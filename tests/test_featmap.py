@@ -13,6 +13,7 @@ import pytest
 
 from minacc.axiscore import LabeledDataset, best_counts
 from minacc.featmap import (
+    _philox4x32,
     EncodingCircuitSpec,
     LazyProxyFeatures,
     PauliString,
@@ -24,6 +25,7 @@ from minacc.featmap import (
     pauli_expectation,
     pauli_feature_matrix,
     pauli_string,
+    projection_block,
     projection_column,
     proxy_embed,
     save_feature_matrix,
@@ -107,6 +109,51 @@ def test_projection_column_scale():
     col = projection_column(spec, 0)
     assert abs(np.std(col) * math.sqrt(20000) - 1.0) < 0.05
     assert abs(np.mean(col)) < 0.01
+
+
+@pytest.mark.parametrize("counter, key, expected", [
+    # Random123's published Philox4x32-10 known-answer vectors
+    ((0, 0, 0, 0), (0, 0), (0x6627E8D5, 0xE169C58D, 0xBC57AC4C, 0x9B00DBD8)),
+    ((0xFFFFFFFF,) * 4, (0xFFFFFFFF,) * 2, (0x408F276D, 0x41C83B0E, 0xA20BC7C6, 0x6D5451FD)),
+    ((0x243F6A88, 0x85A308D3, 0x13198A2E, 0x03707344), (0xA4093822, 0x299F31D0),
+     (0xD16CFE09, 0x94FDCCEB, 0x5001E420, 0x24126EA1)),
+])
+def test_philox_known_answers(counter, key, expected):
+    even = np.array([[counter[0]], [counter[2]]], dtype=np.uint64)
+    odd = np.array([[counter[1]], [counter[3]]], dtype=np.uint64)
+    (x0, x2), (x1, x3) = _philox4x32(even, odd, key)
+    assert [int(w[0]) for w in (x0, x1, x2, x3)] == list(expected)
+
+
+def test_projection_block_columns_are_projection_columns():
+    spec = ProjectionSpec(input_dim=5, feature_dim=2 ** 40, seed=2 ** 64 - 1)
+    axes = [3, 2 ** 33 + 3, 0, 3]  # the high counter word matters; repeats agree
+    block = projection_block(spec, axes)
+    assert block.shape == (5, 4)
+    for j, axis in enumerate(axes):
+        assert block[:, j].tobytes() == projection_column(spec, axis).tobytes()
+    assert not np.array_equal(block[:, 0], block[:, 1])
+
+
+def test_projection_seed_must_fit_the_philox_key():
+    for seed in (-1, 2 ** 64, -(2 ** 64)):
+        with pytest.raises(ValueError, match="seed"):
+            ProjectionSpec(input_dim=3, feature_dim=4, seed=seed)
+    for seed in (0, 2 ** 64 - 1):
+        assert projection_column(ProjectionSpec(input_dim=3, feature_dim=4, seed=seed), 3).shape == (3,)
+
+
+@pytest.mark.parametrize("source", ["matrix", "lazy"])
+@pytest.mark.parametrize("indices", [[-1], [4], [0, -3], [2, 4, 1], [-(2 ** 63)]])
+def test_column_sources_reject_axes_out_of_range(source, indices):
+    data = LabeledDataset(inputs=np.arange(6.0).reshape(3, 2), labels=[1, -1, 1])
+    spec = ProjectionSpec(input_dim=2, feature_dim=4, seed=0)
+    features = proxy_embed(data, spec) if source == "matrix" else LazyProxyFeatures(data, spec)
+    bad = next(i for i in indices if not 0 <= i < 4)
+    with pytest.raises(ValueError, match=rf"axis {bad} out of range \[0, 4\)"):
+        features.columns(indices)
+    with pytest.raises(ValueError, match=rf"axis {bad} out of range \[0, 4\)"):
+        features.column(bad)
 
 
 def test_projection_validation_errors():

@@ -296,7 +296,22 @@ def test_run_experiment_is_deterministic(tmp_path):
     for d in (dict_a, dict_b):
         for row in d["rows"]:
             row.pop("wall_ms")
+        d.pop("timings")  # wall clock, like wall_ms
     assert dict_a == dict_b
+
+
+def test_report_times_every_stage_per_dataset(tmp_path):
+    report = run_experiment(small_config(tmp_path))
+    (path,) = emit_report(report, fmt="json")
+    with open(path) as fh:
+        timings = json.load(fh)["timings"]
+    assert timings == report.timings
+    assert set(timings) == {CIRCLES, LINEAR_SEPARABLE, MULTI_CLUSTER}
+    for stages in timings.values():
+        assert set(stages) == {"embed_s", "svm_s", "scan_s"}
+        assert all(isinstance(s, float) and s >= 0.0 for s in stages.values())
+    det_rows = [r for r in report.rows if r.method == "deterministic"]
+    assert [r.wall_ms for r in det_rows] == [timings[r.dataset]["scan_s"] * 1000.0 for r in det_rows]
 
 
 def test_run_experiment_seed_changes_results(tmp_path):

@@ -4,7 +4,8 @@ Every R_min and every estimate goes through one column protocol and one
 sweep, so the properties here hold for any feature source: the batched
 per-column counts equal the single-axis scan, an ndarray, a FeatureMatrix
 and a lazy proxy source give identical estimates, and the reported best
-axis reproduces the reported value.  Shapes include N = 1, single-class
+axis reproduces the reported value.  Lazy proxy columns are byte-identical
+to the eager matrix for any index set, whichever columns share a block.  Shapes include N = 1, single-class
 labels and duplicate-heavy columns.
 """
 
@@ -21,7 +22,7 @@ from minacc.axiscore import (
     classifier_accuracy,
     r_min_deterministic,
 )
-from minacc.featmap import LazyProxyFeatures, ProjectionSpec
+from minacc.featmap import _PROXY_BLOCK, LazyProxyFeatures, ProjectionSpec
 from minacc.sampling import (
     adaptive_estimate,
     conservative_estimate,
@@ -98,6 +99,34 @@ def test_estimators_agree_across_sources_and_best_reproduces_r_hat(case, seed):
         best = result.best
         witness = ThresholdClassifier(best.axis_index, best.best_threshold, best.orientation)
         assert classifier_accuracy(witness, matrix, labels) == result.r_hat
+
+
+@st.composite
+def proxy_index_sets(draw):
+    """A lazy proxy source and an index set: a few axes, unsorted and with
+    repeats, or a draw with replacement longer than one block."""
+    n = draw(st.integers(1, 6))
+    m = draw(st.integers(1, 5))
+    d = draw(st.integers(1, 2 * _PROXY_BLOCK + 8))
+    inputs = draw(st.lists(_ANY_FINITE, min_size=n * m, max_size=n * m))
+    dataset = LabeledDataset(np.array(inputs).reshape(n, m) / 100.0, np.ones(n, dtype=np.int64))
+    spec = ProjectionSpec(input_dim=m, feature_dim=d, seed=draw(st.integers(0, 2**64 - 1)))
+    few = st.lists(st.integers(0, d - 1), min_size=1, max_size=12)
+    spanning = st.builds(
+        lambda size, seed: np.random.default_rng(seed).integers(0, d, size=size).tolist(),
+        st.integers(_PROXY_BLOCK - 2, _PROXY_BLOCK + 40), st.integers(0, 2**32),
+    )
+    return LazyProxyFeatures(dataset, spec), draw(st.one_of(few, spanning))
+
+
+@settings(max_examples=60, deadline=None)
+@given(proxy_index_sets())
+def test_lazy_proxy_columns_are_the_eager_bytes(case):
+    lazy, indices = case
+    eager = lazy.materialize().values
+    assert lazy.columns(indices).tobytes() == eager[:, indices].tobytes()
+    i = indices[0]
+    assert lazy.column(i).tobytes() == lazy.columns([i])[:, 0].tobytes() == eager[:, i].tobytes()
 
 
 @pytest.mark.parametrize("bad_row", [[np.nan, np.nan], [np.inf, np.inf]])
