@@ -106,8 +106,9 @@ class FeatureMatrix:
         return self.values[:, axis_index]
 
     def columns(self, indices) -> np.ndarray:
-        """N x k block of the given axes; a range is served as a view, not a copy."""
-        if isinstance(indices, range):
+        """N x k block of the given axes; an in-range range is a view, not a copy."""
+        ascending = isinstance(indices, range) and indices.step > 0
+        if ascending and 0 <= indices.start and indices.stop <= self.axis_count:
             return self.values[:, indices.start:indices.stop:indices.step]
         return self.values[:, checked_axes(indices, self.axis_count)]
 

@@ -103,7 +103,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_svm.add_argument("--kernel", choices=("linear", "rbf"), default="linear")
     p_svm.add_argument("--c", type=float, default=1.0)
     p_svm.add_argument("--tol", type=float, default=1e-3)
-    p_svm.add_argument("--max-iter", type=int, default=10000)
+    p_svm.add_argument("--max-iter", type=int, default=10000, help="interior-point iteration cap")
     p_svm.add_argument("--gamma", default="scale", help="float, or 'scale' for 1/(q*var)")
     p_svm.add_argument("--out", help="write the trained model JSON here")
 
@@ -216,7 +216,7 @@ def _cmd_svm(args) -> int:
     print(f"kernel={model.kernel}")
     print(f"training_accuracy={model.training_accuracy:.6f}")
     print(f"support_vectors={model.support_indices.size}")
-    print(f"converged={model.converged} sweeps={model.n_sweeps}")
+    print(f"converged={model.converged} sweeps={model.n_sweeps} duality_gap={model.duality_gap:g}")
     return 0
 
 
@@ -259,7 +259,8 @@ def _cmd_experiment(args) -> int:
             for kernel, fit in models.items():
                 if not fit["converged"]:
                     print(f"warning: dataset={name} {source} {kernel} SVM baseline did not "
-                          f"converge in {fit['sweeps']} sweeps", file=sys.stderr)
+                          f"converge in {fit['sweeps']} iterations, gap {fit['duality_gap']:.3g}",
+                          file=sys.stderr)
     if report.errors and not report.rows:
         return 1
     return 0

@@ -32,7 +32,7 @@ type of its default, plus ``n_samples``.  Keys and their defaults:
     subsample_train = 100          # or `none`
     svm_c           = 1.0
     svm_tol         = 0.001
-    svm_max_iter    = 10000
+    svm_max_iter    = 10000        # interior-point iterations per SVM fit
     output_dir      = results
 
 Every random choice in the pipeline draws its seed from ``master_seed`` XOR a
@@ -175,7 +175,7 @@ class ExperimentReport:
     raw_svm: dict = field(default_factory=dict)       # dataset -> baselines on unembedded inputs
     correlation: dict = field(default_factory=dict)
     errors: list = field(default_factory=list)        # {"dataset", "stage", ..., "message", "type"}
-    # dataset -> {"embedded"|"raw": {"linear"|"rbf": {"converged": bool, "sweeps": int}}}
+    # dataset -> {"embedded"|"raw": {"linear"|"rbf": {"converged", "sweeps", "duality_gap"}}}
     svm_fits: dict = field(default_factory=dict)
     # dataset -> seconds per stage that ran: "embed_s", "svm_s" (all four baselines), "scan_s"
     timings: dict = field(default_factory=dict)
@@ -358,7 +358,8 @@ def _run_dataset(spec: DatasetSpec, config: ExperimentConfig, report: Experiment
     report.embedded_svm[name] = {k: m.training_accuracy for k, m in fits["embedded"].items()}
     report.raw_svm[name] = {k: m.training_accuracy for k, m in fits["raw"].items()}
     report.svm_fits[name] = {
-        source: {k: {"converged": m.converged, "sweeps": m.n_sweeps} for k, m in models.items()}
+        source: {k: dict(converged=m.converged, sweeps=m.n_sweeps, duality_gap=m.duality_gap)
+                 for k, m in models.items()}
         for source, models in fits.items()
     }
     svm = report.embedded_svm[name]

@@ -235,14 +235,15 @@ class EstimateResult:
     pilot_stats: PilotStats | None = None
 
 
-def _result(source, labels, axes, counts, method, reason, pilot_stats=None) -> EstimateResult:
-    """Recover the winner's threshold rule; every other axis stays a count."""
+def _result(labels, axes, counts, winner, method, reason, pilot_stats=None) -> EstimateResult:
+    """Recover the threshold rule of the first max of ``counts``, whose column
+    ``winner`` was kept from its batch; every other axis stays a count."""
     j = int(np.argmax(counts))  # first max: the earliest sampled axis wins ties
-    best = axis_accuracy(source.column(axes[j]), labels, axis_index=axes[j])
+    best = axis_accuracy(winner, labels, axis_index=axes[j])
     return EstimateResult(
         r_hat=best.accuracy,
         sampled_axes=axes,
-        axis_accuracies=counts / source.sample_count,
+        axis_accuracies=counts / winner.size,
         best=best,
         method=method,
         stopping_reason=reason,
@@ -270,9 +271,10 @@ def conservative_estimate(features, labels, p_conservative: float, delta: float,
     source = as_feature_source(features)
     t = min(sample_size(p_conservative, delta), source.axis_count)
     axes = sample_axes(source.axis_count, t, rng_seed)
-    counts = best_counts(source.columns(axes), labels)
-    return _result(source, labels, axes, counts, EstimatorMethod.CONSERVATIVE,
-                   StopReason.FIXED_SIZE_REACHED)
+    block = source.columns(axes)
+    counts = best_counts(block, labels)
+    return _result(labels, axes, counts, block[:, np.argmax(counts)],
+                   EstimatorMethod.CONSERVATIVE, StopReason.FIXED_SIZE_REACHED)
 
 
 def pilot_estimate(
@@ -301,7 +303,9 @@ def pilot_estimate(
 
     sampler = _AxisSampler(d, rng_seed)
     axes = sampler.draw(n_pilot)
-    counts = best_counts(source.columns(axes), labels)
+    block = source.columns(axes)
+    counts = best_counts(block, labels)
+    winner = block[:, np.argmax(counts)]
 
     ranked = np.sort(counts)
     eta_count = int(ranked[math.ceil(0.75 * n_pilot) - 1])
@@ -314,8 +318,12 @@ def pilot_estimate(
     extra = budget - n_pilot
     if extra > 0:
         more = sampler.draw(extra)
+        block = source.columns(more)
+        more_counts = best_counts(block, labels)
+        if more_counts.max() > counts.max():
+            winner = block[:, np.argmax(more_counts)]
         axes = axes + more
-        counts = np.concatenate([counts, best_counts(source.columns(more), labels)])
+        counts = np.concatenate([counts, more_counts])
 
     total = len(axes)
     if total >= d:
@@ -324,7 +332,7 @@ def pilot_estimate(
         reason = StopReason.FIXED_SIZE_REACHED
     else:
         reason = StopReason.BUDGET_EXHAUSTED
-    return _result(source, labels, axes, counts, EstimatorMethod.PILOT, reason,
+    return _result(labels, axes, counts, winner, EstimatorMethod.PILOT, reason,
                    PilotStats(eta_pilot=eta, p_hat=p_hat, t_required=t_required))
 
 
@@ -371,13 +379,15 @@ def adaptive_estimate(
     while True:
         take = min(batch_size, budget - len(axes), d - len(axes))
         batch = sampler.draw(take)
-        counts = best_counts(source.columns(batch), labels)
+        block = source.columns(batch)
+        counts = best_counts(block, labels)
         axes.extend(batch)
         batch_counts.append(counts)
 
         batch_best = int(counts.max())
         if batch_best > best_count:
             best_count = batch_best
+            winner = block[:, np.argmax(counts)]
             no_improve = 0
         else:
             no_improve += 1
@@ -397,5 +407,5 @@ def adaptive_estimate(
             reason = StopReason.STABLE
             break
 
-    return _result(source, labels, axes, np.concatenate(batch_counts),
+    return _result(labels, axes, np.concatenate(batch_counts), winner,
                    EstimatorMethod.ADAPTIVE, reason)

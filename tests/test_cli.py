@@ -244,6 +244,7 @@ def test_svm_on_raw_and_embedded(tmp_path, capsys, small_data):
     saved = json.loads(model_path.read_text())
     assert saved["kernel"] == "linear"
     assert f"{saved['training_accuracy']:.6f}" == parsed_lines(stdout)["training_accuracy"]
+    assert f"{saved['duality_gap']:g}" == parsed_lines(stdout)["duality_gap"]
 
 
 def test_experiment_end_to_end(tmp_path, capsys):
@@ -289,8 +290,11 @@ def test_experiment_warns_about_unconverged_baselines(tmp_path, capsys):
     code, _, err = run_cli(capsys, "experiment", "--config", str(config), "--format", "json")
     assert code == 0
     fits = json.loads((tmp_path / "results" / "report.json").read_text())["svm_fits"]["circles"]
-    assert fits == {source: {kernel: {"converged": False, "sweeps": 1} for kernel in ("linear", "rbf")}
-                    for source in ("embedded", "raw")}
+    assert {source: {kernel: (fit["converged"], fit["sweeps"]) for kernel, fit in models.items()}
+            for source, models in fits.items()} == {
+        source: {kernel: (False, 1) for kernel in ("linear", "rbf")} for source in ("embedded", "raw")
+    }
+    assert all(fit["duality_gap"] > 0.0 for models in fits.values() for fit in models.values())
     warnings = [line for line in err.splitlines() if "did not converge" in line]
     assert len(warnings) == 4
     assert "warning: dataset=circles embedded linear" in warnings[0]

@@ -144,7 +144,9 @@ def test_projection_seed_must_fit_the_philox_key():
 
 
 @pytest.mark.parametrize("source", ["matrix", "lazy"])
-@pytest.mark.parametrize("indices", [[-1], [4], [0, -3], [2, 4, 1], [-(2 ** 63)]])
+@pytest.mark.parametrize(
+    "indices", [[-1], [4], [0, -3], [2, 4, 1], [-(2 ** 63)], range(0, 6), range(-1, 4)]
+)
 def test_column_sources_reject_axes_out_of_range(source, indices):
     data = LabeledDataset(inputs=np.arange(6.0).reshape(3, 2), labels=[1, -1, 1])
     spec = ProjectionSpec(input_dim=2, feature_dim=4, seed=0)

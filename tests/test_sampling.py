@@ -235,6 +235,49 @@ def test_estimators_never_exceed_r_min():
             assert result.r_hat == max(result.axis_accuracies) == result.best.accuracy
 
 
+class CountingSource:
+    """A feature matrix that counts every column it serves."""
+
+    def __init__(self, matrix):
+        self.matrix = matrix
+        self.sample_count, self.axis_count = matrix.sample_count, matrix.axis_count
+        self.served = 0
+
+    def column(self, i):
+        self.served += 1
+        return self.matrix.column(i)
+
+    def columns(self, indices):
+        block = self.matrix.columns(indices)
+        self.served += block.shape[1]
+        return block
+
+
+def test_estimators_read_each_sampled_column_once():
+    rng = np.random.default_rng(19)
+    pilot_completed = adaptive_later_batch = 0
+    for trial in range(40):
+        features, labels = random_matrix(rng, d_max=60)
+        seed = 2000 + trial
+        runs = {
+            "conservative": lambda f: conservative_estimate(f, labels, 0.15, 0.05, rng_seed=seed),
+            "pilot": lambda f: pilot_estimate(f, labels, n_pilot=min(5, f.axis_count),
+                                              cap_fraction=1.0, rng_seed=seed),
+            "adaptive": lambda f: adaptive_estimate(f, labels, batch_size=4, budget_fraction=1.0,
+                                                    rng_seed=seed),
+        }
+        for name, run in runs.items():
+            source = CountingSource(features)
+            counted, plain = run(source), run(features)
+            assert source.served == counted.axes_evaluated
+            assert counted.r_hat == plain.r_hat and counted.best == plain.best
+            pilot_completed += name == "pilot" and counted.axes_evaluated > 5
+            adaptive_later_batch += name == "adaptive" and counted.sampled_axes.index(
+                counted.best.axis_index) >= 4
+    # both ways a winner can come from a batch after the first are exercised
+    assert pilot_completed and adaptive_later_batch
+
+
 def test_subset_monotonicity():
     rng = np.random.default_rng(18)
     features, labels = random_matrix(rng, n_max=40, d_max=25)

@@ -1,4 +1,4 @@
-"""Tests for the SMO reference SVM.
+"""Tests for the interior-point reference SVM.
 
 Two independent oracles: the best linear rule on four XOR points is found by
 enumerating threshold cuts over a dense grid of directions, and the dual
@@ -10,6 +10,8 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
+from minacc.datagen import CIRCLES, generate, standardize, stratified_split
+from minacc.harness import ExperimentConfig, derive_seed, embed_dataset
 from minacc.svmref import (
     SvmModel,
     decision_function,
@@ -34,13 +36,20 @@ def blobs(rng, n_per=15, gap=3.0, dim=2):
     return x, y
 
 
+def full_alpha(model, n):
+    """The dual vector alpha rebuilt from the stored support set."""
+    alpha = np.zeros(n)
+    alpha[model.support_indices] = np.abs(model.dual_coef)
+    return alpha
+
+
 def dual_objective(alpha, y, K):
     ay = alpha * y
     return alpha.sum() - 0.5 * ay @ K @ ay
 
 
-def qp_oracle(x, y, kernel, C, gamma=None):
-    """Solve the dual soft-margin QP directly with SLSQP."""
+def qp_oracle(x, y, kernel, C, gamma=None, ftol=1e-14):
+    """Solve the dual soft-margin QP directly with SLSQP to absolute ``ftol``."""
     K = kernel_matrix(x, x, kernel, gamma)
     yf = y.astype(np.float64)
 
@@ -54,7 +63,7 @@ def qp_oracle(x, y, kernel, C, gamma=None):
         neg, np.zeros(len(yf)), jac=grad, method="SLSQP",
         bounds=[(0.0, C)] * len(yf),
         constraints={"type": "eq", "fun": lambda a: a @ yf, "jac": lambda a: yf},
-        options={"maxiter": 1000, "ftol": 1e-14},
+        options={"maxiter": 1000, "ftol": ftol},
     )
     assert res.success
     return -res.fun
@@ -109,14 +118,17 @@ def test_dual_feasibility_and_support_set():
     assert model.dual_coef.sum() == pytest.approx(0.0, abs=1e-10)
 
 
-def test_objective_monotone_over_sweeps():
+def test_duality_gap_brackets_the_optimum():
     rng = np.random.default_rng(1)
     x, y = blobs(rng, n_per=25, gap=0.8)
     for kernel in ("linear", "rbf"):
         model = svm_train(x, y, kernel=kernel, C=1.0)
-        h = model.objective_history
-        assert h.size >= 1
-        assert np.all(np.diff(h) >= -1e-9 * max(1.0, abs(h[-1])))
+        dual = dual_objective(full_alpha(model, len(y)), y, kernel_matrix(x, x, kernel, model.gamma))
+        qp_obj = qp_oracle(x, y, kernel, C=1.0, gamma=model.gamma)
+        scale = max(1.0, abs(qp_obj))
+        assert model.duality_gap >= 0.0
+        # weak duality: the optimum lies between the dual and primal objectives
+        assert dual - 1e-9 * scale <= qp_obj <= dual + model.duality_gap + 1e-9 * scale
 
 
 def test_linear_decision_matches_explicit_weights():
@@ -207,8 +219,7 @@ def test_exact_zero_decision_predicts_plus_one():
     model = SvmModel(
         kernel="linear", gamma=None, C=1.0, dual_coef=np.zeros(0), bias=0.0,
         support_indices=np.zeros(0, dtype=np.int64), support_vectors=empty,
-        training_accuracy=0.5, converged=True, n_sweeps=1,
-        objective_history=np.zeros(1),
+        training_accuracy=0.5, converged=True, n_sweeps=1, duality_gap=0.0,
     )
     assert np.all(svm_predict(model, np.ones((4, 2))) == 1)
 
@@ -217,18 +228,41 @@ def test_exact_zero_decision_predicts_plus_one():
 # against the QP oracle
 # ---------------------------------------------------------------------------
 
-def test_smo_reaches_the_dual_optimum():
+def test_solver_reaches_the_dual_optimum():
     rng = np.random.default_rng(8)
     for kernel, gamma in (("linear", None), ("rbf", 0.5)):
         x, y = blobs(rng, n_per=12, gap=1.0)
         kwargs = {} if gamma is None else {"gamma": gamma}
         model = svm_train(x, y, kernel=kernel, C=1.0, tol=1e-4, **kwargs)
         assert model.converged
-        smo_obj = model.objective_history[-1]
+        obj = dual_objective(full_alpha(model, len(y)), y, kernel_matrix(x, x, kernel, gamma))
         qp_obj = qp_oracle(x, y, kernel, C=1.0, gamma=gamma)
         scale = max(1.0, abs(qp_obj))
-        assert smo_obj <= qp_obj + 1e-6 * scale   # QP optimum is the max
-        assert qp_obj - smo_obj <= 5e-3 * scale   # and SMO gets close to it
+        assert obj <= qp_obj + 1e-6 * scale   # QP optimum is the max
+        assert qp_obj - obj <= 5e-3 * scale   # and the solver gets close to it
+
+
+def test_ill_conditioned_proxy_embedding_converges():
+    # the d = 4^6 proxy embedding of the default circles training split
+    # (N = 100): its Gram matrix is numerically singular, where SMO stalled
+    config = ExperimentConfig(qubit_count=6)
+    spec = next(s for s in config.datasets if s.kind == CIRCLES)
+    standardized, _ = standardize(generate(spec))
+    train, _ = stratified_split(standardized, config.train_fraction, config.subsample_train,
+                                seed=derive_seed(config.master_seed, CIRCLES, "split"))
+    seed = derive_seed(config.master_seed, CIRCLES, "embed")
+    x = embed_dataset(train, "proxy", config.qubit_count, seed).values
+    y = train.labels
+    assert x.shape == (100, 4 ** 6)
+    model = svm_train(x, y, kernel="linear", C=1.0, max_iter=100)
+    assert model.converged
+    obj = dual_objective(full_alpha(model, len(y)), y, kernel_matrix(x, x, "linear", None))
+    # the optimum is about 67, where 1e-14 is below one rounding unit and
+    # SLSQP ends on a failed line search
+    qp_obj = qp_oracle(x, y, "linear", C=1.0, ftol=1e-12)
+    scale = max(1.0, abs(qp_obj))
+    assert obj <= qp_obj + 1e-6 * scale
+    assert qp_obj - obj <= 5e-3 * scale
 
 
 # ---------------------------------------------------------------------------
