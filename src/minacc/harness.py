@@ -5,8 +5,8 @@ subsample the train side, embed, compute the exhaustive ground truth, run the
 configured estimators repeatedly with derived sub-seeds, and train SVM
 baselines for comparison.  Results land in a fixed-format CSV (one row per
 repetition plus mean/min/max aggregate rows) and a JSON document carrying the
-full-precision values, survival functions, SVM convergence, stage timings,
-and summary statistics.
+full-precision values, majority rates, survival functions, SVM convergence,
+stage timings, and summary statistics.
 
 Config files are plain text, one ``key = value`` per line.  ``#`` starts a
 comment, lists are comma separated, and quotes or brackets around values are
@@ -170,6 +170,7 @@ class ExperimentReport:
     config: ExperimentConfig
     rows: list[ReportRow] = field(default_factory=list)
     r_min: dict = field(default_factory=dict)         # dataset -> exhaustive ground truth
+    majority_rate: dict = field(default_factory=dict)  # dataset -> max(#pos, #neg) / N of the train split
     survival: dict = field(default_factory=dict)      # dataset -> {"thresholds": [...], "values": [...]}
     embedded_svm: dict = field(default_factory=dict)  # dataset -> {"linear": acc, "rbf": acc}
     raw_svm: dict = field(default_factory=dict)       # dataset -> baselines on unembedded inputs
@@ -334,6 +335,7 @@ def _run_dataset(spec: DatasetSpec, config: ExperimentConfig, report: Experiment
 
     try:
         train = _training_split(spec, config)
+        report.majority_rate[name] = max(train.positive_count, train.negative_count) / train.sample_count
         seed = derive_seed(config.master_seed, name, "embed")
         features = timed("embed_s", embed_dataset, train, config.embedding, config.qubit_count, seed)
     except Exception as exc:  # one bad dataset must not sink the others

@@ -10,6 +10,7 @@ from minacc.axiscore import (
     ThresholdClassifier,
     as_linear_classifier,
     axis_accuracy,
+    best_counts,
     classifier_accuracy,
     linear_predict,
     r_min_deterministic,
@@ -155,6 +156,29 @@ def test_non_finite_feature_error():
         axis_accuracy([0.1, np.nan], [1, -1])
     with pytest.raises(ValueError, match="non-finite"):
         FeatureMatrix(values=np.array([[np.inf, 0.0]]))
+
+
+@pytest.mark.parametrize("row", [0, 3, 6])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_value_anywhere_in_a_column_is_rejected(bad, row):
+    # the check reads the sorted ends of each row: NaN sorts last, -inf first
+    block = np.random.default_rng(5).uniform(-1, 1, size=(7, 5))
+    block[row, 2] = bad
+    labels = np.array([1, -1, 1, 1, -1, -1, 1])
+    with pytest.raises(ValueError, match="non-finite"):
+        best_counts(block, labels)
+    with pytest.raises(ValueError, match="non-finite"):
+        axis_accuracy(block[:, 2], labels)
+
+
+def test_counts_do_not_overflow_a_narrow_integer():
+    # 40,000 exceeds int16; every count of this single-class column must survive
+    n = 40_000
+    column = np.random.default_rng(6).uniform(size=(n, 1))
+    labels = np.ones(n, dtype=np.int64)
+    counts = best_counts(column, labels)
+    assert counts.dtype == np.int64 and counts.tolist() == [n]
+    assert axis_accuracy(column[:, 0], labels).accuracy == 1.0
 
 
 def test_invalid_labels_error():

@@ -215,6 +215,7 @@ def test_run_experiment_small_full_grid(tmp_path):
     assert sorted(report.embedded_svm) == sorted(kinds)
     assert sorted(report.raw_svm) == sorted(kinds)
     assert sorted(report.survival) == sorted(kinds)
+    assert sorted(report.majority_rate) == sorted(kinds)
 
     # row inventory: 1 deterministic + 2 p-cells x 2 reps + pilot x 2 + adaptive x 2
     for kind in kinds:
@@ -229,6 +230,8 @@ def test_run_experiment_small_full_grid(tmp_path):
 
         det = by_method["deterministic"][0]
         assert det.r_hat == report.r_min[kind]
+        # the sentinel cut gives every axis the majority count
+        assert 0.5 <= report.majority_rate[kind] <= report.r_min[kind]
         assert det.axes_evaluated == 16
         assert det.stop_reason == "exhausted"
 

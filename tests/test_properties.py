@@ -5,8 +5,9 @@ sweep, so the properties here hold for any feature source: the batched
 per-column counts equal the single-axis scan, an ndarray, a FeatureMatrix
 and a lazy proxy source give identical estimates, and the reported best
 axis reproduces the reported value.  Lazy proxy columns are byte-identical
-to the eager matrix for any index set, whichever columns share a block.  Shapes include N = 1, single-class
-labels and duplicate-heavy columns.
+to the eager matrix for any index set, whichever columns share a block, and
+no scan result depends on the order of tied rows.  Shapes include N = 1,
+single-class labels and duplicate-heavy columns.
 """
 
 import numpy as np
@@ -83,6 +84,31 @@ def test_batched_counts_equal_single_axis_scans(case):
         axis_accuracy(values[:, i], labels, axis_index=i).correct_count
         for i in range(values.shape[1])
     ]
+
+
+@st.composite
+def permuted_duplicate_blocks(draw):
+    """A duplicate-heavy block with labels, and a permutation of its rows."""
+    n = draw(st.integers(1, 12))
+    d = draw(st.integers(1, 6))
+    values = draw(st.lists(_DUPLICATE_HEAVY, min_size=n * d, max_size=n * d))
+    labels = draw(st.lists(st.sampled_from([-1, 1]), min_size=n, max_size=n))
+    return np.array(values).reshape(n, d), np.array(labels), draw(st.permutations(range(n)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(permuted_duplicate_blocks())
+def test_scan_results_do_not_depend_on_row_order(case):
+    # the sort is unstable, so tied values may land in any order; no count,
+    # threshold or orientation may depend on it
+    values, labels, perm = case
+    shuffled, shuffled_labels = values[list(perm)], labels[list(perm)]
+    assert best_counts(shuffled, shuffled_labels).tolist() == best_counts(values, labels).tolist()
+    for i in range(values.shape[1]):
+        a = axis_accuracy(values[:, i], labels, axis_index=i)
+        b = axis_accuracy(shuffled[:, i], shuffled_labels, axis_index=i)
+        assert (b.correct_count, b.best_threshold, b.orientation) == (
+            a.correct_count, a.best_threshold, a.orientation)
 
 
 @settings(max_examples=80, deadline=None)
