@@ -270,6 +270,53 @@ def axis_accuracy(values, labels, axis_index: int = 0) -> AxisResult:
     )
 
 
+class _ScoredAxes:
+    """Per-axis best counts of every block of axes scored, in order, and the
+    first axis to reach their maximum, kept with its column so its threshold
+    rule needs no second read.  The exhaustive scan and every estimator are
+    rules for which blocks to score and when to stop.
+    """
+
+    def __init__(self, source, labels):
+        self.source, self.labels = source, labels
+        self._blocks: list = []               # index blocks as given: ranges stay ranges
+        self._counts: list[np.ndarray] = []
+        self.best_count = -1
+        self.best_axis = -1
+        self.best_column = None
+
+    def score(self, indices) -> bool:
+        """Score the axes ``indices`` in one sweep; True if the best count rose."""
+        block = self.source.columns(indices)
+        counts = best_counts(block, self.labels)
+        self._blocks.append(indices)
+        self._counts.append(counts)
+        j = int(np.argmax(counts))  # first max: the earliest axis wins ties, here and across blocks
+        if counts[j] <= self.best_count:
+            return False
+        self.best_count, self.best_axis = int(counts[j]), int(indices[j])
+        self.best_column = block[:, j].copy()  # keep one column, not its block
+        return True
+
+    @property
+    def axes(self) -> list[int]:
+        return [i for block in self._blocks for i in block]
+
+    @property
+    def accuracies(self) -> np.ndarray:
+        """Per-axis optima of the scored axes, in scoring order."""
+        return np.concatenate(self._counts) / self.source.sample_count
+
+
+def _exhaustive_run(features, labels) -> _ScoredAxes:
+    """Every axis scored, in ascending blocks of ``_SCAN_CHUNK``."""
+    run = _ScoredAxes(as_feature_source(features), labels)
+    d = run.source.axis_count
+    for start in range(0, d, _SCAN_CHUNK):
+        run.score(range(start, min(start + _SCAN_CHUNK, d)))
+    return run
+
+
 def r_min_deterministic(features, labels):
     """Exhaustive scan over every axis: the exact minimum accuracy.
 
@@ -286,15 +333,9 @@ def r_min_deterministic(features, labels):
         ``axis_accuracies`` the full length-d vector of per-axis optima
         for survival-function analysis.
     """
-    source = as_feature_source(features)
-    d = source.axis_count
-    counts = np.concatenate([
-        best_counts(source.columns(range(start, min(start + _SCAN_CHUNK, d))), labels)
-        for start in range(0, d, _SCAN_CHUNK)
-    ])
-    best_axis = int(np.argmax(counts))  # first max: lowest axis index
-    best = axis_accuracy(source.column(best_axis), labels, axis_index=best_axis)
-    return best.accuracy, best, counts / source.sample_count
+    run = _exhaustive_run(features, labels)
+    best = axis_accuracy(run.best_column, labels, axis_index=run.best_axis)
+    return best.accuracy, best, run.accuracies
 
 
 def classifier_accuracy(classifier: ThresholdClassifier, features, labels) -> float:

@@ -81,13 +81,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p_min.add_argument("--data", required=True, help="dataset CSV carrying the labels")
     p_min.add_argument("--method", choices=tuple(_METHOD_ALIASES), default="det")
     p_min.add_argument("--p", type=float, default=0.25, help="good-axis prior (conservative)")
-    p_min.add_argument("--delta", type=float, default=0.05)
-    p_min.add_argument("--n-pilot", type=int, default=100)
-    p_min.add_argument("--cap-fraction", type=float, default=0.01)
-    p_min.add_argument("--batch-size", type=int, default=40)
-    p_min.add_argument("--patience", type=int, default=3)
-    p_min.add_argument("--stability-eps", type=float, default=1e-3)
-    p_min.add_argument("--budget-fraction", type=float, default=0.01)
+    # estimator settings: ExperimentConfig fields, read with their types and defaults
+    for name in ("delta", "n_pilot", "cap_fraction", "batch_size", "patience", "stability_eps",
+                 "budget_fraction"):
+        default = getattr(harness.ExperimentConfig, name)
+        p_min.add_argument(f"--{name.replace('_', '-')}", type=type(default), default=default)
     p_min.add_argument("--seed", type=int, default=0)
 
     p_cov = sub.add_parser("coverage", help="coverage probabilities and sample-size planning")
@@ -190,7 +188,7 @@ def _cmd_coverage(args) -> int:
     if args.eta is not None:
         print(f"eta={args.eta!r}")
     if args.t is not None:
-        query = CoverageQuery(d=args.d, p=args.p, t=args.t, delta=args.delta, eta=args.eta)
+        query = CoverageQuery(d=args.d, p=args.p, t=args.t, delta=args.delta)
         print(f"exact={coverage_probability_exact(query):.6f}")
         print(f"bound={coverage_probability_bound(query):.6f}")
     return 0

@@ -17,6 +17,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -276,9 +277,9 @@ def spec_to_json(spec: DatasetSpec, path=None) -> str:
 
 
 def spec_from_json(source) -> DatasetSpec:
-    """Accepts a JSON string or a path to a JSON file."""
+    """From a path (os.PathLike: the file is read) or JSON text (str)."""
     text = source
-    if not str(source).lstrip().startswith("{"):
+    if isinstance(source, os.PathLike):
         with open(source) as fh:
             text = fh.read()
     return DatasetSpec(**json.loads(text))

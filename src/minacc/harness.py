@@ -479,24 +479,22 @@ def report_to_dict(report: ExperimentReport) -> dict:
     return _as_lists(asdict(report))
 
 
-def emit_report(report: ExperimentReport, fmt: str = "csv", path=None) -> list[str]:
-    """Write the report; returns the written file paths.
+def emit_report(report: ExperimentReport, fmt: str = "csv") -> list[str]:
+    """Write the report into ``report.config.output_dir``; returns the written file paths.
 
     csv: report.csv plus one survival_<dataset>.csv per exhaustive run.
     json: a single report.json (survival functions inline).
     """
     out_dir = report.config.output_dir
-    if path is None:
-        os.makedirs(out_dir, exist_ok=True)
+    os.makedirs(out_dir, exist_ok=True)
     written = []
     if fmt == "csv":
-        target = path or os.path.join(out_dir, "report.csv")
+        target = os.path.join(out_dir, "report.csv")
         with open(target, "w") as fh:
             fh.write(report_to_csv_text(report))
         written.append(target)
-        base = os.path.dirname(target) or "."
         for dataset, surv in report.survival.items():
-            spath = os.path.join(base, f"survival_{dataset}.csv")
+            spath = os.path.join(out_dir, f"survival_{dataset}.csv")
             with open(spath, "w", newline="") as fh:
                 writer = csv.writer(fh)
                 writer.writerow(["eta", "survival"])
@@ -504,7 +502,7 @@ def emit_report(report: ExperimentReport, fmt: str = "csv", path=None) -> list[s
                     writer.writerow([_fmt(float(eta)), _fmt(float(value))])
             written.append(spath)
     elif fmt == "json":
-        target = path or os.path.join(out_dir, "report.json")
+        target = os.path.join(out_dir, "report.json")
         with open(target, "w") as fh:
             json.dump(report_to_dict(report), fh, indent=2)
             fh.write("\n")

@@ -7,15 +7,19 @@ exceed the full maximum, every estimate is itself a certified lower bound,
 and uniform sampling without replacement admits exact hypergeometric
 statements about how likely the sample is to contain a high-accuracy axis.
 
-Three strategies trade prior knowledge for adaptivity:
+Every estimator, like the exhaustive scan, is a stopping rule over one
+scoring run (``axiscore._ScoredAxes``): it draws axes from one
+without-replacement stream, scores them a block at a time, and the run keeps
+the first axis to reach the maximum.  Three rules trade prior knowledge for
+adaptivity:
 
-* conservative: fixed sample size t = ceil(log(1/delta) / p) from an assumed
-  lower bound p on the fraction of good axes;
-* pilot: estimate that fraction from a pilot sample (target = 75th
+* conservative: one block of fixed size t = ceil(log(1/delta) / p) from an
+  assumed lower bound p on the fraction of good axes;
+* pilot: estimate that fraction from a pilot block (target = 75th
   percentile of pilot accuracies, nearest-rank), then complete to the
-  implied size;
-* adaptive: batch-incremental with patience, stability-window, and budget
-  stopping rules, with no a priori coverage guarantee.
+  implied size with a second block;
+* adaptive: batch-incremental with patience, a fixed 5-batch stability
+  window, and budget stopping rules, with no a priori coverage guarantee.
 """
 
 from __future__ import annotations
@@ -27,15 +31,10 @@ from enum import Enum
 
 import numpy as np
 
-from .axiscore import (
-    AxisResult,
-    as_feature_source,
-    axis_accuracy,
-    best_counts,
-    r_min_deterministic,
-)
+from .axiscore import AxisResult, _exhaustive_run, _ScoredAxes, as_feature_source, axis_accuracy
 
-_STABILITY_WINDOW_DEFAULT = 5
+# adaptive stops as STABLE once the best value spread over this many batch-ends is small
+_STABILITY_WINDOW = 5
 
 
 class EstimatorMethod(Enum):
@@ -61,7 +60,6 @@ class CoverageQuery:
     p: float
     t: int
     delta: float = 0.05
-    eta: float | None = None
 
     def __post_init__(self):
         if self.d < 1:
@@ -142,7 +140,6 @@ class SurvivalFunction:
 
     thresholds: np.ndarray        # sorted unique accuracy values
     values: np.ndarray            # S(eta) at each threshold
-    source_accuracies: np.ndarray
 
     def __call__(self, eta: float) -> float:
         # first grid threshold >= eta carries the answer; S is 0 past the max
@@ -160,7 +157,7 @@ def survival_function(axis_accuracies) -> SurvivalFunction:
     thresholds = np.unique(srt)
     d = acc.size
     values = (d - np.searchsorted(srt, thresholds, side="left")) / d
-    return SurvivalFunction(thresholds=thresholds, values=values, source_accuracies=acc)
+    return SurvivalFunction(thresholds=thresholds, values=values)
 
 
 class _AxisSampler:
@@ -235,15 +232,15 @@ class EstimateResult:
     pilot_stats: PilotStats | None = None
 
 
-def _result(labels, axes, counts, winner, method, reason, pilot_stats=None) -> EstimateResult:
-    """Recover the threshold rule of the first max of ``counts``, whose column
-    ``winner`` was kept from its batch; every other axis stays a count."""
-    j = int(np.argmax(counts))  # first max: the earliest sampled axis wins ties
-    best = axis_accuracy(winner, labels, axis_index=axes[j])
+def _result(run: _ScoredAxes, method, reason, pilot_stats=None) -> EstimateResult:
+    """The result of a scoring run: the threshold rule of its winner, from the
+    column kept with it; every other axis stays a count."""
+    best = axis_accuracy(run.best_column, run.labels, axis_index=run.best_axis)
+    axes = run.axes
     return EstimateResult(
         r_hat=best.accuracy,
         sampled_axes=axes,
-        axis_accuracies=counts / winner.size,
+        axis_accuracies=run.accuracies,
         best=best,
         method=method,
         stopping_reason=reason,
@@ -254,27 +251,15 @@ def _result(labels, axes, counts, winner, method, reason, pilot_stats=None) -> E
 
 def deterministic_estimate(features, labels) -> EstimateResult:
     """Exhaustive scan wrapped in the common estimator result shape."""
-    r_min, best, accuracies = r_min_deterministic(features, labels)
-    return EstimateResult(
-        r_hat=r_min,
-        sampled_axes=list(range(accuracies.size)),
-        axis_accuracies=accuracies,
-        best=best,
-        method=EstimatorMethod.DETERMINISTIC,
-        stopping_reason=StopReason.EXHAUSTED,
-        axes_evaluated=accuracies.size,
-    )
+    return _result(_exhaustive_run(features, labels), EstimatorMethod.DETERMINISTIC, StopReason.EXHAUSTED)
 
 
 def conservative_estimate(features, labels, p_conservative: float, delta: float, rng_seed) -> EstimateResult:
     """Fixed-size estimate: t = ceil(log(1/delta)/p_conservative) axes (clamped to d)."""
-    source = as_feature_source(features)
-    t = min(sample_size(p_conservative, delta), source.axis_count)
-    axes = sample_axes(source.axis_count, t, rng_seed)
-    block = source.columns(axes)
-    counts = best_counts(block, labels)
-    return _result(labels, axes, counts, block[:, np.argmax(counts)],
-                   EstimatorMethod.CONSERVATIVE, StopReason.FIXED_SIZE_REACHED)
+    run = _ScoredAxes(as_feature_source(features), labels)
+    d = run.source.axis_count
+    run.score(sample_axes(d, min(sample_size(p_conservative, delta), d), rng_seed))
+    return _result(run, EstimatorMethod.CONSERVATIVE, StopReason.FIXED_SIZE_REACHED)
 
 
 def pilot_estimate(
@@ -294,45 +279,31 @@ def pilot_estimate(
     replacement from the unexplored axes, up to
     min(ceil(log(1/delta)/p_hat), ceil(cap_fraction * d), d).
     """
-    source = as_feature_source(features)
-    n, d = source.sample_count, source.axis_count
+    run = _ScoredAxes(as_feature_source(features), labels)
+    d = run.source.axis_count
     if not 1 <= n_pilot <= d:
         raise ValueError("sample exceeds population: n_pilot must lie in [1, d]")
     if not 0.0 < cap_fraction <= 1.0:
         raise ValueError("cap_fraction must lie in (0, 1]")
 
     sampler = _AxisSampler(d, rng_seed)
-    axes = sampler.draw(n_pilot)
-    block = source.columns(axes)
-    counts = best_counts(block, labels)
-    winner = block[:, np.argmax(counts)]
-
-    ranked = np.sort(counts)
-    eta_count = int(ranked[math.ceil(0.75 * n_pilot) - 1])
-    eta = eta_count / n
-    p_hat = float(np.sum(ranked >= eta_count)) / n_pilot
+    run.score(sampler.draw(n_pilot))
+    ranked = np.sort(run.accuracies)
+    eta = float(ranked[math.ceil(0.75 * n_pilot) - 1])
+    p_hat = float(np.sum(ranked >= eta)) / n_pilot
     t_required = sample_size(p_hat, delta)
 
-    cap = math.ceil(cap_fraction * d)
-    budget = min(t_required, cap, d)
-    extra = budget - n_pilot
-    if extra > 0:
-        more = sampler.draw(extra)
-        block = source.columns(more)
-        more_counts = best_counts(block, labels)
-        if more_counts.max() > counts.max():
-            winner = block[:, np.argmax(more_counts)]
-        axes = axes + more
-        counts = np.concatenate([counts, more_counts])
+    budget = min(t_required, math.ceil(cap_fraction * d), d)
+    if budget > n_pilot:
+        run.score(sampler.draw(budget - n_pilot))
 
-    total = len(axes)
-    if total >= d:
+    if sampler.drawn >= d:
         reason = StopReason.EXHAUSTED
-    elif total >= t_required:
+    elif sampler.drawn >= t_required:
         reason = StopReason.FIXED_SIZE_REACHED
     else:
         reason = StopReason.BUDGET_EXHAUSTED
-    return _result(labels, axes, counts, winner, EstimatorMethod.PILOT, reason,
+    return _result(run, EstimatorMethod.PILOT, reason,
                    PilotStats(eta_pilot=eta, p_hat=p_hat, t_required=t_required))
 
 
@@ -344,15 +315,14 @@ def adaptive_estimate(
     stability_eps: float = 1e-3,
     budget_fraction: float = 0.01,
     rng_seed=None,
-    stability_window: int = _STABILITY_WINDOW_DEFAULT,
 ) -> EstimateResult:
     """Batch-incremental estimate with empirical stopping rules.
 
     After each batch the rules are checked in order: all axes evaluated
     (EXHAUSTED), budget ceil(budget_fraction * d) reached (BUDGET_EXHAUSTED),
     no strict improvement of the running best for ``patience`` consecutive
-    batches (CONVERGED), best-value spread over the last
-    ``stability_window`` batch-ends at most ``stability_eps`` (STABLE).
+    batches (CONVERGED), best-value spread over the last 5 batch-ends at most
+    ``stability_eps`` (STABLE); the 5-batch window is fixed.
     """
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
@@ -362,50 +332,31 @@ def adaptive_estimate(
         raise ValueError("stability_eps must be >= 0")
     if not 0.0 < budget_fraction <= 1.0:
         raise ValueError("budget_fraction must lie in (0, 1]")
-    if stability_window < 2:
-        raise ValueError("stability_window must be >= 2")
 
-    source = as_feature_source(features)
-    n, d = source.sample_count, source.axis_count
+    run = _ScoredAxes(as_feature_source(features), labels)
+    n, d = run.source.sample_count, run.source.axis_count
     budget = math.ceil(budget_fraction * d)
     sampler = _AxisSampler(d, rng_seed)
-
-    axes: list[int] = []
-    batch_counts: list[np.ndarray] = []
-    best_count = -1
     no_improve = 0
     history: list[float] = []
 
     while True:
-        take = min(batch_size, budget - len(axes), d - len(axes))
-        batch = sampler.draw(take)
-        block = source.columns(batch)
-        counts = best_counts(block, labels)
-        axes.extend(batch)
-        batch_counts.append(counts)
+        rose = run.score(sampler.draw(min(batch_size, budget - sampler.drawn, sampler.remaining)))
+        no_improve = 0 if rose else no_improve + 1
+        history.append(run.best_count / n)
 
-        batch_best = int(counts.max())
-        if batch_best > best_count:
-            best_count = batch_best
-            winner = block[:, np.argmax(counts)]
-            no_improve = 0
-        else:
-            no_improve += 1
-        history.append(best_count / n)
-
-        if len(axes) >= d:
+        if sampler.remaining == 0:
             reason = StopReason.EXHAUSTED
             break
-        if len(axes) >= budget:
+        if sampler.drawn >= budget:
             reason = StopReason.BUDGET_EXHAUSTED
             break
         if no_improve >= patience:
             reason = StopReason.CONVERGED
             break
-        window = history[-stability_window:]
-        if len(history) >= stability_window and max(window) - min(window) <= stability_eps:
+        window = history[-_STABILITY_WINDOW:]
+        if len(history) >= _STABILITY_WINDOW and max(window) - min(window) <= stability_eps:
             reason = StopReason.STABLE
             break
 
-    return _result(labels, axes, np.concatenate(batch_counts), winner,
-                   EstimatorMethod.ADAPTIVE, reason)
+    return _result(run, EstimatorMethod.ADAPTIVE, reason)

@@ -13,6 +13,7 @@ which bounds its distance from the optimum by weak duality alone.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -216,9 +217,9 @@ def model_to_json(model: SvmModel, path=None) -> str:
 
 
 def model_from_json(source) -> SvmModel:
-    """Accepts a JSON string or a path to a JSON file."""
+    """From a path (os.PathLike: the file is read) or JSON text (str)."""
     text = source
-    if not str(source).lstrip().startswith("{"):
+    if isinstance(source, os.PathLike):
         with open(source) as fh:
             text = fh.read()
     raw = json.loads(text)

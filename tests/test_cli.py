@@ -4,6 +4,7 @@ Each subcommand runs through ``main(argv)`` against temporary files; outputs
 are cross-checked with the library functions they wrap.
 """
 
+import inspect
 import json
 
 import numpy as np
@@ -15,10 +16,11 @@ from minacc.axiscore import (
     classifier_accuracy,
     r_min_deterministic,
 )
-from minacc.cli import main
+from minacc.cli import _build_parser, main
 from minacc.datagen import DatasetSpec, dataset_from_csv, generate, spec_from_json
 from minacc.featmap import load_feature_matrix
-from minacc.sampling import sample_size
+from minacc.harness import ExperimentConfig
+from minacc.sampling import adaptive_estimate, conservative_estimate, pilot_estimate, sample_size
 
 
 def run_cli(capsys, *argv):
@@ -221,6 +223,22 @@ def test_coverage_planning_and_probabilities(capsys):
     assert values["exact"] == f"{1.0 - 3003.0 / 15504.0:.6f}"
     assert values["bound"] == f"{1.0 - 0.75 ** 5:.6f}"
     assert float(values["bound"]) <= float(values["exact"])
+
+
+def test_estimator_defaults_are_the_config_defaults():
+    settings = {"delta", "n_pilot", "cap_fraction", "batch_size", "patience", "stability_eps",
+                "budget_fraction"}
+    config = ExperimentConfig()
+    args = _build_parser().parse_args(["minacc", "--features", "f", "--data", "d"])
+    assert {name: getattr(args, name) for name in settings} == {
+        name: getattr(config, name) for name in settings}
+    covered = set()
+    for estimator in (conservative_estimate, pilot_estimate, adaptive_estimate):
+        for name, param in inspect.signature(estimator).parameters.items():
+            if name in settings and param.default is not param.empty:
+                assert param.default == getattr(config, name), (estimator.__name__, name)
+                covered.add(name)
+    assert covered == settings
 
 
 def test_svm_on_raw_and_embedded(tmp_path, capsys, small_data):

@@ -1,5 +1,7 @@
 """Tests for the synthetic dataset generators, standardization, and splitting."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -268,3 +270,13 @@ def test_spec_json_roundtrip(tmp_path):
     regenerated = generate(spec_from_json(path))
     original = generate(spec)
     assert np.array_equal(regenerated.inputs, original.inputs)
+
+
+def test_spec_from_json_reads_any_path_as_a_file(tmp_path, monkeypatch):
+    # a path is a file to read and a str is JSON text, whatever either begins with
+    monkeypatch.chdir(tmp_path)
+    spec = DatasetSpec(kind=CIRCLES, n_samples=30, seed=5)
+    spec_to_json(spec, Path("{run}.json"))
+    assert spec_from_json(Path("{run}.json")) == spec
+    with pytest.raises(ValueError):
+        spec_from_json("spec.json")

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from minacc import axiscore
 from minacc.axiscore import (
     LabeledDataset,
     ThresholdClassifier,
@@ -37,10 +38,11 @@ _ANY_FINITE = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
 
 
 @st.composite
-def labeled_matrices(draw, max_n=12, max_d=8):
+def labeled_matrices(draw, max_n=12, max_d=8, element=None):
     n = draw(st.integers(1, max_n))
     d = draw(st.integers(1, max_d))
-    element = draw(st.sampled_from([_DUPLICATE_HEAVY, _ANY_FINITE]))
+    if element is None:
+        element = draw(st.sampled_from([_DUPLICATE_HEAVY, _ANY_FINITE]))
     values = draw(st.lists(element, min_size=n * d, max_size=n * d))
     labels = draw(st.lists(st.sampled_from([-1, 1]), min_size=n, max_size=n))
     return np.array(values).reshape(n, d), np.array(labels)
@@ -84,6 +86,21 @@ def test_batched_counts_equal_single_axis_scans(case):
         axis_accuracy(values[:, i], labels, axis_index=i).correct_count
         for i in range(values.shape[1])
     ]
+
+
+@settings(max_examples=200, deadline=None)
+@given(labeled_matrices(max_n=6, max_d=20, element=st.sampled_from([0.0, 1.0])),
+       st.sampled_from([1, 2, 3, 7]))
+def test_scan_result_does_not_depend_on_its_chunk_width(case, chunk):
+    # few rows and two values: most axes tie, within a chunk and across chunks
+    values, labels = case
+    whole = r_min_deterministic(values, labels)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(axiscore, "_SCAN_CHUNK", chunk)
+        r_min, best, per_axis = r_min_deterministic(values, labels)
+    assert (r_min, best) == whole[:2]
+    assert per_axis.tolist() == whole[2].tolist()
+    assert best.axis_index == np.flatnonzero(per_axis == r_min)[0]
 
 
 @st.composite

@@ -278,6 +278,17 @@ def test_estimators_read_each_sampled_column_once():
     assert pilot_completed and adaptive_later_batch
 
 
+def test_exhaustive_scan_serves_each_column_once():
+    # the winner's threshold rule comes from the column kept by the scan, not a re-read
+    rng = np.random.default_rng(20)
+    for _ in range(10):
+        features, labels = random_matrix(rng, d_max=60)
+        for scan in (r_min_deterministic, deterministic_estimate):
+            source = CountingSource(features)
+            scan(source, labels)
+            assert source.served == features.axis_count
+
+
 def test_subset_monotonicity():
     rng = np.random.default_rng(18)
     features, labels = random_matrix(rng, n_max=40, d_max=25)

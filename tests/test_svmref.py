@@ -6,6 +6,8 @@ optimum on small instances is recomputed with scipy's SLSQP on the exact
 same QP (box constraints plus the equality constraint).
 """
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.optimize import minimize
@@ -286,3 +288,13 @@ def test_json_roundtrip_preserves_predictions(tmp_path):
     # string form round-trips too
     text = model_to_json(svm_train(x, y))
     assert model_from_json(text).training_accuracy == svm_train(x, y).training_accuracy
+
+
+def test_model_from_json_reads_any_path_as_a_file(tmp_path, monkeypatch):
+    # a path is a file to read and a str is JSON text, whatever either begins with
+    monkeypatch.chdir(tmp_path)
+    model = svm_train(XOR_X, XOR_Y, kernel="rbf")
+    model_to_json(model, Path("{run}.json"))
+    assert model_from_json(Path("{run}.json")).training_accuracy == model.training_accuracy
+    with pytest.raises(ValueError):
+        model_from_json("model.json")
