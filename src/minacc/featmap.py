@@ -8,7 +8,10 @@ seed and counting (i, draw pair), feeds Box-Muller.  Any set of columns is
 therefore produced on demand, in one vectorized block: estimators that touch
 t << d axes never build the N x d matrix, growing d extends rather than
 reshuffles earlier columns, and the lazy and eager paths are bit-identical
-because every value goes through the same elementwise block code.
+because every value goes through the same elementwise block code.  The block
+code fills a d x N axis-major buffer, one axis per contiguous row, and hands
+out its N x d transpose: the exhaustive scan sorts each axis where it was
+written, with no transpose copy.
 
 For n <= 8 there is also the real thing: an angle-encoding statevector simulator and
 expectation values of all 4^n Pauli strings (eigenvalues +-1, so features lie in [-1, 1]
@@ -62,8 +65,8 @@ _PHILOX_M = np.array([0xD2511F53, 0xCD9E8D57], dtype=np.uint64)   # round multip
 _PHILOX_KEY_STEPS = np.outer(np.arange(10, dtype=np.uint64),
                              np.array([0x9E3779B9, 0xBB67AE85], dtype=np.uint64))
 
-# Columns per block of the proxy embedding: the N x 512 accumulator stays a few
-# hundred KB at N = 100, and no N x d temporary is built beside the output.
+# Columns per block of the proxy embedding: the 512 x N product temporary stays
+# a few hundred KB at N = 100, and no d x N temporary is built beside the output.
 _PROXY_BLOCK = 512
 
 
@@ -110,17 +113,21 @@ def projection_column(spec: ProjectionSpec, axis_index: int) -> np.ndarray:
 def _proxy_block(inputs: np.ndarray, spec: ProjectionSpec, indices) -> np.ndarray:
     """tanh(sum_j x_j w_j) for the given columns: the one path of every proxy
     value.  Each block of columns is summed over j in order by elementwise
-    ufuncs into a contiguous accumulator (a BLAS matmul may order its sums by
-    the block's width), so a value does not depend on the columns beside it."""
+    ufuncs (a BLAS matmul may order its sums by the block's width), so a value
+    does not depend on the columns beside it.  The sums and the tanh run in
+    place in one k x N axis-major buffer, one axis per row; the N x k result
+    is its transpose, an F-contiguous view whose columns the scan sorts
+    where they lie."""
     axes = checked_axes(indices, spec.feature_dim)
-    out = np.empty((inputs.shape[0], axes.size), dtype=np.float64)
+    buffer = np.empty((axes.size, inputs.shape[0]), dtype=np.float64)
     for start in range(0, axes.size, _PROXY_BLOCK):
         w = projection_block(spec, axes[start:start + _PROXY_BLOCK])
-        acc = inputs[:, :1] * w[0]
+        acc = buffer[start:start + w.shape[1]]
+        np.multiply(w[0][:, None], inputs[:, 0], out=acc)
         for j in range(1, spec.input_dim):
-            acc += inputs[:, j:j + 1] * w[j]
-        out[:, start:start + w.shape[1]] = np.tanh(acc, out=acc)
-    return out
+            acc += w[j][:, None] * inputs[:, j]
+        np.tanh(acc, out=acc)
+    return buffer.T
 
 
 class LazyProxyFeatures:

@@ -342,6 +342,8 @@ def _run_dataset(spec: DatasetSpec, config: ExperimentConfig, report: Experiment
         return fail("pipeline", exc)
 
     def fit_baselines():
+        # svm_train reads row-major: copy an axis-major embedding once, not per kernel
+        embedded = np.ascontiguousarray(features.values)
         return {
             source: {
                 kernel: svm_train(
@@ -350,7 +352,7 @@ def _run_dataset(spec: DatasetSpec, config: ExperimentConfig, report: Experiment
                 )
                 for kernel in KERNELS
             }
-            for source, x in (("embedded", features.values), ("raw", train.inputs))
+            for source, x in (("embedded", embedded), ("raw", train.inputs))
         }
 
     try:

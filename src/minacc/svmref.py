@@ -94,8 +94,11 @@ def svm_train(
     1e-6 C and y'a = 0 is restored on the free coefficients; the solver stops
     once that point has no KKT violator at ``tol``, or after ``max_iter``
     iterations with ``converged`` False.
+
+    Features are read row-major, so the fit does not depend on the memory
+    layout of the input: an axis-major (F-ordered) matrix gives the same bits.
     """
-    x = np.asarray(features, dtype=np.float64)
+    x = np.ascontiguousarray(features, dtype=np.float64)
     y = np.asarray(labels, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] != y.shape[0]:
         raise ValueError("features must be N x q with one label per row")
@@ -181,7 +184,7 @@ def svm_train(
 
 
 def decision_function(model: SvmModel, features: np.ndarray) -> np.ndarray:
-    x = np.asarray(features, dtype=np.float64)
+    x = np.ascontiguousarray(features, dtype=np.float64)  # row-major, as svm_train reads
     if x.ndim != 2 or (model.support_vectors.size and x.shape[1] != model.support_vectors.shape[1]):
         raise ValueError("feature dimension does not match the trained model")
     if model.support_indices.size == 0:

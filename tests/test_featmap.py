@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from minacc.axiscore import LabeledDataset, best_counts
+from minacc.axiscore import FeatureMatrix, LabeledDataset, best_counts
 from minacc.featmap import (
     _philox4x32,
     EncodingCircuitSpec,
@@ -94,6 +94,18 @@ def test_lazy_columns_match_eager_bitwise():
         assert np.array_equal(lazy.column(i), eager.values[:, i])
     assert np.array_equal(lazy.columns([5, 0, 22]), eager.values[:, [5, 0, 22]])
     assert np.array_equal(lazy.materialize().values, eager.values)
+
+
+def test_proxy_blocks_are_axis_major():
+    # the scan sorts one axis per contiguous row; an axis-major block hands
+    # it those rows as a view of the embedding, with no transpose copy
+    rng = np.random.default_rng(3)
+    lazy = LazyProxyFeatures(small_dataset(rng, n_samples=9, n_features=4),
+                             ProjectionSpec(input_dim=4, feature_dim=1100, seed=5))
+    for block in (lazy.materialize().values, lazy.columns([7, 1099, 0, 7]),
+                  lazy.columns(range(300, 1100))):
+        assert block.flags.f_contiguous
+        assert np.shares_memory(block, np.ascontiguousarray(block.T))
 
 
 def test_projection_columns_stable_when_feature_dim_grows():
@@ -351,6 +363,10 @@ def test_binary_roundtrip_is_bit_exact(tmp_path):
     save_feature_matrix(feats, path, flags=7)
     loaded = load_feature_matrix(path)
     assert np.array_equal(loaded.values, feats.values)
+    # the file is row-major whatever the layout in memory
+    row_major = tmp_path / "row_major.bin"
+    save_feature_matrix(FeatureMatrix(np.ascontiguousarray(feats.values)), row_major, flags=7)
+    assert feats.values.flags.f_contiguous and row_major.read_bytes() == path.read_bytes()
 
 
 def test_binary_truncation_detected(tmp_path):

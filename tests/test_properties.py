@@ -6,8 +6,9 @@ per-column counts equal the single-axis scan, an ndarray, a FeatureMatrix
 and a lazy proxy source give identical estimates, and the reported best
 axis reproduces the reported value.  Lazy proxy columns are byte-identical
 to the eager matrix for any index set, whichever columns share a block, and
-no scan result depends on the order of tied rows.  Shapes include N = 1,
-single-class labels and duplicate-heavy columns.
+no scan result depends on the order of tied rows or on the memory layout of
+the matrix.  Shapes include N = 1, single-class labels and duplicate-heavy
+columns.
 """
 
 import numpy as np
@@ -35,6 +36,11 @@ from minacc.sampling import (
 # few distinct values, so ties and duplicate cut points are the common case
 _DUPLICATE_HEAVY = st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0])
 _ANY_FINITE = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+# ties of signed zeros and of adjacent doubles, where a sort may order equal
+# values either way and a midpoint may round onto its lower end
+_TIE_HEAVY = st.sampled_from([
+    0.0, -0.0, 5e-324, -5e-324, 0.5, -0.5, 1.0, -1.0, float(np.nextafter(0.5, 1.0)),
+])
 
 
 @st.composite
@@ -42,7 +48,7 @@ def labeled_matrices(draw, max_n=12, max_d=8, element=None):
     n = draw(st.integers(1, max_n))
     d = draw(st.integers(1, max_d))
     if element is None:
-        element = draw(st.sampled_from([_DUPLICATE_HEAVY, _ANY_FINITE]))
+        element = draw(st.sampled_from([_DUPLICATE_HEAVY, _TIE_HEAVY, _ANY_FINITE]))
     values = draw(st.lists(element, min_size=n * d, max_size=n * d))
     labels = draw(st.lists(st.sampled_from([-1, 1]), min_size=n, max_size=n))
     return np.array(values).reshape(n, d), np.array(labels)
@@ -101,6 +107,45 @@ def test_scan_result_does_not_depend_on_its_chunk_width(case, chunk):
     assert (r_min, best) == whole[:2]
     assert per_axis.tolist() == whole[2].tolist()
     assert best.axis_index == np.flatnonzero(per_axis == r_min)[0]
+
+
+def _stable_gather_sweep(block, y):
+    """Reference sweep: a stable argsort, the sorted values gathered through it."""
+    rows = np.ascontiguousarray(block.T)
+    order = np.argsort(rows, axis=1, kind="stable")
+    sv = np.take_along_axis(rows, order, axis=1)
+    if not (np.all(np.isfinite(sv[:, 0])) and np.all(np.isfinite(sv[:, -1]))):
+        raise ValueError("non-finite feature values")
+    n = y.size
+    below_plus = np.cumsum(y[order] == 1, axis=1) - np.cumsum(y[order] == -1, axis=1)
+    plus_side = np.empty((rows.shape[0], n), dtype=np.int64)
+    plus_side[:, 0] = n - int(np.count_nonzero(y == 1))
+    plus_side[:, 1:] = plus_side[:, :1] + below_plus[:, :-1]
+    cand = np.maximum(plus_side, n - plus_side)
+    cand[:, 1:][sv[:, :-1] >= sv[:, 1:]] = -1
+    return sv, plus_side, cand
+
+
+def _scan_results(values, labels):
+    """Every scan output, thresholds as bytes so that -0.0 and 0.0 differ."""
+    def rule(result):
+        return (result.axis_index, result.correct_count,
+                np.float64(result.best_threshold).tobytes(), result.orientation)
+
+    r_min, best, per_axis = r_min_deterministic(values, labels)
+    axes = [rule(axis_accuracy(values[:, i], labels, axis_index=i)) for i in range(values.shape[1])]
+    return best_counts(values, labels).tolist(), axes, (r_min, rule(best), per_axis.tolist())
+
+
+@settings(max_examples=200, deadline=None)
+@given(labeled_matrices(element=_TIE_HEAVY))
+def test_scan_results_do_not_depend_on_layout_or_tie_order(case):
+    values, labels = case
+    row_major = _scan_results(np.ascontiguousarray(values), labels)
+    assert _scan_results(np.asfortranarray(values), labels) == row_major
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(axiscore, "_sweep", _stable_gather_sweep)
+        assert _scan_results(np.ascontiguousarray(values), labels) == row_major
 
 
 @st.composite

@@ -175,6 +175,23 @@ def test_rbf_scale_invariance_is_bit_exact():
     assert np.array_equal(decision_function(a, probe), decision_function(b, 2.0 * probe))
 
 
+@pytest.mark.parametrize("kernel", ["linear", "rbf"])
+def test_fit_does_not_depend_on_memory_layout(kernel):
+    # the proxy embedding is axis-major (F-ordered); reductions over a row
+    # of an F-ordered matrix sum in another order unless the fit reads it
+    # row-major
+    rng = np.random.default_rng(6)
+    x, y = blobs(rng, n_per=20, gap=1.0, dim=3)
+    x = np.tanh(x @ rng.standard_normal((3, 200)))
+    probe = np.tanh(rng.standard_normal((5, 3)) @ rng.standard_normal((3, 200)))
+    c_fit = svm_train(np.ascontiguousarray(x), y, kernel=kernel)
+    f_fit = svm_train(np.asfortranarray(x), y, kernel=kernel)
+    for name in ("dual_coef", "bias", "gamma", "weights", "training_accuracy"):
+        assert np.asarray(getattr(f_fit, name)).tobytes() == np.asarray(getattr(c_fit, name)).tobytes(), name
+    assert (decision_function(c_fit, np.asfortranarray(probe)).tobytes()
+            == decision_function(c_fit, probe).tobytes())
+
+
 def test_nonconvergence_is_flagged_not_raised():
     rng = np.random.default_rng(6)
     x = rng.standard_normal((40, 2))
