@@ -15,15 +15,17 @@ written, with no transpose copy.
 
 For n <= 8 there is also the real thing: an angle-encoding statevector simulator and
 expectation values of all 4^n Pauli strings (eigenvalues +-1, so features lie in [-1, 1]
-and the squared entries of one sample sum to 2^n for pure states).  A Walsh-Hadamard
-transform over k of conj(psi[k ^ x]) psi[k] gives every Z-mask of X-mask x, O(n 4^n) per
-state; values within their rounding bound (n + 3) eps/2 of zero become exactly 0.0.
+and the squared entries of one sample sum to 2^n for pure states).  The circuit has
+only RY and CZ gates, so its amplitudes are real: all N states are encoded in one
+float64 batch.  A Walsh-Hadamard transform over k of conj(psi[k ^ x]) psi[k] gives
+every Z-mask of X-mask x, O(n 4^n) per state, run on chunks of samples under a fixed
+element budget.  On real states the strings with an odd number of Y are exactly 0.0,
+and every other value within its rounding bound (n + 3) eps/2 of zero becomes 0.0.
 """
 
 from __future__ import annotations
 
 import csv
-import math
 import struct
 from dataclasses import dataclass
 
@@ -214,41 +216,55 @@ class EncodingCircuitSpec:
             raise ValueError(f"unknown entangler {self.entangler!r}")
 
 
-def _apply_ry(state: np.ndarray, theta: float, qubit: int, n: int) -> np.ndarray:
-    c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
-    mat = np.array([[c, -s], [s, c]], dtype=np.complex128)
-    psi = state.reshape([2] * n)
-    psi = np.tensordot(mat, psi, axes=([1], [qubit]))
-    return np.moveaxis(psi, 0, qubit).reshape(-1)
-
-
 def _ring_pairs(n: int):
     # a ring of n > 2 qubits; one pair for n = 2, none for n = 1
     return [(j, (j + 1) % n) for j in range(n if n > 2 else n - 1)]
 
 
-def encode_state(x, spec: EncodingCircuitSpec) -> np.ndarray:
-    """Statevector of the encoding circuit applied to |0...0>; qubit 0 is the
-    most significant bit of the amplitude index."""
+def _ring_signs(n: int) -> np.ndarray:
+    """The CZ ring as one diagonal: (-1)^(number of ring pairs with both bits
+    set) per basis state.  Multiplying by -1.0 is an exact negation, so this
+    equals negating the state once per pair."""
+    idx = np.arange(2 ** n)
+    signs = np.ones(2 ** n)
+    for a, b in _ring_pairs(n):
+        signs[(idx >> (n - 1 - a)) & (idx >> (n - 1 - b)) & 1 == 1] *= -1.0
+    return signs
+
+
+def _encode_states(inputs, spec: EncodingCircuitSpec) -> np.ndarray:
+    """N x 2^n float64 statevectors of the encoding circuit applied to |0...0>
+    for the N rows of ``inputs``; qubit 0 is the most significant bit of the
+    amplitude index.  RY and CZ are real gates, so the amplitudes are real.
+    Each RY is two elementwise lines across the whole batch, on the (N, 2^q,
+    2, rest) view that pairs the amplitudes differing in qubit q."""
     n = spec.qubit_count
     if n > _DENSE_QUBIT_LIMIT:
         raise ValueError(f"dense simulation limit: n <= {_DENSE_QUBIT_LIMIT}")
-    xv = np.asarray(x, dtype=np.float64).ravel()
-    if xv.size == 0:
+    xv = np.asarray(inputs, dtype=np.float64)
+    if xv.shape[1] == 0:
         raise ValueError("empty dataset: input vector has no components")
-    angles = spec.rotation_scale * xv[np.arange(n) % xv.size]
+    half = spec.rotation_scale * xv[:, np.arange(n) % xv.shape[1]] / 2.0
+    cos, sin = np.cos(half)[:, :, None, None], np.sin(half)[:, :, None, None]
+    signs = _ring_signs(n) if spec.entangler == "ring_cz" else None
 
-    state = np.zeros(2 ** n, dtype=np.complex128)
-    state[0] = 1.0
-    idx = np.arange(2 ** n)
+    states = np.zeros((xv.shape[0], 2 ** n), dtype=np.float64)
+    states[:, 0] = 1.0
     for _ in range(spec.layers):
         for q in range(n):
-            state = _apply_ry(state, float(angles[q]), q, n)
-        if spec.entangler == "ring_cz":
-            for a, b in _ring_pairs(n):
-                both = ((idx >> (n - 1 - a)) & 1) & ((idx >> (n - 1 - b)) & 1)
-                state = np.where(both == 1, -state, state)
-    return state
+            pairs = states.reshape(states.shape[0], 2 ** q, 2, -1)
+            lo, hi = pairs[:, :, 0], pairs[:, :, 1]
+            c, s = cos[:, q], sin[:, q]
+            lo[...], hi[...] = c * lo - s * hi, s * lo + c * hi
+        if signs is not None:
+            states *= signs
+    return states
+
+
+def encode_state(x, spec: EncodingCircuitSpec) -> np.ndarray:
+    """Real float64 statevector of one input: the row of ``_encode_states``
+    for a batch of one, with the same guards."""
+    return _encode_states(np.asarray(x, dtype=np.float64).reshape(1, -1), spec)[0]
 
 
 def _pauli_masks(index, n: int):
@@ -262,50 +278,80 @@ def _pauli_masks(index, n: int):
     return x, z, np.array([1, 1j, -1, -1j])[y_count % 4]
 
 
+# Entries of the product table transformed at once: 16 samples at n = 6 and
+# one at n = 8.  The table, its spare buffer and its gather stay at 512 KB
+# each; transforming all 100 samples of an n = 6 dataset at once raised the peak
+# RSS of a whole experiment by about 7 MB.
+_TRANSFORM_BUDGET = 2 ** 16
+
+
 def _transformed_products(psi: np.ndarray, x_masks: np.ndarray, n: int) -> np.ndarray:
-    """[r, z] = <psi| X^{x_masks[r]} Z^z |psi>: one Walsh-Hadamard transform along k
-    of the products conj(psi[k ^ x]) psi[k] gives every Z-mask of an X-mask."""
-    k = np.arange(2 ** n)
-    w = (np.conj(psi[np.bitwise_xor.outer(x_masks, k)]) * psi).reshape((-1,) + (2,) * n)
-    for axis in range(1, n + 1):
-        lo, hi = np.take(w, 0, axis), np.take(w, 1, axis)
-        w = np.stack((lo + hi, lo - hi), axis=axis)
-    return w.reshape(len(x_masks), 2 ** n)
+    """[z, r, b] = <psi_b| X^{x_masks[r]} Z^z |psi_b> for the rows psi_b of a
+    B x 2^n batch: one Walsh-Hadamard transform along k of the products
+    conj(psi[k ^ x]) psi[k] gives every Z-mask of an X-mask.  Real states give
+    real products.  The transform axis comes first, so each butterfly stage,
+    most significant bit first, is two ufunc calls on contiguous runs of at
+    least R x B entries, written into a second buffer."""
+    states = psi.T
+    w = np.take(states, np.bitwise_xor.outer(np.arange(2 ** n), x_masks), axis=0)
+    if np.iscomplexobj(w):
+        np.conj(w, out=w)
+    w *= states[:, None, :]
+    spare = np.empty_like(w)
+    for bit in range(n):
+        src, dst = w.reshape(2 ** bit, 2, -1), spare.reshape(2 ** bit, 2, -1)
+        np.add(src[:, 0], src[:, 1], out=dst[:, 0])
+        np.subtract(src[:, 0], src[:, 1], out=dst[:, 1])
+        w, spare = spare, w
+    return w
 
 
 def _expectation_values(raw, norm_sq, n: int):
     """Raw <psi|sigma|psi> / <psi|psi>, imaginary part checked, clipped, and 0.0 within
     (n + 3) eps/2: the rounding of the products (3) and of the n butterfly stages."""
-    if norm_sq == 0.0:
+    if np.any(norm_sq == 0.0):
         raise ValueError("empty dataset: statevector has zero norm")
-    if np.any(np.abs(np.imag(raw)) > 1e-10 * norm_sq):
-        raise ValueError("Pauli expectation has a non-negligible imaginary part")
-    values = np.clip(np.real(raw) / norm_sq, -1.0, 1.0)
-    return np.where(np.abs(values) <= (n + 3) * np.finfo(np.float64).eps / 2, 0.0, values)
+    if np.iscomplexobj(raw):
+        if np.any(np.abs(np.imag(raw)) > 1e-10 * norm_sq):
+            raise ValueError("Pauli expectation has a non-negligible imaginary part")
+        raw = np.real(raw)
+    values = raw / norm_sq
+    np.clip(values, -1.0, 1.0, out=values)
+    values[np.abs(values) <= (n + 3) * np.finfo(np.float64).eps / 2] = 0.0
+    return values
 
 
 def pauli_expectation(state, sigma: PauliString) -> float:
-    """<psi| sigma |psi> / <psi|psi>, bit-identical to its ``pauli_feature_matrix`` entry."""
+    """<psi| sigma |psi> / <psi|psi>, bit-identical to its ``pauli_feature_matrix`` entry.
+    A complex state keeps its phase i^{#Y} and has its imaginary part checked."""
     n = sigma.qubit_count
-    psi = np.asarray(state, dtype=np.complex128).ravel()
+    is_complex = np.iscomplexobj(state)
+    psi = np.asarray(state, dtype=np.complex128 if is_complex else np.float64).reshape(1, -1)
     if psi.size != 2 ** n:
         raise ValueError("statevector length does not match Pauli string")
     x, z, phase = _pauli_masks(sigma.index, n)
     w = _transformed_products(psi, np.array([0, x]), n)
-    return float(_expectation_values(phase * w[1, z], w[0, 0].real, n))
+    phase = phase if is_complex else phase.real
+    return float(_expectation_values(phase * w[z, 1], w[0, 0].real, n)[0])
 
 
 def pauli_feature_matrix(dataset: LabeledDataset, spec: EncodingCircuitSpec) -> FeatureMatrix:
-    """All 4^n Pauli expectations per sample, columns in Pauli index order,
-    gathered from one transformed 2^n x 2^n product table per sample."""
+    """All 4^n Pauli expectations per sample, columns in Pauli index order.
+    The states are encoded in one batch; each chunk of samples then shares
+    one transformed 2^n x 2^n x B product table, gathered with the real sign
+    of i^{#Y} (0 for the odd-#Y strings, whose expectation on a real state is 0)."""
     n = spec.qubit_count
     if n > _MATRIX_QUBIT_LIMIT:
         raise ValueError(f"dense simulation limit: 4^n features need n <= {_MATRIX_QUBIT_LIMIT}")
     x, z, phase = _pauli_masks(np.arange(4 ** n), n)
+    table_rows, sign = z * 2 ** n + x, phase.real[:, None]
+    states = _encode_states(dataset.inputs, spec)
+    chunk = max(1, _TRANSFORM_BUDGET // 4 ** n)
     out = np.empty((dataset.sample_count, 4 ** n), dtype=np.float64)
-    for row, inputs in zip(out, dataset.inputs):
-        w = _transformed_products(encode_state(inputs, spec), np.arange(2 ** n), n)
-        row[:] = _expectation_values(phase * w[x, z], w[0, 0].real, n)
+    for start in range(0, dataset.sample_count, chunk):
+        w = _transformed_products(states[start:start + chunk], np.arange(2 ** n), n)
+        table = w.reshape(4 ** n, -1)
+        out[start:start + chunk] = _expectation_values(sign * table[table_rows], table[0], n).T
     return FeatureMatrix(out)
 
 

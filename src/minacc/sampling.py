@@ -187,16 +187,16 @@ class _AxisSampler:
     def draw(self, count: int) -> list[int]:
         if count < 0 or self._pos + count > self._d:
             raise ValueError("sample exceeds population")
+        # one generator call draws the same stream as `count` scalar calls
+        targets = self._rng.integers(np.arange(self._pos, self._pos + count), self._d).tolist()
         out = []
-        for _ in range(count):
-            j = self._pos
-            r = int(self._rng.integers(j, self._d))
+        for j, r in enumerate(targets, start=self._pos):
             v_j = self._swaps.get(j, j)
             v_r = self._swaps.get(r, r)
             out.append(v_r)
             self._swaps[r] = v_j
             self._swaps[j] = v_r
-            self._pos += 1
+        self._pos += count
         return out
 
 

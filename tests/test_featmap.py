@@ -1,16 +1,19 @@
 """Tests for the proxy embedding and the exact Pauli feature map.
 
 The Pauli simulator is checked against an independent oracle that builds
-each Pauli word as an explicit Kronecker-product matrix and evaluates
-psi^dagger M psi directly; the flip-mask implementation under test never
-materializes those matrices.
+each Pauli word, and each gate of the encoding circuit, as an explicit
+Kronecker-product matrix and evaluates psi^dagger M psi directly; the batched
+flip-mask implementation under test never materializes those matrices.
 """
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from minacc import featmap
 from minacc.axiscore import FeatureMatrix, LabeledDataset, best_counts
 from minacc.featmap import (
     _philox4x32,
@@ -44,6 +47,35 @@ def dense_pauli(letters: str) -> np.ndarray:
     for ch in letters:
         out = np.kron(out, _PAULI_MATS[ch])
     return out
+
+
+def dense_circuit_state(x, spec: EncodingCircuitSpec) -> np.ndarray:
+    """The encoding circuit as explicit matrices: a Kronecker product of RY
+    gates per layer, then the diagonal of the CZ ring."""
+    n = spec.qubit_count
+    x = np.asarray(x, dtype=np.float64)
+    gates = []
+    for q in range(n):
+        c, s = np.cos(spec.rotation_scale * x[q % x.size] / 2), np.sin(spec.rotation_scale * x[q % x.size] / 2)
+        gates.append(np.array([[c, -s], [s, c]], dtype=np.complex128))
+    ry = np.ones((1, 1), dtype=np.complex128)
+    for gate in gates:
+        ry = np.kron(ry, gate)
+    bits = [[(k >> (n - 1 - q)) & 1 for q in range(n)] for k in range(2 ** n)]
+    pairs = [(j, (j + 1) % n) for j in range(n if n > 2 else n - 1)] if spec.entangler == "ring_cz" else []
+    cz = np.diag([(-1.0) ** sum(b[i] & b[j] for i, j in pairs) for b in bits])
+    psi = np.zeros(2 ** n, dtype=np.complex128)
+    psi[0] = 1.0
+    for _ in range(spec.layers):
+        psi = cz @ (ry @ psi)
+    return psi
+
+
+def dense_expectations(psi) -> np.ndarray:
+    """<psi|P|psi> of every Pauli word in index order, by dense_pauli."""
+    n = int(np.log2(psi.size))
+    return np.array([np.vdot(psi, dense_pauli(pauli_string(i, n).letters) @ psi).real
+                     for i in range(4 ** n)])
 
 
 def random_state(rng, n: int) -> np.ndarray:
@@ -349,6 +381,80 @@ def test_expectation_input_validation():
     data = small_dataset(rng, n_samples=2, n_features=2)
     with pytest.raises(ValueError, match="dense simulation limit"):
         pauli_feature_matrix(data, EncodingCircuitSpec(qubit_count=9))
+
+
+def test_encoded_states_are_real_unit_vectors():
+    rng = np.random.default_rng(16)
+    for n, layers, entangler in ((1, 1, "none"), (3, 2, "ring_cz"), (6, 3, "ring_cz")):
+        spec = EncodingCircuitSpec(qubit_count=n, layers=layers, entangler=entangler)
+        for _ in range(3):
+            state = encode_state(rng.uniform(-3, 3, size=4), spec)
+            assert state.dtype == np.float64 and state.shape == (2 ** n,)
+            assert np.linalg.norm(state) == pytest.approx(1.0, abs=1e-14)
+
+
+@pytest.mark.parametrize("per_chunk", [1, 2, 3])
+def test_feature_matrix_does_not_depend_on_its_chunks(monkeypatch, per_chunk):
+    # each sample's row is the same bytes whichever samples share its transform
+    rng = np.random.default_rng(17)
+    data = small_dataset(rng, n_samples=10, n_features=3)
+    spec = EncodingCircuitSpec(qubit_count=3)
+    whole = pauli_feature_matrix(data, spec).values
+    monkeypatch.setattr(featmap, "_TRANSFORM_BUDGET", per_chunk * 4 ** 3)
+    for bounds in ([0, 10], [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10], [0, 1, 4, 9, 10], [0, 5, 7, 10]):
+        parts = [pauli_feature_matrix(LabeledDataset(inputs=data.inputs[a:b], labels=data.labels[a:b]),
+                                      spec).values for a, b in zip(bounds, bounds[1:])]
+        assert np.concatenate(parts).tobytes() == whole.tobytes()
+
+
+@pytest.mark.parametrize("layers, entangler", [(1, "ring_cz"), (3, "ring_cz"), (2, "none")])
+def test_single_expectations_are_the_matrix_entries_at_five_qubits(layers, entangler):
+    rng = np.random.default_rng(18)
+    data = small_dataset(rng, n_samples=2, n_features=5)
+    spec = EncodingCircuitSpec(qubit_count=5, layers=layers, entangler=entangler)
+    feats = pauli_feature_matrix(data, spec)
+    for k in range(2):
+        psi = encode_state(data.inputs[k], spec)
+        singles = [pauli_expectation(psi, pauli_string(i, 5)) for i in range(4 ** 5)]
+        assert singles == feats.values[k].tolist()
+
+
+def test_odd_y_columns_are_exact_zeros():
+    # RY and CZ keep the amplitudes real, and a string with an odd number of
+    # Y has expectation 0 on every real state
+    rng = np.random.default_rng(19)
+    for n in (1, 2, 5, 6):
+        feats = pauli_feature_matrix(small_dataset(rng, n_samples=7, n_features=3),
+                                     EncodingCircuitSpec(qubit_count=n, layers=3))
+        odd_y = [pauli_string(i, n).letters.count("Y") % 2 == 1 for i in range(4 ** n)]
+        block = feats.values[:, odd_y]
+        assert np.all(block == 0.0) and not np.any(np.signbit(block))
+
+
+@st.composite
+def encoded_datasets(draw):
+    n = draw(st.integers(1, 4))
+    m = draw(st.integers(1, 4))
+    samples = draw(st.integers(1, 5))
+    inputs = draw(st.lists(st.floats(-4, 4, allow_nan=False), min_size=samples * m, max_size=samples * m))
+    spec = EncodingCircuitSpec(qubit_count=n, layers=draw(st.integers(1, 3)),
+                               entangler=draw(st.sampled_from(["ring_cz", "none"])),
+                               rotation_scale=draw(st.sampled_from([1.0, 0.5, 2.0])))
+    return LabeledDataset(inputs=np.array(inputs).reshape(samples, m), labels=[1] * samples), spec
+
+
+@settings(max_examples=60, deadline=None)
+@given(encoded_datasets())
+def test_feature_matrix_matches_the_circuit_oracle(case):
+    data, spec = case
+    n = spec.qubit_count
+    feats = pauli_feature_matrix(data, spec).values
+    assert np.all(feats[:, 0] == 1.0)
+    assert np.sum(feats ** 2, axis=1) == pytest.approx(np.full(data.sample_count, 2.0 ** n), abs=1e-8)
+    for row, x in zip(feats, data.inputs):
+        psi = dense_circuit_state(x, spec)
+        assert encode_state(x, spec) == pytest.approx(psi.real, abs=1e-12)
+        assert row == pytest.approx(dense_expectations(psi), abs=1e-10)
 
 
 # ---------------------------------------------------------------------------

@@ -3,12 +3,15 @@ statistics, and the estimator stopping rules."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from minacc.axiscore import FeatureMatrix, r_min_deterministic
 from minacc.sampling import (
     CoverageQuery,
     EstimatorMethod,
+    _AxisSampler,
     StopReason,
     adaptive_estimate,
     conservative_estimate,
@@ -173,6 +176,36 @@ def test_sample_axes_uniform_frequency():
     freq = counts / n_draws
     sigma = np.sqrt(0.1 * 0.9 / n_draws)
     assert np.all(np.abs(freq - 0.1) <= 4 * sigma)
+
+
+class ScalarAxisSampler:
+    """Reference partial Fisher-Yates: one scalar generator call per index."""
+
+    def __init__(self, d, seed):
+        self.d, self.rng, self.swaps, self.pos = d, np.random.default_rng(seed), {}, 0
+
+    def draw(self, count):
+        out = []
+        for _ in range(count):
+            j = self.pos
+            r = int(self.rng.integers(j, self.d))
+            v_j, v_r = self.swaps.get(j, j), self.swaps.get(r, r)
+            out.append(v_r)
+            self.swaps[r], self.swaps[j] = v_j, v_r
+            self.pos += 1
+        return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([1, 7, 4 ** 6, 4 ** 8, 4 ** 10, 2 ** 32, 2 ** 40, 2 ** 63 - 1]),
+       st.integers(0, 2 ** 64 - 1), st.lists(st.integers(0, 40), max_size=6))
+def test_batched_draws_follow_the_scalar_stream(d, seed, counts):
+    sampler, reference = _AxisSampler(d, seed), ScalarAxisSampler(d, seed)
+    for count in counts:
+        count = min(count, sampler.remaining)
+        assert sampler.draw(count) == reference.draw(count)
+        assert sampler.drawn == reference.pos
+    assert sampler._rng.bit_generator.state == reference.rng.bit_generator.state
 
 
 # ---------------------------------------------------------------------------
