@@ -10,23 +10,79 @@ same feature space can reach on the training set.
 All accuracy comparisons are done on integer correct-counts; the floating
 ``accuracy`` values are derived from them and never compared with tolerances
 internally, so results are exact multiples of 1/N.
+
+The exhaustive scan sweeps its independent blocks of axes on a private
+thread pool, one worker per usable core, created on first use; a scan of
+at most 6,144 axes runs inline.  The calling thread reads every block and
+folds the counts in block order, so every result is the one-thread result,
+bit for bit.  Pool tasks run numpy only: no column source, no BLAS and no
+nested pool call.
 """
 
 from __future__ import annotations
 
+import os
+from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-# Column chunk width for the full-matrix scan; keeps the working set of the
-# vectorized sweep under a few MB regardless of d (at N = 100 its float64 and
-# index arrays are 0.4 MB each, its int32 counts 0.2 MB).  On one core of a
-# 2-core Xeon the 65,536-axis scan of the axis-major proxy embedding (N = 100)
-# takes a median 0.15 s at widths 256 to 512, 0.17 s at 128, 0.14 s at 1024
-# and 2048, and 0.26 s at 4096; the wider blocks save under 10% of the scan
-# but raise its peak allocation from 2.2 MB to 3.8 and 7.1 MB.
+# Column chunk width of one sweep of the full-matrix scan; keeps the working
+# set of the vectorized sweep under a few MB regardless of d (at N = 100 its
+# float64 and index arrays are 0.4 MB each, its int32 counts 0.2 MB), and
+# each worker thread keeps its own allocation peak.  A pool task sweeps four
+# chunks: fewer round trips through the pool and the GIL.  On both cores of
+# a 2-core Xeon the 65,536-axis scan of the axis-major proxy embedding
+# (N = 100) took a median 0.11 s in 512-axis tasks and 0.105 s in 2048-axis
+# tasks of 512-axis sweeps; one core takes 0.17 s.  With another process
+# spinning on one of the two cores, 512-axis tasks took 0.176 s and
+# 2048-axis tasks 0.164 s, against 0.163 s on one thread.
 _SCAN_CHUNK = 512
+
+# Workers of the exact-path pool: the cores this process may run on.
+_CORES = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+_POOL = None
+if hasattr(os, "register_at_fork"):  # a forked child has none of the parent's workers
+    os.register_at_fork(after_in_child=lambda: globals().update(_POOL=None))
+# Jobs of fewer tasks run inline; the scan and the proxy embedding both use
+# 2048-axis tasks, so that is at most 6,144 axes.  On the 2-core Xeon the
+# 4,096-axis scan of the n = 6 Pauli experiment (N = 100), pooled as eight
+# 512-axis tasks, made the whole experiment slower across processes (median
+# 0.378 s against 0.322 s on one thread, 1 of 8 runs faster), while 65,536
+# axes gain about a third.
+_POOL_MIN_ITEMS = 4
+
+
+def _ordered_map(task, items, read=lambda item: item):
+    """Yield ``(value, task(value))`` with ``value = read(item)`` for every
+    item of the sequence ``items``, in order.
+
+    ``read`` runs on the calling thread, and at most ``_CORES`` values are in
+    flight, so a lazy source never holds more than a few.  The tasks run on
+    the pool, or inline on one core or for fewer than ``_POOL_MIN_ITEMS``
+    items.  A task's exception is raised when its turn comes, as inline.
+    """
+    if _CORES < 2 or len(items) < _POOL_MIN_ITEMS:
+        for item in items:
+            value = read(item)
+            yield value, task(value)
+        return
+    global _POOL
+    if _POOL is None:
+        from concurrent.futures import ThreadPoolExecutor  # costs import time; load on first use
+        _POOL = ThreadPoolExecutor(max_workers=_CORES, thread_name_prefix="minacc")
+    pending = deque()
+    try:
+        for item in items:
+            pending.append(_POOL.submit(lambda value: (value, task(value)), read(item)))
+            if len(pending) >= _CORES:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
+    finally:
+        for future in pending:
+            future.cancel()
 
 
 class Orientation(Enum):
@@ -98,8 +154,10 @@ class FeatureMatrix:
         v = np.asarray(self.values, dtype=np.float64)
         if v.ndim != 2 or v.shape[0] == 0 or v.shape[1] == 0:
             raise ValueError("empty dataset: feature matrix must be non-empty N x d")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("non-finite feature values in matrix")
+        # block by block: no N x d boolean temporary
+        for start in range(0, v.shape[1], _SCAN_CHUNK):
+            if not np.isfinite(v[:, start:start + _SCAN_CHUNK]).all():
+                raise ValueError("non-finite feature values in matrix")
         object.__setattr__(self, "values", v)
 
     @property
@@ -209,23 +267,23 @@ def _sweep(block: np.ndarray, y: np.ndarray):
     Each sort runs over one contiguous row per axis.  An axis-major
     (F-contiguous) block, as the proxy embedding builds, transposes to those
     rows as a view; a row-major block is copied once.  The sorted values come
-    from a second sort rather than a gather through ``order``: it yields the
+    from a second sort rather than a gather through the argsort: it yields the
     same sequence, except that equal -0.0 and +0.0 may swap, which no count,
     duplicate mask, finiteness check or midpoint can see.
     """
     rows = np.ascontiguousarray(block.T)
-    order = np.argsort(rows, axis=1)
+    steps = y.astype(np.int32)[np.argsort(rows, axis=1)]   # no int64 order beside the sort
     sv = np.sort(rows, axis=1)
     if not (np.all(np.isfinite(sv[:, 0])) and np.all(np.isfinite(sv[:, -1]))):
         raise ValueError("non-finite feature values")
     n = y.size
     n_minus = n - int(np.count_nonzero(y == 1))
-    steps = y.astype(np.int32)[order]
     steps[:, 0] += n_minus
     plus_side = np.empty_like(steps)          # below predicted +1
     plus_side[:, 0] = n_minus
     np.cumsum(steps[:, :-1], axis=1, out=plus_side[:, 1:])
-    cand = np.maximum(plus_side, n - plus_side)   # n - plus_side: below predicted -1
+    cand = np.subtract(n, plus_side, out=steps)   # below predicted -1; steps is spent
+    np.maximum(plus_side, cand, out=cand)
     cand[:, 1:][sv[:, :-1] >= sv[:, 1:]] = -1
     return sv, plus_side, cand
 
@@ -302,7 +360,10 @@ class _ScoredAxes:
     def score(self, indices) -> bool:
         """Score the axes ``indices`` in one sweep; True if the best count rose."""
         block = self.source.columns(indices)
-        counts = best_counts(block, self.labels)
+        return self.fold(indices, block, best_counts(block, self.labels))
+
+    def fold(self, indices, block, counts) -> bool:
+        """Append the swept counts of ``block``, the columns ``indices``."""
         self._blocks.append(indices)
         self._counts.append(counts)
         j = int(np.argmax(counts))  # first max: the earliest axis wins ties, here and across blocks
@@ -323,11 +384,27 @@ class _ScoredAxes:
 
 
 def _exhaustive_run(features, labels) -> _ScoredAxes:
-    """Every axis scored, in ascending blocks of ``_SCAN_CHUNK``."""
+    """Every axis scored, in ascending blocks of four ``_SCAN_CHUNK`` sweeps.
+    The calling thread reads each block, the pool sweeps it, and the counts
+    fold in block order.  A row-major block is copied axis-major one sweep
+    at a time, by the sweep, not whole by the calling thread."""
     run = _ScoredAxes(as_feature_source(features), labels)
     d = run.source.axis_count
-    for start in range(0, d, _SCAN_CHUNK):
-        run.score(range(start, min(start + _SCAN_CHUNK, d)))
+
+    width = 4 * _SCAN_CHUNK  # axes per pool task: four sweeps
+
+    def read(start):
+        indices = range(start, min(start + width, d))
+        return indices, run.source.columns(indices)
+
+    def sweep(item):
+        block = item[1]
+        return np.concatenate([best_counts(block[:, k:k + _SCAN_CHUNK], labels)
+                               for k in range(0, block.shape[1], _SCAN_CHUNK)])
+
+    sweeps = _ordered_map(sweep, range(0, d, width), read)
+    for (indices, block), counts in sweeps:
+        run.fold(indices, block, counts)
     return run
 
 
@@ -385,7 +462,21 @@ def as_linear_classifier(classifier: ThresholdClassifier, axis_count: int):
 
 
 def linear_predict(weights: np.ndarray, bias: float, features) -> np.ndarray:
-    """Predict +/-1 from a hyperplane; decision value exactly 0 maps to +1."""
+    """Predict +/-1 from a hyperplane; decision value exactly 0 maps to +1.
+
+    The decision values sum over the nonzero weights only, ``_SCAN_CHUNK``
+    axes at a time: each chunk is made row-major before its product and the
+    partial sums add in chunk order, so they do not depend on the memory
+    layout of the features, and no N x d temporary is built.
+    """
     source = as_feature_source(features)
-    z = source.columns(range(source.axis_count)) @ np.asarray(weights, dtype=np.float64) + bias
+    w = np.asarray(weights, dtype=np.float64)
+    if w.shape != (source.axis_count,):
+        raise ValueError(f"weights of shape {w.shape} for {source.axis_count} axes")
+    axes = np.flatnonzero(w)
+    z = np.zeros(source.sample_count)
+    for start in range(0, axes.size, _SCAN_CHUNK):
+        chunk = axes[start:start + _SCAN_CHUNK]
+        z += np.ascontiguousarray(source.columns(chunk)) @ w[chunk]
+    z += bias
     return np.where(z >= 0, 1, -1).astype(np.int64)

@@ -55,6 +55,7 @@ from dataclasses import asdict, astuple, dataclass, field, fields
 
 import numpy as np
 
+from . import axiscore
 from .axiscore import r_min_deterministic
 from .datagen import CIRCLES, DATASET_KINDS, DatasetSpec, generate, standardize, stratified_split
 from .featmap import (
@@ -180,6 +181,8 @@ class ExperimentReport:
     svm_fits: dict = field(default_factory=dict)
     # dataset -> seconds per stage that ran: "embed_s", "svm_s" (all four baselines), "scan_s"
     timings: dict = field(default_factory=dict)
+    # threads of the proxy embedding and the exhaustive scan: one per usable core
+    exact_path_threads: int = 1
 
 
 # ---------------------------------------------------------------------------
@@ -411,7 +414,7 @@ def _run_dataset(spec: DatasetSpec, config: ExperimentConfig, report: Experiment
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
-    report = ExperimentReport(config=config)
+    report = ExperimentReport(config=config, exact_path_threads=axiscore._CORES)
     for spec in config.datasets:
         _run_dataset(spec, config, report)
 

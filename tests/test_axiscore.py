@@ -1,8 +1,12 @@
 """Threshold-scan semantics against a rank-based brute-force oracle."""
 
+import multiprocessing
+import os
+
 import numpy as np
 import pytest
 
+from minacc import axiscore
 from minacc.axiscore import (
     FeatureMatrix,
     LabeledDataset,
@@ -158,6 +162,14 @@ def test_non_finite_feature_error():
         FeatureMatrix(values=np.array([[np.inf, 0.0]]))
 
 
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_feature_matrix_finds_a_non_finite_value_in_a_later_block(order):
+    values = np.zeros((3, 3 * 512 + 1), order=order)
+    values[2, -1] = np.nan
+    with pytest.raises(ValueError, match="non-finite feature values in matrix"):
+        FeatureMatrix(values=values)
+
+
 @pytest.mark.parametrize("row", [0, 3, 6])
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_value_anywhere_in_a_column_is_rejected(bad, row):
@@ -256,6 +268,24 @@ def test_linear_form_reproduces_threshold_predictions():
         assert np.array_equal(linear_predict(w, b, fm), clf.predict(fm))
 
 
+def test_linear_predict_does_not_depend_on_the_memory_layout():
+    # a dense hyperplane whose decision value on row k is exactly 0 in the
+    # row-major product and below 0 in the axis-major one
+    rng = np.random.default_rng(13)
+    row_major = rng.normal(size=(100, 4096))
+    axis_major = np.asfortranarray(row_major)
+    w = rng.normal(size=4096)
+    k = int(np.flatnonzero(axis_major @ w < row_major @ w)[0])
+    bias = -float((row_major @ w)[k])
+    assert np.array_equal(linear_predict(w, bias, FeatureMatrix(values=row_major)),
+                          linear_predict(w, bias, FeatureMatrix(values=axis_major)))
+
+
+def test_linear_predict_rejects_weights_of_another_length():
+    with pytest.raises(ValueError, match="weights"):
+        linear_predict(np.ones(3), 0.0, FeatureMatrix(values=np.ones((2, 4))))
+
+
 def test_linear_witness_achieves_r_min_exactly():
     rng = np.random.default_rng(12)
     for _ in range(30):
@@ -287,3 +317,25 @@ def test_labeled_dataset_counts():
     assert ds.input_dim == 2
     assert ds.positive_count == 2
     assert ds.negative_count == 1
+
+
+def _exit_zero_if_the_scan_matches(values, labels, expected):
+    os._exit(0 if r_min_deterministic(values, labels)[0] == expected else 1)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+def test_a_forked_child_scans_on_its_own_pool(monkeypatch):
+    # the parent's pool threads do not exist in a forked child
+    monkeypatch.setattr(axiscore, "_CORES", 2)
+    monkeypatch.setattr(axiscore, "_POOL_MIN_ITEMS", 2)
+    values = np.random.default_rng(14).normal(size=(10, 3000))
+    labels = np.where(np.arange(10) % 3 == 0, 1, -1)
+    r_min, _, _ = r_min_deterministic(values, labels)
+    child = multiprocessing.get_context("fork").Process(
+        target=_exit_zero_if_the_scan_matches, args=(values, labels, r_min))
+    child.start()
+    child.join(60)
+    if child.exitcode is None:
+        child.kill()
+        child.join()
+    assert child.exitcode == 0

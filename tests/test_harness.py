@@ -13,7 +13,7 @@ import re
 import numpy as np
 import pytest
 
-from minacc import harness
+from minacc import axiscore, harness
 from minacc.datagen import CIRCLES, LINEAR_SEPARABLE, MULTI_CLUSTER, DatasetSpec
 from minacc.harness import (
     CSV_HEADER,
@@ -317,6 +317,15 @@ def test_report_times_every_stage_per_dataset(tmp_path):
         assert all(isinstance(s, float) and s >= 0.0 for s in stages.values())
     det_rows = [r for r in report.rows if r.method == "deterministic"]
     assert [r.wall_ms for r in det_rows] == [timings[r.dataset]["scan_s"] * 1000.0 for r in det_rows]
+
+
+@pytest.mark.parametrize("cores", [1, 3])
+def test_report_records_the_threads_of_the_exact_path(tmp_path, monkeypatch, cores):
+    monkeypatch.setattr(axiscore, "_CORES", cores)
+    report = run_experiment(small_config(tmp_path, datasets=default_datasets(0, n_samples=60)[:1]))
+    (path,) = emit_report(report, fmt="json")
+    with open(path) as fh:
+        assert json.load(fh)["exact_path_threads"] == cores
 
 
 def test_run_experiment_seed_changes_results(tmp_path):

@@ -6,17 +6,19 @@ per-column counts equal the single-axis scan, an ndarray, a FeatureMatrix
 and a lazy proxy source give identical estimates, and the reported best
 axis reproduces the reported value.  Lazy proxy columns are byte-identical
 to the eager matrix for any index set, whichever columns share a block, and
-no scan result depends on the order of tied rows or on the memory layout of
-the matrix.  Shapes include N = 1, single-class labels and duplicate-heavy
+no scan result depends on the order of tied rows, on the memory layout of
+the matrix or on the number of threads.  Shapes include N = 1, single-class labels and duplicate-heavy
 columns.
 """
+
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from minacc import axiscore
+from minacc import axiscore, featmap
 from minacc.axiscore import (
     LabeledDataset,
     ThresholdClassifier,
@@ -94,15 +96,25 @@ def test_batched_counts_equal_single_axis_scans(case):
     ]
 
 
+def _run_on_threads(patch, cores):
+    """The exact path on ``cores`` threads, pooling every job of two or more items."""
+    patch.setattr(axiscore, "_CORES", cores)
+    patch.setattr(axiscore, "_POOL_MIN_ITEMS", 2)
+
+
 @settings(max_examples=200, deadline=None)
 @given(labeled_matrices(max_n=6, max_d=20, element=st.sampled_from([0.0, 1.0])),
-       st.sampled_from([1, 2, 3, 7]))
-def test_scan_result_does_not_depend_on_its_chunk_width(case, chunk):
-    # few rows and two values: most axes tie, within a chunk and across chunks
+       st.sampled_from([1, 2, 3, 7]), st.sampled_from([1, 2, 3]))
+def test_scan_result_does_not_depend_on_its_chunk_width(case, chunk, cores):
+    # few rows and two values: most axes tie, within a chunk and across chunks,
+    # so the maximum recurs in later blocks, which may finish first on the pool
     values, labels = case
-    whole = r_min_deterministic(values, labels)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(axiscore, "_CORES", 1)
+        whole = r_min_deterministic(values, labels)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(axiscore, "_SCAN_CHUNK", chunk)
+        _run_on_threads(patch, cores)
         r_min, best, per_axis = r_min_deterministic(values, labels)
     assert (r_min, best) == whole[:2]
     assert per_axis.tolist() == whole[2].tolist()
@@ -208,13 +220,70 @@ def proxy_index_sets(draw):
 
 
 @settings(max_examples=60, deadline=None)
-@given(proxy_index_sets())
-def test_lazy_proxy_columns_are_the_eager_bytes(case):
+@given(proxy_index_sets(), st.sampled_from([7, 300, _PROXY_BLOCK + 5]), st.sampled_from([1, 2, 3]))
+def test_lazy_proxy_columns_are_the_eager_bytes(case, task, cores):
+    # narrow pool tasks: several per call, the last one shorter, and a task
+    # wider than a block splits into blocks of its own
     lazy, indices = case
-    eager = lazy.materialize().values
-    assert lazy.columns(indices).tobytes() == eager[:, indices].tobytes()
-    i = indices[0]
-    assert lazy.column(i).tobytes() == lazy.columns([i])[:, 0].tobytes() == eager[:, i].tobytes()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(axiscore, "_CORES", 1)
+        eager = lazy.materialize().values
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(featmap, "_PROXY_TASK", task)
+        _run_on_threads(patch, cores)
+        assert lazy.materialize().values.tobytes() == eager.tobytes()
+        assert lazy.columns(indices).tobytes() == eager[:, indices].tobytes()
+        i = indices[0]
+        assert lazy.column(i).tobytes() == lazy.columns([i])[:, 0].tobytes() == eager[:, i].tobytes()
+
+
+class _RecordingSource:
+    """Columns of an unchecked array; records the thread of every read."""
+
+    def __init__(self, values):
+        self.values, self.threads = values, set()
+
+    @property
+    def sample_count(self):
+        return self.values.shape[0]
+
+    @property
+    def axis_count(self):
+        return self.values.shape[1]
+
+    def column(self, axis_index):
+        return self.columns([axis_index])[:, 0]
+
+    def columns(self, indices):
+        self.threads.add(threading.get_ident())
+        return self.values[:, list(indices)]
+
+
+@pytest.mark.parametrize("cores", [1, 2, 3])
+def test_pooled_scan_reads_columns_on_the_calling_thread_only(cores):
+    rng = np.random.default_rng(8)
+    values = rng.choice([0.0, 1.0], size=(5, 40))
+    labels = np.array([1, -1, 1, -1, 1])
+    source = _RecordingSource(values)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(axiscore, "_SCAN_CHUNK", 3)
+        _run_on_threads(patch, cores)
+        r_min, best, per_axis = r_min_deterministic(source, labels)
+    assert source.threads == {threading.get_ident()}
+    expected = r_min_deterministic(values, labels)
+    assert (r_min, best) == expected[:2] and per_axis.tolist() == expected[2].tolist()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("cores", [1, 2, 3])
+def test_pooled_scan_rejects_a_non_finite_column_in_a_later_block(cores, bad):
+    values = np.random.default_rng(9).uniform(-1, 1, size=(5, 40))
+    values[2, 31] = bad
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(axiscore, "_SCAN_CHUNK", 3)
+        _run_on_threads(patch, cores)
+        with pytest.raises(ValueError, match="non-finite feature values"):
+            r_min_deterministic(_RecordingSource(values), np.array([1, -1, 1, -1, 1]))
 
 
 @pytest.mark.parametrize("bad_row", [[np.nan, np.nan], [np.inf, np.inf]])
