@@ -18,7 +18,6 @@ import sys
 from . import harness
 from .datagen import (
     DATASET_KINDS,
-    DatasetSpec,
     dataset_from_csv,
     dataset_to_csv,
     generate,
@@ -28,19 +27,14 @@ from .datagen import (
 from .featmap import feature_matrix_to_csv, load_feature_matrix, save_feature_matrix
 from .sampling import (
     CoverageQuery,
+    EstimatorMethod,
     coverage_probability_bound,
     coverage_probability_exact,
     sample_size,
 )
-from .svmref import model_to_json, svm_train
+from .svmref import KERNEL_LINEAR, KERNELS, model_to_json, svm_train
 
-_METHOD_ALIASES = {
-    "det": "deterministic",
-    "deterministic": "deterministic",
-    "conservative": "conservative",
-    "pilot": "pilot",
-    "adaptive": "adaptive",
-}
+_METHOD_ALIASES = {"det": EstimatorMethod.DETERMINISTIC.value, **{m.value: m.value for m in EstimatorMethod}}
 
 
 # experiment flags whose value is not the config field's value as given
@@ -60,7 +54,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_gen = sub.add_parser("gen-data", help="generate a synthetic dataset CSV")
     p_gen.add_argument("--kind", required=True, choices=DATASET_KINDS)
-    p_gen.add_argument("--n-samples", type=int, default=1000)
+    p_gen.add_argument("--n-samples", type=int, default=harness.ExperimentConfig.n_samples)
     p_gen.add_argument("--seed", type=int, default=0)
     p_gen.add_argument("--standardize", action="store_true",
                        help="write standardized columns instead of raw ones")
@@ -69,8 +63,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_embed = sub.add_parser("embed", help="embed a dataset CSV into a feature file")
     p_embed.add_argument("--data", required=True, help="dataset CSV from gen-data")
-    p_embed.add_argument("--embedding", choices=("proxy", "pauli"), default="proxy")
-    p_embed.add_argument("--qubits", type=int, default=8,
+    p_embed.add_argument("--embedding", choices=harness._EMBEDDINGS,
+                         default=harness.ExperimentConfig.embedding)
+    p_embed.add_argument("--qubits", type=int, default=harness.ExperimentConfig.qubit_count,
                          help="feature count is 4^qubits")
     p_embed.add_argument("--seed", type=int, default=0)
     p_embed.add_argument("--out", required=True, help="output feature file")
@@ -92,16 +87,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cov.add_argument("--d", type=int, required=True, help="total number of axes")
     p_cov.add_argument("--p", type=float, required=True, help="good-axis fraction")
     p_cov.add_argument("--t", type=int, help="sample size; omit to only plan the required t")
-    p_cov.add_argument("--delta", type=float, default=0.05)
+    p_cov.add_argument("--delta", type=float, default=harness.ExperimentConfig.delta)
     p_cov.add_argument("--eta", type=float, help="target accuracy, echoed for the record")
 
     p_svm = sub.add_parser("svm", help="train a reference SVM baseline")
     p_svm.add_argument("--data", required=True, help="dataset CSV (labels, and inputs unless --features)")
     p_svm.add_argument("--features", help="optional feature file to train on instead of raw inputs")
-    p_svm.add_argument("--kernel", choices=("linear", "rbf"), default="linear")
-    p_svm.add_argument("--c", type=float, default=1.0)
-    p_svm.add_argument("--tol", type=float, default=1e-3)
-    p_svm.add_argument("--max-iter", type=int, default=10000, help="interior-point iteration cap")
+    p_svm.add_argument("--kernel", choices=KERNELS, default=KERNEL_LINEAR)
+    p_svm.add_argument("--c", type=float, default=harness.ExperimentConfig.svm_c)
+    p_svm.add_argument("--tol", type=float, default=harness.ExperimentConfig.svm_tol)
+    p_svm.add_argument("--max-iter", type=int, default=harness.ExperimentConfig.svm_max_iter,
+                       help="interior-point iteration cap")
     p_svm.add_argument("--gamma", default="scale", help="float, or 'scale' for 1/(q*var)")
     p_svm.add_argument("--out", help="write the trained model JSON here")
 
@@ -128,12 +124,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_gen_data(args) -> int:
-    spec = DatasetSpec(
-        kind=args.kind,
-        n_samples=args.n_samples,
-        seed=args.seed,
-        informative_features=2 if args.kind == "circles" else 4,
-    )
+    spec = harness.dataset_spec(args.kind, args.n_samples, args.seed)
     dataset = generate(spec)
     if args.standardize:
         dataset, _ = standardize(dataset)
@@ -229,11 +220,6 @@ def _cmd_experiment(args) -> int:
         for field in dataclasses.fields(config)
         if (value := getattr(args, field.name, None)) is not None
     }
-    if args.master_seed is not None:
-        overrides["datasets"] = tuple(
-            dataclasses.replace(s, seed=harness.derive_seed(args.master_seed, s.kind, "datagen"))
-            for s in config.datasets
-        )
     if overrides:
         config = dataclasses.replace(config, **overrides)
 

@@ -376,11 +376,11 @@ def pauli_feature_matrix(dataset: LabeledDataset, spec: EncodingCircuitSpec) -> 
 _HEADER = struct.Struct("<QQQ")  # sample_count, axis_count, flags
 
 
-def save_feature_matrix(features: FeatureMatrix, path, flags: int = 0) -> None:
-    """Binary layout: header (N, d, flags as little-endian uint64) then
-    row-major float64 values."""
+def save_feature_matrix(features: FeatureMatrix, path) -> None:
+    """Binary layout: header (N, d, flags as little-endian uint64; flags is
+    written 0 and ignored on load) then row-major float64 values."""
     with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(features.sample_count, features.axis_count, flags))
+        fh.write(_HEADER.pack(features.sample_count, features.axis_count, 0))
         fh.write(np.ascontiguousarray(features.values, dtype="<f8").tobytes())
 
 

@@ -11,7 +11,7 @@ stage timings, and summary statistics.
 Config files are plain text, one ``key = value`` per line.  ``#`` starts a
 comment, lists are comma separated, and quotes or brackets around values are
 tolerated.  The keys are the ``ExperimentConfig`` fields, each read as the
-type of its default, plus ``n_samples``.  Keys and their defaults:
+type of its default.  Keys and their defaults:
 
     datasets        = linear_separable, multi_cluster, circles
     n_samples       = 1000
@@ -89,24 +89,17 @@ def derive_seed(master_seed: int, dataset: str, stage: str, p=None, rep: int = 0
     return (int(master_seed) ^ int.from_bytes(digest, "big")) & (2**63 - 1)
 
 
-def default_datasets(master_seed: int, n_samples: int = 1000) -> tuple[DatasetSpec, ...]:
-    """The benchmark trio with per-dataset seeds derived from the master."""
-    specs = []
-    for kind in DATASET_KINDS:
-        specs.append(
-            DatasetSpec(
-                kind=kind,
-                n_samples=n_samples,
-                seed=derive_seed(master_seed, kind, "datagen"),
-                informative_features=2 if kind == CIRCLES else 4,
-            )
-        )
-    return tuple(specs)
+def dataset_spec(kind: str, n_samples: int, seed: int) -> DatasetSpec:
+    """The benchmark dataset of ``kind``: circles on 2 informative features,
+    the others on 4."""
+    return DatasetSpec(kind=kind, n_samples=n_samples, seed=seed,
+                       informative_features=2 if kind == CIRCLES else 4)
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    datasets: tuple[DatasetSpec, ...] | None = None  # None: benchmark trio
+    datasets: tuple[str, ...] = DATASET_KINDS  # kinds; each spec is built from master_seed
+    n_samples: int = 1000
     qubit_count: int = 8
     embedding: str = "proxy"
     methods: tuple[str, ...] = _METHOD_NAMES
@@ -128,13 +121,13 @@ class ExperimentConfig:
     output_dir: str = "results"
 
     def __post_init__(self):
-        if self.datasets is None:
-            object.__setattr__(self, "datasets", default_datasets(self.master_seed))
         object.__setattr__(self, "datasets", tuple(self.datasets))
         object.__setattr__(self, "methods", tuple(self.methods))
         object.__setattr__(self, "p_values", tuple(float(p) for p in self.p_values))
         if not self.datasets:
             raise ValueError("datasets must name at least one dataset")
+        for kind in self.datasets:
+            dataset_spec(kind, self.n_samples, 0)  # rejects an unknown kind or too few samples
         if self.qubit_count < 1:
             raise ValueError("qubit_count must be >= 1")
         if self.embedding not in _EMBEDDINGS:
@@ -150,6 +143,13 @@ class ExperimentConfig:
     @property
     def axis_count(self) -> int:
         return 4 ** self.qubit_count
+
+
+def default_datasets(master_seed: int,
+                     n_samples: int = ExperimentConfig.n_samples) -> tuple[DatasetSpec, ...]:
+    """The benchmark trio with per-dataset seeds derived from the master."""
+    return tuple(dataset_spec(kind, n_samples, derive_seed(master_seed, kind, "datagen"))
+                 for kind in DATASET_KINDS)
 
 
 @dataclass
@@ -190,8 +190,7 @@ class ExperimentReport:
 # ---------------------------------------------------------------------------
 
 # Every ExperimentConfig field is a config key, read by the type of its
-# default (of its first element for tuples).  `datasets` and `n_samples`
-# together build the dataset specs, so they are read by hand.
+# default (of its first element for tuples).
 _FIELDS = {f.name: f for f in fields(ExperimentConfig)}
 _FIELD_TYPES = typing.get_type_hints(ExperimentConfig)
 
@@ -230,19 +229,11 @@ def parse_config(source) -> ExperimentConfig:
             raise ValueError(f"config line {lineno}: expected 'key = value', got {line!r}")
         key, raw = body.split("=", 1)
         key = key.strip().lower()
-        if key not in _FIELDS and key != "n_samples":
+        if key not in _FIELDS:
             raise ValueError(f"config line {lineno}: unknown key {key!r}")
         values[key] = raw
 
-    n_samples = int(_clean_value(values.pop("n_samples", "1000")))
-    kinds = _clean_list(values.pop("datasets")) if "datasets" in values else DATASET_KINDS
-    kwargs = {key: _field_value(key, raw) for key, raw in values.items()}
-    specs = {s.kind: s for s in default_datasets(kwargs.get("master_seed", 0), n_samples)}
-    for kind in kinds:
-        if kind not in specs:
-            raise ValueError(f"unknown dataset kind {kind!r}")
-    kwargs["datasets"] = tuple(specs[kind] for kind in kinds)
-    return ExperimentConfig(**kwargs)
+    return ExperimentConfig(**{key: _field_value(key, raw) for key, raw in values.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -258,16 +249,17 @@ def embed_dataset(dataset, embedding: str, qubit_count: int, seed: int):
     return pauli_feature_matrix(dataset, EncodingCircuitSpec(qubit_count=qubit_count))
 
 
-def _training_split(spec: DatasetSpec, config: ExperimentConfig):
+def _training_split(kind: str, config: ExperimentConfig):
     """generate -> standardize -> split/subsample; returns the train split,
     whose embedding the scan, the estimators and the SVM baselines all read."""
-    full = generate(spec)
+    seed = derive_seed(config.master_seed, kind, "datagen")
+    full = generate(dataset_spec(kind, config.n_samples, seed))
     standardized, _ = standardize(full)
     train, _ = stratified_split(
         standardized,
         train_fraction=config.train_fraction,
         subsample_train=config.subsample_train,
-        seed=derive_seed(config.master_seed, spec.kind, "split"),
+        seed=derive_seed(config.master_seed, kind, "split"),
     )
     return train
 
@@ -318,11 +310,10 @@ def pearson(xs, ys):
     return float((xc * yc).sum() / denom)
 
 
-def _run_dataset(spec: DatasetSpec, config: ExperimentConfig, report: ExperimentReport) -> None:
-    """One dataset through the pipeline, recorded into ``report``.  A failing
-    stage records an error and ends the dataset; a failing estimator cell
-    records an error and skips only that cell."""
-    name = spec.kind
+def _run_dataset(name: str, config: ExperimentConfig, report: ExperimentReport) -> None:
+    """One dataset kind through the pipeline, recorded into ``report``.  A
+    failing stage records an error and ends the dataset; a failing estimator
+    cell records an error and skips only that cell."""
     timings = report.timings[name] = {}
 
     def fail(stage, exc, **cell):
@@ -337,7 +328,7 @@ def _run_dataset(spec: DatasetSpec, config: ExperimentConfig, report: Experiment
         return result
 
     try:
-        train = _training_split(spec, config)
+        train = _training_split(name, config)
         report.majority_rate[name] = max(train.positive_count, train.negative_count) / train.sample_count
         seed = derive_seed(config.master_seed, name, "embed")
         features = timed("embed_s", embed_dataset, train, config.embedding, config.qubit_count, seed)
@@ -415,8 +406,8 @@ def _run_dataset(spec: DatasetSpec, config: ExperimentConfig, report: Experiment
 
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     report = ExperimentReport(config=config, exact_path_threads=axiscore._CORES)
-    for spec in config.datasets:
-        _run_dataset(spec, config, report)
+    for name in config.datasets:
+        _run_dataset(name, config, report)
 
     names = [n for n in report.r_min if n in report.embedded_svm]
     if len(names) >= 2:

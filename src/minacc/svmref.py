@@ -22,9 +22,6 @@ KERNEL_LINEAR = "linear"
 KERNEL_RBF = "rbf"
 KERNELS = (KERNEL_LINEAR, KERNEL_RBF)
 
-# materializing an explicit weight vector is only worthwhile at modest width
-_EXPLICIT_WEIGHT_LIMIT = 1000
-
 
 def resolve_gamma(gamma, features: np.ndarray) -> float:
     """Accept a positive float or the string 'scale' = 1 / (q * var(X))."""
@@ -68,7 +65,6 @@ class SvmModel:
     converged: bool
     n_sweeps: int                  # interior-point iterations
     duality_gap: float             # primal minus dual objective at the returned point
-    weights: np.ndarray | None = None  # explicit w for narrow linear models
 
 
 def _max_step(v: np.ndarray, dv: np.ndarray) -> float:
@@ -163,10 +159,6 @@ def svm_train(
     predictions = np.where(decision >= 0.0, 1.0, -1.0)
     training_accuracy = float(np.mean(predictions == y))
 
-    weights = None
-    if kernel == KERNEL_LINEAR and x.shape[1] <= _EXPLICIT_WEIGHT_LIMIT:
-        weights = dual_coef @ x[support] if support.size else np.zeros(x.shape[1])
-
     return SvmModel(
         kernel=kernel,
         gamma=gamma_val,
@@ -179,7 +171,6 @@ def svm_train(
         converged=converged,
         n_sweeps=iterations,
         duality_gap=float(duality_gap),
-        weights=weights,
     )
 
 
@@ -203,13 +194,9 @@ def svm_predict(model: SvmModel, features: np.ndarray) -> np.ndarray:
 # serialization
 # ---------------------------------------------------------------------------
 
-# every field but the explicit weights, which are rebuilt from the support set
-_SAVED_FIELDS = tuple(f for f in fields(SvmModel) if f.name != "weights")
-
-
 def model_to_json(model: SvmModel, path=None) -> str:
     payload = {}
-    for f in _SAVED_FIELDS:
+    for f in fields(SvmModel):
         value = getattr(model, f.name)
         payload[f.name] = value.tolist() if isinstance(value, np.ndarray) else value
     text = json.dumps(payload, indent=2)
@@ -226,13 +213,11 @@ def model_from_json(source) -> SvmModel:
         with open(source) as fh:
             text = fh.read()
     raw = json.loads(text)
-    values = {f.name: raw[f.name] for f in _SAVED_FIELDS}
+    values = {f.name: raw[f.name] for f in fields(SvmModel)}
     for name, value in values.items():
         if isinstance(value, list):  # the arrays
             values[name] = np.asarray(value, dtype=np.int64 if name == "support_indices" else np.float64)
     model = SvmModel(**values)
     if model.support_vectors.size == 0:
         model.support_vectors = model.support_vectors.reshape(0, 0)
-    if model.kernel == KERNEL_LINEAR and 0 < model.support_vectors.shape[1] <= _EXPLICIT_WEIGHT_LIMIT:
-        model.weights = model.dual_coef @ model.support_vectors
     return model

@@ -255,7 +255,7 @@ def test_full_scale_pipeline_properties(full_scale):
     config, report = full_scale
     assert config.axis_count == FULL_SCALE_D
     assert report.errors == []
-    kinds = [s.kind for s in config.datasets]
+    kinds = list(config.datasets)
     assert sorted(report.r_min) == sorted(kinds)
 
     det_rows = [r for r in report.rows if r.method == "deterministic"]

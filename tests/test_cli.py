@@ -10,6 +10,7 @@ import json
 import numpy as np
 import pytest
 
+from minacc import cli, harness
 from minacc.axiscore import (
     Orientation,
     ThresholdClassifier,
@@ -20,7 +21,14 @@ from minacc.cli import _build_parser, main
 from minacc.datagen import DatasetSpec, dataset_from_csv, generate, spec_from_json
 from minacc.featmap import load_feature_matrix
 from minacc.harness import ExperimentConfig
-from minacc.sampling import adaptive_estimate, conservative_estimate, pilot_estimate, sample_size
+from minacc.sampling import (
+    EstimatorMethod,
+    adaptive_estimate,
+    conservative_estimate,
+    pilot_estimate,
+    sample_size,
+)
+from minacc.svmref import KERNELS, svm_train
 
 
 def run_cli(capsys, *argv):
@@ -229,7 +237,8 @@ def test_estimator_defaults_are_the_config_defaults():
     settings = {"delta", "n_pilot", "cap_fraction", "batch_size", "patience", "stability_eps",
                 "budget_fraction"}
     config = ExperimentConfig()
-    args = _build_parser().parse_args(["minacc", "--features", "f", "--data", "d"])
+    parser = _build_parser()
+    args = parser.parse_args(["minacc", "--features", "f", "--data", "d"])
     assert {name: getattr(args, name) for name in settings} == {
         name: getattr(config, name) for name in settings}
     covered = set()
@@ -239,6 +248,29 @@ def test_estimator_defaults_are_the_config_defaults():
                 assert param.default == getattr(config, name), (estimator.__name__, name)
                 covered.add(name)
     assert covered == settings
+
+    # the other subcommands' defaults and choices come from the same sources
+    def parse(*argv):
+        return vars(parser.parse_args(list(argv)))
+
+    def choices(command, flag):
+        (sub,) = [a for a in parser._actions if a.dest == "command"]
+        (action,) = [a for a in sub.choices[command]._actions if flag in a.option_strings]
+        return tuple(action.choices)
+
+    assert parse("gen-data", "--kind", "circles", "--out", "o")["n_samples"] == config.n_samples
+    embed = parse("embed", "--data", "d", "--out", "o")
+    assert (embed["embedding"], embed["qubits"]) == (config.embedding, config.qubit_count)
+    assert choices("embed", "--embedding") == harness._EMBEDDINGS
+    assert parse("coverage", "--d", "4", "--p", "0.5")["delta"] == config.delta
+    svm = parse("svm", "--data", "d")
+    fit = {name: param.default for name, param in inspect.signature(svm_train).parameters.items()}
+    assert (svm["kernel"], svm["c"], svm["tol"], svm["max_iter"]) == (
+        fit["kernel"], config.svm_c, config.svm_tol, config.svm_max_iter)
+    assert (fit["C"], fit["tol"], fit["max_iter"]) == (config.svm_c, config.svm_tol, config.svm_max_iter)
+    assert choices("svm", "--kernel") == KERNELS
+    assert cli._METHOD_ALIASES == {"det": "deterministic", **{m.value: m.value for m in EstimatorMethod}}
+    assert choices("minacc", "--method") == choices("experiment", "--method") == tuple(cli._METHOD_ALIASES)
 
 
 def test_svm_on_raw_and_embedded(tmp_path, capsys, small_data):
@@ -355,9 +387,16 @@ def test_experiment_flag_overrides(tmp_path, capsys):
     loaded = json.loads((tmp_path / "r2" / "report.json").read_text())
     assert loaded["config"]["master_seed"] == 4
     assert loaded["config"]["repetitions"] == 1
-    # the seed override reaches the dataset specs too
-    assert all(s["seed"] != 0 for s in loaded["config"]["datasets"])
     assert {r["method"] for r in loaded["rows"]} == {"adaptive"}
+    # the seed override reaches the datasets too: the run equals one configured with it
+    seeded = tmp_path / "seeded.cfg"
+    seeded.write_text(config.read_text() + "master_seed = 4\nmethods = adaptive\nrepetitions = 1\n"
+                      "batch_size = 8\nbudget_fraction = 1.0\n")
+    assert main(["experiment", "--config", str(seeded), "--out", str(tmp_path / "r3"),
+                 "--format", "json"]) == 0
+    capsys.readouterr()
+    again = json.loads((tmp_path / "r3" / "report.json").read_text())
+    assert again["r_min"] == loaded["r_min"] and again["raw_svm"] == loaded["raw_svm"]
 
 
 def test_cli_error_paths(tmp_path, capsys):

@@ -466,13 +466,18 @@ def test_binary_roundtrip_is_bit_exact(tmp_path):
     data = small_dataset(rng, n_samples=9, n_features=4)
     feats = proxy_embed(data, ProjectionSpec(input_dim=4, feature_dim=25, seed=2))
     path = tmp_path / "feats.bin"
-    save_feature_matrix(feats, path, flags=7)
-    loaded = load_feature_matrix(path)
-    assert np.array_equal(loaded.values, feats.values)
+    save_feature_matrix(feats, path)
+    # the loader ignores the header's third word, the flags
+    blob = path.read_bytes()
+    assert blob[16:24] == bytes(8)
+    flagged = tmp_path / "flagged.bin"
+    flagged.write_bytes(blob[:16] + (7).to_bytes(8, "little") + blob[24:])
+    for source in (path, flagged):
+        assert np.array_equal(load_feature_matrix(source).values, feats.values)
     # the file is row-major whatever the layout in memory
     row_major = tmp_path / "row_major.bin"
-    save_feature_matrix(FeatureMatrix(np.ascontiguousarray(feats.values)), row_major, flags=7)
-    assert feats.values.flags.f_contiguous and row_major.read_bytes() == path.read_bytes()
+    save_feature_matrix(FeatureMatrix(np.ascontiguousarray(feats.values)), row_major)
+    assert feats.values.flags.f_contiguous and row_major.read_bytes() == blob
 
 
 def test_binary_truncation_detected(tmp_path):

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from minacc import axiscore, harness
-from minacc.datagen import CIRCLES, LINEAR_SEPARABLE, MULTI_CLUSTER, DatasetSpec
+from minacc.datagen import CIRCLES, DATASET_KINDS, LINEAR_SEPARABLE, MULTI_CLUSTER, DatasetSpec
 from minacc.harness import (
     CSV_HEADER,
     ExperimentConfig,
@@ -40,12 +40,12 @@ SMALL = dict(
     p_values=(0.25, 0.5),
     subsample_train=30,
     master_seed=0,
+    n_samples=60,
 )
 
 
 def small_config(tmp_path, **overrides):
     kwargs = dict(SMALL)
-    kwargs["datasets"] = default_datasets(kwargs["master_seed"], n_samples=60)
     kwargs["output_dir"] = str(tmp_path / "results")
     kwargs.update(overrides)
     return ExperimentConfig(**kwargs)
@@ -91,6 +91,11 @@ def test_config_validation():
         ExperimentConfig(methods=("deterministic", "oracle"))
     with pytest.raises(ValueError, match="repetitions"):
         ExperimentConfig(repetitions=0)
+    # dataset kinds and sizes are checked when the config is built, not when it runs
+    with pytest.raises(ValueError, match="unknown dataset kind 'moons'"):
+        ExperimentConfig(datasets=("moons",))
+    with pytest.raises(ValueError, match="n_samples"):
+        ExperimentConfig(n_samples=3)
     assert ExperimentConfig(qubit_count=3).axis_count == 64
 
 
@@ -117,19 +122,15 @@ def test_parse_config_defaults_and_overrides():
     assert config.master_seed == 3
     # untouched keys keep their defaults
     assert config.delta == 0.05 and config.repetitions == 10
-    # dataset seeds follow the master seed
-    assert config.datasets[0].seed == derive_seed(3, LINEAR_SEPARABLE, "datagen")
+    assert config.datasets == DATASET_KINDS and config.n_samples == 1000
 
 
 def test_parse_config_datasets_and_n_samples():
     config = parse_config("datasets = circles\nn_samples = 120\nmaster_seed = 5")
-    assert len(config.datasets) == 1
-    spec = config.datasets[0]
-    assert spec.kind == CIRCLES and spec.n_samples == 120
-    assert spec.seed == derive_seed(5, CIRCLES, "datagen")
-    # n_samples alone rebuilds the default trio at the new size
+    assert config.datasets == (CIRCLES,) and config.n_samples == 120
+    # n_samples alone keeps the default trio
     trio = parse_config("n_samples = 80")
-    assert [s.n_samples for s in trio.datasets] == [80, 80, 80]
+    assert trio.datasets == DATASET_KINDS and trio.n_samples == 80
 
 
 def test_parse_config_rejects_unknown_keys_and_bad_lines():
@@ -151,13 +152,14 @@ def test_empty_dataset_list_is_rejected():
 def test_docstring_key_table_is_the_default_config():
     table = [line for line in harness.__doc__.splitlines() if re.match(r"^ {4}\w+ +=", line)]
     keys = {line.split("=")[0].strip() for line in table}
-    assert keys == {f.name for f in dataclasses.fields(ExperimentConfig)} | {"n_samples"}
+    assert keys == {f.name for f in dataclasses.fields(ExperimentConfig)}
     assert parse_config("\n".join(table)) == ExperimentConfig()
 
 
 # a value unlike the default for every ExperimentConfig field: (config text, parsed value)
 NON_DEFAULTS = {
     "datasets": ("circles", (CIRCLES,)),
+    "n_samples": ("120", 120),
     "qubit_count": ("3", 3),
     "embedding": ("pauli", "pauli"),
     "methods": ("pilot, adaptive", ("pilot", "adaptive")),
@@ -186,9 +188,6 @@ def test_parse_config_reads_every_field_by_its_type():
     default = ExperimentConfig()
     for key, (_, expected) in NON_DEFAULTS.items():
         value = getattr(config, key)
-        if key == "datasets":
-            assert value == tuple(s for s in default_datasets(9) if s.kind in expected)
-            continue
         assert value == expected and value != getattr(default, key), key
         pairs = zip(value, expected) if isinstance(expected, tuple) else [(value, expected)]
         assert all(type(got) is type(want) for got, want in pairs), key
@@ -210,7 +209,7 @@ def test_run_experiment_small_full_grid(tmp_path):
     report = run_experiment(config)
     assert report.errors == []
 
-    kinds = [s.kind for s in config.datasets]
+    kinds = config.datasets
     assert sorted(report.r_min) == sorted(kinds)
     assert sorted(report.embedded_svm) == sorted(kinds)
     assert sorted(report.raw_svm) == sorted(kinds)
@@ -271,7 +270,7 @@ def test_scan_failure_keeps_svm_baselines(tmp_path, monkeypatch):
     config = small_config(tmp_path)
     report = run_experiment(config)
     assert report.rows == [] and report.r_min == {}
-    kinds = [s.kind for s in config.datasets]
+    kinds = config.datasets
     assert sorted(report.embedded_svm) == sorted(report.raw_svm) == sorted(kinds)
     assert report.errors == [
         {"dataset": kind, "stage": "deterministic", "message": "scan exploded",
@@ -322,7 +321,7 @@ def test_report_times_every_stage_per_dataset(tmp_path):
 @pytest.mark.parametrize("cores", [1, 3])
 def test_report_records_the_threads_of_the_exact_path(tmp_path, monkeypatch, cores):
     monkeypatch.setattr(axiscore, "_CORES", cores)
-    report = run_experiment(small_config(tmp_path, datasets=default_datasets(0, n_samples=60)[:1]))
+    report = run_experiment(small_config(tmp_path, datasets=(LINEAR_SEPARABLE,)))
     (path,) = emit_report(report, fmt="json")
     with open(path) as fh:
         assert json.load(fh)["exact_path_threads"] == cores
@@ -330,11 +329,15 @@ def test_report_records_the_threads_of_the_exact_path(tmp_path, monkeypatch, cor
 
 def test_run_experiment_seed_changes_results(tmp_path):
     a = run_experiment(small_config(tmp_path / "a"))
-    b_conf = small_config(
-        tmp_path / "b", master_seed=1, datasets=default_datasets(1, n_samples=60)
-    )
-    b = run_experiment(b_conf)
+    b = run_experiment(small_config(tmp_path / "b", master_seed=1))
     assert not reports_equivalent(report_to_csv_text(a), report_to_csv_text(b))
+
+
+def test_replaced_master_seed_reaches_the_datasets(tmp_path):
+    # every seed, the datasets' included, follows master_seed at run time
+    replaced = run_experiment(dataclasses.replace(small_config(tmp_path), master_seed=5))
+    fresh = run_experiment(small_config(tmp_path, master_seed=5))
+    assert reports_equivalent(report_to_csv_text(replaced), report_to_csv_text(fresh))
 
 
 def test_run_experiment_records_cell_errors_and_continues(tmp_path):
@@ -427,7 +430,7 @@ def test_emit_csv_and_survival_files(tmp_path):
     written = emit_report(report, fmt="csv")
     names = {p.split("/")[-1] for p in written}
     assert "report.csv" in names
-    assert {f"survival_{s.kind}.csv" for s in config.datasets} <= names
+    assert {f"survival_{kind}.csv" for kind in config.datasets} <= names
     surv_path = [p for p in written if "survival_circles" in p][0]
     with open(surv_path) as fh:
         rows = list(csv.reader(fh))

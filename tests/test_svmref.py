@@ -13,7 +13,7 @@ import pytest
 from scipy.optimize import minimize
 
 from minacc.datagen import CIRCLES, generate, standardize, stratified_split
-from minacc.harness import ExperimentConfig, derive_seed, embed_dataset
+from minacc.harness import ExperimentConfig, default_datasets, derive_seed, embed_dataset
 from minacc.svmref import (
     SvmModel,
     decision_function,
@@ -137,8 +137,7 @@ def test_linear_decision_matches_explicit_weights():
     rng = np.random.default_rng(2)
     x, y = blobs(rng, n_per=20, gap=1.5, dim=3)
     model = svm_train(x, y, kernel="linear", C=1.0)
-    assert model.weights is not None
-    explicit = x @ model.weights + model.bias
+    explicit = x @ (model.dual_coef @ model.support_vectors) + model.bias
     assert decision_function(model, x) == pytest.approx(explicit, abs=1e-8)
 
 
@@ -186,7 +185,7 @@ def test_fit_does_not_depend_on_memory_layout(kernel):
     probe = np.tanh(rng.standard_normal((5, 3)) @ rng.standard_normal((3, 200)))
     c_fit = svm_train(np.ascontiguousarray(x), y, kernel=kernel)
     f_fit = svm_train(np.asfortranarray(x), y, kernel=kernel)
-    for name in ("dual_coef", "bias", "gamma", "weights", "training_accuracy"):
+    for name in ("dual_coef", "bias", "gamma", "support_vectors", "training_accuracy"):
         assert np.asarray(getattr(f_fit, name)).tobytes() == np.asarray(getattr(c_fit, name)).tobytes(), name
     assert (decision_function(c_fit, np.asfortranarray(probe)).tobytes()
             == decision_function(c_fit, probe).tobytes())
@@ -265,7 +264,7 @@ def test_ill_conditioned_proxy_embedding_converges():
     # the d = 4^6 proxy embedding of the default circles training split
     # (N = 100): its Gram matrix is numerically singular, where SMO stalled
     config = ExperimentConfig(qubit_count=6)
-    spec = next(s for s in config.datasets if s.kind == CIRCLES)
+    spec = next(s for s in default_datasets(config.master_seed, config.n_samples) if s.kind == CIRCLES)
     standardized, _ = standardize(generate(spec))
     train, _ = stratified_split(standardized, config.train_fraction, config.subsample_train,
                                 seed=derive_seed(config.master_seed, CIRCLES, "split"))
