@@ -30,7 +30,7 @@ print(f"planning table at delta = {DELTA} (d = {D}):")
 print("    p     t = ceil(ln(1/delta)/p)   exact coverage   Bernoulli bound")
 for p in (0.05, 0.15, 0.25, 0.5, 1.0):
     t = sample_size(p, DELTA)
-    query = CoverageQuery(d=D, p=p, t=t, delta=DELTA)
+    query = CoverageQuery(d=D, p=p, t=t)
     exact = coverage_probability_exact(query)
     bound = coverage_probability_bound(query)
     print(f"  {p:5.2f}   {t:10d}               {exact:.6f}        {bound:.6f}")

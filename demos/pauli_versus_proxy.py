@@ -3,10 +3,10 @@
 At n qubits the encoding circuit turns an input x into a statevector, and
 every one of the 4^n Pauli strings contributes one feature: its expectation
 value, a number in [-1, 1].  Dense simulation caps n at 8 (d = 65,536, about
-1 s per 100 samples); the tanh random-projection proxy has no such cap and
-is what the benchmark uses at n = 8.  This script builds both at n = 3
-(d = 64) on a tiny dataset and compares what the axis scan sees; set QUBITS
-to 8 to compare them at the benchmark width.
+0.2-0.35 s per 100 samples on one core); the tanh random-projection proxy
+has no such cap and is what the benchmark uses at n = 8.  This script builds
+both at n = 3 (d = 64) on a tiny dataset and compares what the axis scan
+sees; set QUBITS to 8 to compare them at the benchmark width.
 """
 
 import numpy as np
@@ -15,10 +15,10 @@ from minacc.axiscore import r_min_deterministic
 from minacc.datagen import CIRCLES, DatasetSpec, generate, standardize, stratified_split
 from minacc.featmap import (
     EncodingCircuitSpec,
+    LazyProxyFeatures,
     ProjectionSpec,
     pauli_feature_matrix,
     pauli_string,
-    proxy_embed,
 )
 
 QUBITS = 3
@@ -47,8 +47,8 @@ print(f"  R_min on the exact features: {r_pauli:.4f} "
 
 # --- the proxy at the same width ---------------------------------------------
 
-proxy = proxy_embed(train, ProjectionSpec(input_dim=train.input_dim,
-                                          feature_dim=D, seed=SEED))
+proxy = LazyProxyFeatures(train, ProjectionSpec(input_dim=train.input_dim,
+                                                feature_dim=D, seed=SEED)).materialize()
 r_proxy, best_proxy, acc_proxy = r_min_deterministic(proxy, train.labels)
 print(f"\nproxy features: tanh of a seeded Gaussian projection, same d = {D}")
 print(f"  values bounded like expectations: max |value| = {np.abs(proxy.values).max():.4f}")

@@ -11,12 +11,13 @@ All accuracy comparisons are done on integer correct-counts; the floating
 ``accuracy`` values are derived from them and never compared with tolerances
 internally, so results are exact multiples of 1/N.
 
-The exhaustive scan sweeps its independent blocks of axes on a private
-thread pool, one worker per usable core, created on first use; a scan of
-at most 6,144 axes runs inline.  The calling thread reads every block and
-folds the counts in block order, so every result is the one-thread result,
-bit for bit.  Pool tasks run numpy only: no column source, no BLAS and no
-nested pool call.
+Every batch of axes, the exhaustive scan's or a sampled one, is scored in
+slices of 2,048 axes; a batch of at least four slices sweeps them on a
+private thread pool, one worker per usable core, created on first use, so a
+batch of at most 6,144 axes runs inline.  The calling thread reads every
+slice and folds the counts in slice order, so every result is the one-thread
+result, bit for bit.  Pool tasks run numpy only: no column source, no BLAS
+and no nested pool call.
 """
 
 from __future__ import annotations
@@ -343,35 +344,49 @@ def axis_accuracy(values, labels, axis_index: int = 0) -> AxisResult:
 
 
 class _ScoredAxes:
-    """Per-axis best counts of every block of axes scored, in order, and the
+    """Per-axis best counts of every batch of axes scored, in order, and the
     first axis to reach their maximum, kept with its column so its threshold
     rule needs no second read.  The exhaustive scan and every estimator are
-    rules for which blocks to score and when to stop.
+    rules for which batches to score and when to stop.
     """
 
-    def __init__(self, source, labels):
-        self.source, self.labels = source, labels
-        self._blocks: list = []               # index blocks as given: ranges stay ranges
+    def __init__(self, features, labels):
+        self.source, self.labels = as_feature_source(features), labels
+        self._blocks: list = []               # index slices as given: ranges stay ranges
         self._counts: list[np.ndarray] = []
         self.best_count = -1
         self.best_axis = -1
         self.best_column = None
 
     def score(self, indices) -> bool:
-        """Score the axes ``indices`` in one sweep; True if the best count rose."""
-        block = self.source.columns(indices)
-        return self.fold(indices, block, best_counts(block, self.labels))
+        """Score the axes ``indices``; True if the best count rose.
 
-    def fold(self, indices, block, counts) -> bool:
-        """Append the swept counts of ``block``, the columns ``indices``."""
-        self._blocks.append(indices)
-        self._counts.append(counts)
-        j = int(np.argmax(counts))  # first max: the earliest axis wins ties, here and across blocks
-        if counts[j] <= self.best_count:
-            return False
-        self.best_count, self.best_axis = int(counts[j]), int(indices[j])
-        self.best_column = block[:, j].copy()  # keep one column, not its block
-        return True
+        The batch is cut into slices of four ``_SCAN_CHUNK`` sweeps.  The
+        calling thread reads each slice, the pool sweeps it, and the counts
+        fold in slice order.  A row-major slice is copied axis-major one
+        sweep at a time, by the sweep, not whole by the calling thread.
+        """
+        width = 4 * _SCAN_CHUNK  # axes per pool task: four sweeps
+
+        def read(start):
+            part = indices[start:start + width]
+            return part, self.source.columns(part)
+
+        def sweep(item):
+            block = item[1]
+            return np.concatenate([best_counts(block[:, k:k + _SCAN_CHUNK], self.labels)
+                                   for k in range(0, block.shape[1], _SCAN_CHUNK)])
+
+        rose = False
+        for (part, block), counts in _ordered_map(sweep, range(0, len(indices), width), read):
+            self._blocks.append(part)
+            self._counts.append(counts)
+            j = int(np.argmax(counts))  # first max: the earliest axis wins ties, here and across slices
+            if counts[j] > self.best_count:
+                self.best_count, self.best_axis = int(counts[j]), int(part[j])
+                self.best_column = block[:, j].copy()  # keep one column, not its slice
+                rose = True
+        return rose
 
     @property
     def axes(self) -> list[int]:
@@ -381,31 +396,6 @@ class _ScoredAxes:
     def accuracies(self) -> np.ndarray:
         """Per-axis optima of the scored axes, in scoring order."""
         return np.concatenate(self._counts) / self.source.sample_count
-
-
-def _exhaustive_run(features, labels) -> _ScoredAxes:
-    """Every axis scored, in ascending blocks of four ``_SCAN_CHUNK`` sweeps.
-    The calling thread reads each block, the pool sweeps it, and the counts
-    fold in block order.  A row-major block is copied axis-major one sweep
-    at a time, by the sweep, not whole by the calling thread."""
-    run = _ScoredAxes(as_feature_source(features), labels)
-    d = run.source.axis_count
-
-    width = 4 * _SCAN_CHUNK  # axes per pool task: four sweeps
-
-    def read(start):
-        indices = range(start, min(start + width, d))
-        return indices, run.source.columns(indices)
-
-    def sweep(item):
-        block = item[1]
-        return np.concatenate([best_counts(block[:, k:k + _SCAN_CHUNK], labels)
-                               for k in range(0, block.shape[1], _SCAN_CHUNK)])
-
-    sweeps = _ordered_map(sweep, range(0, d, width), read)
-    for (indices, block), counts in sweeps:
-        run.fold(indices, block, counts)
-    return run
 
 
 def r_min_deterministic(features, labels):
@@ -424,7 +414,8 @@ def r_min_deterministic(features, labels):
         ``axis_accuracies`` the full length-d vector of per-axis optima
         for survival-function analysis.
     """
-    run = _exhaustive_run(features, labels)
+    run = _ScoredAxes(features, labels)
+    run.score(range(run.source.axis_count))
     best = axis_accuracy(run.best_column, labels, axis_index=run.best_axis)
     return best.accuracy, best, run.accuracies
 

@@ -88,7 +88,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cov.add_argument("--p", type=float, required=True, help="good-axis fraction")
     p_cov.add_argument("--t", type=int, help="sample size; omit to only plan the required t")
     p_cov.add_argument("--delta", type=float, default=harness.ExperimentConfig.delta)
-    p_cov.add_argument("--eta", type=float, help="target accuracy, echoed for the record")
 
     p_svm = sub.add_parser("svm", help="train a reference SVM baseline")
     p_svm.add_argument("--data", required=True, help="dataset CSV (labels, and inputs unless --features)")
@@ -176,10 +175,8 @@ def _cmd_minacc(args) -> int:
 def _cmd_coverage(args) -> int:
     required = sample_size(args.p, args.delta)
     print(f"required_t={required}")
-    if args.eta is not None:
-        print(f"eta={args.eta!r}")
     if args.t is not None:
-        query = CoverageQuery(d=args.d, p=args.p, t=args.t, delta=args.delta)
+        query = CoverageQuery(d=args.d, p=args.p, t=args.t)
         print(f"exact={coverage_probability_exact(query):.6f}")
         print(f"bound={coverage_probability_bound(query):.6f}")
     return 0

@@ -114,11 +114,6 @@ def projection_block(spec: ProjectionSpec, indices) -> np.ndarray:
     return normals.reshape(-1, axes.size)[:m] * (m ** -0.5)
 
 
-def projection_column(spec: ProjectionSpec, axis_index: int) -> np.ndarray:
-    """Column i of W."""
-    return projection_block(spec, [axis_index])[:, 0]
-
-
 def _proxy_block(inputs: np.ndarray, spec: ProjectionSpec, indices) -> np.ndarray:
     """tanh(sum_j x_j w_j) for the given columns: the one path of every proxy
     value.  Each block of columns is summed over j in order by elementwise
@@ -173,11 +168,6 @@ class LazyProxyFeatures:
 
     def materialize(self) -> FeatureMatrix:
         return FeatureMatrix(self.columns(range(self.axis_count)))
-
-
-def proxy_embed(dataset: LabeledDataset, spec: ProjectionSpec) -> FeatureMatrix:
-    """Eager proxy embedding: entry [k, i] = tanh(<W column i, x_k>), in (-1, 1)."""
-    return LazyProxyFeatures(dataset, spec).materialize()
 
 
 # ---------------------------------------------------------------------------

@@ -128,6 +128,8 @@ class ExperimentConfig:
             raise ValueError("datasets must name at least one dataset")
         for kind in self.datasets:
             dataset_spec(kind, self.n_samples, 0)  # rejects an unknown kind or too few samples
+        if len(set(self.datasets)) < len(self.datasets):
+            raise ValueError(f"datasets lists a kind twice: {self.datasets}")
         if self.qubit_count < 1:
             raise ValueError("qubit_count must be >= 1")
         if self.embedding not in _EMBEDDINGS:

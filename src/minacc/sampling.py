@@ -31,7 +31,7 @@ from enum import Enum
 
 import numpy as np
 
-from .axiscore import AxisResult, _exhaustive_run, _ScoredAxes, as_feature_source, axis_accuracy
+from .axiscore import AxisResult, _ScoredAxes, axis_accuracy
 
 # adaptive stops as STABLE once the best value spread over this many batch-ends is small
 _STABILITY_WINDOW = 5
@@ -59,7 +59,6 @@ class CoverageQuery:
     d: int
     p: float
     t: int
-    delta: float = 0.05
 
     def __post_init__(self):
         if self.d < 1:
@@ -70,8 +69,6 @@ class CoverageQuery:
             raise ValueError("sample size t must be >= 0")
         if self.t > self.d:
             raise ValueError("sample exceeds population")
-        if not 0.0 < self.delta < 1.0:
-            raise ValueError("failure probability delta must lie in (0, 1)")
 
 
 def _good_axis_count(d: int, p: float) -> int:
@@ -251,12 +248,14 @@ def _result(run: _ScoredAxes, method, reason, pilot_stats=None) -> EstimateResul
 
 def deterministic_estimate(features, labels) -> EstimateResult:
     """Exhaustive scan wrapped in the common estimator result shape."""
-    return _result(_exhaustive_run(features, labels), EstimatorMethod.DETERMINISTIC, StopReason.EXHAUSTED)
+    run = _ScoredAxes(features, labels)
+    run.score(range(run.source.axis_count))
+    return _result(run, EstimatorMethod.DETERMINISTIC, StopReason.EXHAUSTED)
 
 
 def conservative_estimate(features, labels, p_conservative: float, delta: float, rng_seed) -> EstimateResult:
     """Fixed-size estimate: t = ceil(log(1/delta)/p_conservative) axes (clamped to d)."""
-    run = _ScoredAxes(as_feature_source(features), labels)
+    run = _ScoredAxes(features, labels)
     d = run.source.axis_count
     run.score(sample_axes(d, min(sample_size(p_conservative, delta), d), rng_seed))
     return _result(run, EstimatorMethod.CONSERVATIVE, StopReason.FIXED_SIZE_REACHED)
@@ -279,7 +278,7 @@ def pilot_estimate(
     replacement from the unexplored axes, up to
     min(ceil(log(1/delta)/p_hat), ceil(cap_fraction * d), d).
     """
-    run = _ScoredAxes(as_feature_source(features), labels)
+    run = _ScoredAxes(features, labels)
     d = run.source.axis_count
     if not 1 <= n_pilot <= d:
         raise ValueError("sample exceeds population: n_pilot must lie in [1, d]")
@@ -333,7 +332,7 @@ def adaptive_estimate(
     if not 0.0 < budget_fraction <= 1.0:
         raise ValueError("budget_fraction must lie in (0, 1]")
 
-    run = _ScoredAxes(as_feature_source(features), labels)
+    run = _ScoredAxes(features, labels)
     n, d = run.source.sample_count, run.source.axis_count
     budget = math.ceil(budget_fraction * d)
     sampler = _AxisSampler(d, rng_seed)

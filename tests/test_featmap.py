@@ -29,8 +29,6 @@ from minacc.featmap import (
     pauli_feature_matrix,
     pauli_string,
     projection_block,
-    projection_column,
-    proxy_embed,
     save_feature_matrix,
 )
 
@@ -95,14 +93,14 @@ def small_dataset(rng, n_samples=6, n_features=3) -> LabeledDataset:
 
 def test_proxy_zero_input_is_exactly_zero():
     data = LabeledDataset(inputs=np.zeros((3, 5)), labels=[1, -1, 1])
-    emb = proxy_embed(data, ProjectionSpec(input_dim=5, feature_dim=16, seed=3))
+    emb = LazyProxyFeatures(data, ProjectionSpec(input_dim=5, feature_dim=16, seed=3)).materialize()
     assert np.all(emb.values == 0.0)
 
 
 def test_proxy_values_strictly_inside_unit_interval():
     rng = np.random.default_rng(0)
     data = small_dataset(rng, n_samples=20, n_features=8)
-    emb = proxy_embed(data, ProjectionSpec(input_dim=8, feature_dim=64, seed=1))
+    emb = LazyProxyFeatures(data, ProjectionSpec(input_dim=8, feature_dim=64, seed=1)).materialize()
     assert np.all(np.abs(emb.values) < 1.0)
 
 
@@ -110,8 +108,8 @@ def test_proxy_is_odd_in_the_input():
     rng = np.random.default_rng(1)
     x = rng.uniform(-1, 1, size=(7, 4))
     spec = ProjectionSpec(input_dim=4, feature_dim=32, seed=9)
-    plus = proxy_embed(LabeledDataset(inputs=x, labels=[1] * 7), spec)
-    minus = proxy_embed(LabeledDataset(inputs=-x, labels=[1] * 7), spec)
+    plus = LazyProxyFeatures(LabeledDataset(inputs=x, labels=[1] * 7), spec).materialize()
+    minus = LazyProxyFeatures(LabeledDataset(inputs=-x, labels=[1] * 7), spec).materialize()
     assert np.array_equal(minus.values, -plus.values)
 
 
@@ -119,7 +117,7 @@ def test_lazy_columns_match_eager_bitwise():
     rng = np.random.default_rng(2)
     data = small_dataset(rng, n_samples=11, n_features=6)
     spec = ProjectionSpec(input_dim=6, feature_dim=40, seed=17)
-    eager = proxy_embed(data, spec)
+    eager = LazyProxyFeatures(data, spec).materialize()
     lazy = LazyProxyFeatures(data, spec)
     assert lazy.sample_count == 11 and lazy.axis_count == 40
     for i in (0, 1, 13, 39):
@@ -144,13 +142,13 @@ def test_projection_columns_stable_when_feature_dim_grows():
     small = ProjectionSpec(input_dim=5, feature_dim=8, seed=4)
     large = ProjectionSpec(input_dim=5, feature_dim=512, seed=4)
     for i in range(8):
-        assert np.array_equal(projection_column(small, i), projection_column(large, i))
+        assert np.array_equal(projection_block(small, [i])[:, 0], projection_block(large, [i])[:, 0])
 
 
 def test_projection_column_scale():
     # entries are N(0, 1/m): column norm concentrates near 1
     spec = ProjectionSpec(input_dim=20000, feature_dim=2, seed=5)
-    col = projection_column(spec, 0)
+    col = projection_block(spec, [0])[:, 0]
     assert abs(np.std(col) * math.sqrt(20000) - 1.0) < 0.05
     assert abs(np.mean(col)) < 0.01
 
@@ -175,7 +173,7 @@ def test_projection_block_columns_are_projection_columns():
     block = projection_block(spec, axes)
     assert block.shape == (5, 4)
     for j, axis in enumerate(axes):
-        assert block[:, j].tobytes() == projection_column(spec, axis).tobytes()
+        assert block[:, j].tobytes() == projection_block(spec, [axis])[:, 0].tobytes()
     assert not np.array_equal(block[:, 0], block[:, 1])
 
 
@@ -184,7 +182,7 @@ def test_projection_seed_must_fit_the_philox_key():
         with pytest.raises(ValueError, match="seed"):
             ProjectionSpec(input_dim=3, feature_dim=4, seed=seed)
     for seed in (0, 2 ** 64 - 1):
-        assert projection_column(ProjectionSpec(input_dim=3, feature_dim=4, seed=seed), 3).shape == (3,)
+        assert projection_block(ProjectionSpec(input_dim=3, feature_dim=4, seed=seed), [3])[:, 0].shape == (3,)
 
 
 @pytest.mark.parametrize("source", ["matrix", "lazy"])
@@ -194,7 +192,8 @@ def test_projection_seed_must_fit_the_philox_key():
 def test_column_sources_reject_axes_out_of_range(source, indices):
     data = LabeledDataset(inputs=np.arange(6.0).reshape(3, 2), labels=[1, -1, 1])
     spec = ProjectionSpec(input_dim=2, feature_dim=4, seed=0)
-    features = proxy_embed(data, spec) if source == "matrix" else LazyProxyFeatures(data, spec)
+    lazy = LazyProxyFeatures(data, spec)
+    features = lazy.materialize() if source == "matrix" else lazy
     bad = next(i for i in indices if not 0 <= i < 4)
     with pytest.raises(ValueError, match=rf"axis {bad} out of range \[0, 4\)"):
         features.columns(indices)
@@ -207,7 +206,7 @@ def test_projection_validation_errors():
         ProjectionSpec(input_dim=0, feature_dim=4, seed=0)
     spec = ProjectionSpec(input_dim=3, feature_dim=4, seed=0)
     with pytest.raises(ValueError, match="out of range"):
-        projection_column(spec, 4)
+        projection_block(spec, [4])
     data = LabeledDataset(inputs=np.ones((2, 5)), labels=[1, -1])
     with pytest.raises(ValueError, match="input_dim"):
         LazyProxyFeatures(data, spec)
@@ -464,7 +463,7 @@ def test_feature_matrix_matches_the_circuit_oracle(case):
 def test_binary_roundtrip_is_bit_exact(tmp_path):
     rng = np.random.default_rng(11)
     data = small_dataset(rng, n_samples=9, n_features=4)
-    feats = proxy_embed(data, ProjectionSpec(input_dim=4, feature_dim=25, seed=2))
+    feats = LazyProxyFeatures(data, ProjectionSpec(input_dim=4, feature_dim=25, seed=2)).materialize()
     path = tmp_path / "feats.bin"
     save_feature_matrix(feats, path)
     # the loader ignores the header's third word, the flags
@@ -483,7 +482,7 @@ def test_binary_roundtrip_is_bit_exact(tmp_path):
 def test_binary_truncation_detected(tmp_path):
     rng = np.random.default_rng(12)
     data = small_dataset(rng)
-    feats = proxy_embed(data, ProjectionSpec(input_dim=3, feature_dim=8, seed=0))
+    feats = LazyProxyFeatures(data, ProjectionSpec(input_dim=3, feature_dim=8, seed=0)).materialize()
     path = tmp_path / "feats.bin"
     save_feature_matrix(feats, path)
     blob = path.read_bytes()

@@ -94,6 +94,8 @@ def test_config_validation():
     # dataset kinds and sizes are checked when the config is built, not when it runs
     with pytest.raises(ValueError, match="unknown dataset kind 'moons'"):
         ExperimentConfig(datasets=("moons",))
+    with pytest.raises(ValueError, match="kind twice"):
+        ExperimentConfig(datasets=("circles", "circles"))
     with pytest.raises(ValueError, match="n_samples"):
         ExperimentConfig(n_samples=3)
     assert ExperimentConfig(qubit_count=3).axis_count == 64

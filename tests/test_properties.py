@@ -265,13 +265,23 @@ def test_pooled_scan_reads_columns_on_the_calling_thread_only(cores):
     values = rng.choice([0.0, 1.0], size=(5, 40))
     labels = np.array([1, -1, 1, -1, 1])
     source = _RecordingSource(values)
+
+    def sampled(features):  # t = d = 40: one batch of four slices
+        return conservative_estimate(features, labels, p_conservative=0.05, delta=0.05, rng_seed=3)
+
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(axiscore, "_SCAN_CHUNK", 3)
         _run_on_threads(patch, cores)
         r_min, best, per_axis = r_min_deterministic(source, labels)
+        estimate = sampled(source)
     assert source.threads == {threading.get_ident()}
     expected = r_min_deterministic(values, labels)
     assert (r_min, best) == expected[:2] and per_axis.tolist() == expected[2].tolist()
+    one_thread = sampled(values)
+    assert estimate.axes_evaluated == 40
+    assert (estimate.r_hat, estimate.best, estimate.sampled_axes) == (
+        one_thread.r_hat, one_thread.best, one_thread.sampled_axes)
+    assert estimate.axis_accuracies.tolist() == one_thread.axis_accuracies.tolist()
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
