@@ -16,8 +16,10 @@ slices of 2,048 axes; a batch of at least four slices sweeps them on a
 private thread pool, one worker per usable core, created on first use, so a
 batch of at most 6,144 axes runs inline.  The calling thread reads every
 slice and folds the counts in slice order, so every result is the one-thread
-result, bit for bit.  Pool tasks run numpy only: no column source, no BLAS
-and no nested pool call.
+result, bit for bit.  At most two slices per core are read ahead of the fold,
+one running and one queued on each worker: from a lazy source that is
+2 x cores slices of 2,048 x N doubles (1.6 MB each at N = 100).  Pool tasks
+run numpy only: no column source, no BLAS and no nested pool call.
 """
 
 from __future__ import annotations
@@ -46,12 +48,14 @@ _CORES = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else o
 _POOL = None
 if hasattr(os, "register_at_fork"):  # a forked child has none of the parent's workers
     os.register_at_fork(after_in_child=lambda: globals().update(_POOL=None))
-# Jobs of fewer tasks run inline; the scan and the proxy embedding both use
-# 2048-axis tasks, so that is at most 6,144 axes.  On the 2-core Xeon the
-# 4,096-axis scan of the n = 6 Pauli experiment (N = 100), pooled as eight
-# 512-axis tasks, made the whole experiment slower across processes (median
-# 0.378 s against 0.322 s on one thread, 1 of 8 runs faster), while 65,536
-# axes gain about a third.
+# Jobs of fewer tasks run inline: at most 6,144 axes of the scan (2048-axis
+# tasks) and 12,288 of the proxy embedding (4096-axis tasks).  On the 2-core
+# Xeon the 4,096-axis scan of the n = 6 Pauli experiment (N = 100), pooled as
+# eight 512-axis tasks, made the whole experiment slower across processes
+# (median 0.378 s against 0.322 s on one thread, 1 of 8 runs faster).  On
+# 65,536 axes (N = 100, one process, two runs of ten interleaved repetitions)
+# the pool with two tasks in flight per worker embeds in 79-90 ms and scans in
+# 89-98 ms, against 111-139 ms and 187-228 ms on one thread.
 _POOL_MIN_ITEMS = 4
 
 
@@ -59,10 +63,12 @@ def _ordered_map(task, items, read=lambda item: item):
     """Yield ``(value, task(value))`` with ``value = read(item)`` for every
     item of the sequence ``items``, in order.
 
-    ``read`` runs on the calling thread, and at most ``_CORES`` values are in
-    flight, so a lazy source never holds more than a few.  The tasks run on
-    the pool, or inline on one core or for fewer than ``_POOL_MIN_ITEMS``
-    items.  A task's exception is raised when its turn comes, as inline.
+    ``read`` runs on the calling thread, and at most ``2 * _CORES`` values
+    are in flight, one running and one queued per worker, so a worker that
+    finishes never waits for the calling thread, and a lazy source never
+    holds more than a few.  The tasks run on the pool, or inline on one core
+    or for fewer than ``_POOL_MIN_ITEMS`` items.  A task's exception is
+    raised when its turn comes, as inline.
     """
     if _CORES < 2 or len(items) < _POOL_MIN_ITEMS:
         for item in items:
@@ -77,7 +83,7 @@ def _ordered_map(task, items, read=lambda item: item):
     try:
         for item in items:
             pending.append(_POOL.submit(lambda value: (value, task(value)), read(item)))
-            if len(pending) >= _CORES:
+            if len(pending) >= 2 * _CORES:  # one queued task behind each running one
                 yield pending.popleft().result()
         while pending:
             yield pending.popleft().result()

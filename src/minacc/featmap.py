@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import csv
 import struct
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,30 +69,37 @@ _PHILOX_M = np.array([0xD2511F53, 0xCD9E8D57], dtype=np.uint64)   # round multip
 # round r adds r times the key increments to the key, mod 2^32
 _PHILOX_KEY_STEPS = np.outer(np.arange(10, dtype=np.uint64),
                              np.array([0x9E3779B9, 0xBB67AE85], dtype=np.uint64))
+# positions of the high and low word of a uint64 in its uint32 view
+_HIGH, _LOW = (1, 0) if sys.byteorder == "little" else (0, 1)
 
 # Columns per block of the proxy embedding: the 512 x N product temporary stays
 # a few hundred KB at N = 100, and no d x N temporary is built beside the output.
 _PROXY_BLOCK = 512
 # Columns per pool task: one projection_block call, then its blocks in turn.
-# The Philox glue holds the GIL, so narrower tasks overlap less: on both cores
-# of a 2-core Xeon, 65,536 axes (N = 100, m = 2) take a median 76 ms in
-# 2048-wide tasks and 143 ms in 512-wide ones; one core takes 107 ms.
-_PROXY_TASK = 4 * _PROXY_BLOCK
+# The Philox glue holds the GIL, so narrower tasks overlap less.  On both
+# cores of a 2-core Xeon (N = 100, m = 2 and 4, two tasks in flight per
+# worker, one process, interleaved), a 65,536-axis embedding takes a median
+# 87 ms in 2048-wide tasks and 79 ms in 4096- or 8192-wide ones; the narrower
+# of the two fastest keeps less in flight.
+_PROXY_TASK = 8 * _PROXY_BLOCK
 
 
 def _philox4x32(even: np.ndarray, odd: np.ndarray, key) -> tuple[np.ndarray, np.ndarray]:
-    """Philox4x32-10 (Salmon et al., SC'11) on uint64 arrays holding 32-bit words.
+    """Philox4x32-10 (Salmon et al., SC'11) on arrays of 32-bit words.
 
     ``even`` stacks counter words (0, 2) and ``odd`` words (1, 3), each of
-    shape (2, ...); ``key`` is (k0, k1).  Returns the output words stacked the
-    same way.  A round multiplies words 0 and 2, so each pair steps as one array.
+    shape (2, ..., k) with at least two axes; ``key`` is (k0, k1).  Returns the
+    output words as uint32, stacked the same way.  A round multiplies words 0
+    and 2 into 64-bit products, so each pair steps as one array, and reads
+    their high and low words as uint32 views: one multiply and two xors.
     """
+    even, odd = np.asarray(even, dtype=np.uint32), np.asarray(odd, dtype=np.uint32)
     pair = (2,) + (1,) * (even.ndim - 1)
     multipliers = _PHILOX_M.reshape(pair)
-    round_keys = (np.array(key, dtype=np.uint64) + _PHILOX_KEY_STEPS) & _LOW32
+    round_keys = ((np.array(key, dtype=np.uint64) + _PHILOX_KEY_STEPS) & _LOW32).astype(np.uint32)
     for round_key in round_keys.reshape((10,) + pair):
-        product = (even * multipliers)[::-1]
-        even, odd = (product >> 32) ^ odd ^ round_key, product & _LOW32
+        words = np.multiply(even, multipliers).view(np.uint32)[::-1]
+        even, odd = words[..., _HIGH::2] ^ odd ^ round_key, words[..., _LOW::2]
     return even, odd
 
 
@@ -102,13 +110,13 @@ def projection_block(spec: ProjectionSpec, indices) -> np.ndarray:
     and (2, 3) become entries 2j and 2j + 1 by Box-Muller."""
     axes = checked_axes(indices, spec.feature_dim)
     m = spec.input_dim
-    even = np.empty((2, (m + 1) // 2, axes.size), dtype=np.uint64)
+    even = np.empty((2, (m + 1) // 2, axes.size), dtype=np.uint32)
     odd = np.zeros_like(even)
     even[0], odd[0] = axes & _LOW32, axes >> 32
     even[1] = np.arange((m + 1) // 2)[:, None]
     seed = int(spec.seed)
     high, low = _philox4x32(even, odd, (seed & _LOW32, seed >> 32))
-    u1, u2 = ((high << 32 | low) >> 11).astype(np.float64) * 2.0 ** -53
+    u1, u2 = ((high.astype(np.uint64) << 32 | low) >> 11).astype(np.float64) * 2.0 ** -53
     radius, angle = np.sqrt(-2.0 * np.log(1.0 - u1)), 2.0 * np.pi * u2
     normals = np.stack((radius * np.cos(angle), radius * np.sin(angle)), axis=1)
     return normals.reshape(-1, axes.size)[:m] * (m ** -0.5)

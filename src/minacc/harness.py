@@ -128,8 +128,16 @@ class ExperimentConfig:
             raise ValueError("datasets must name at least one dataset")
         for kind in self.datasets:
             dataset_spec(kind, self.n_samples, 0)  # rejects an unknown kind or too few samples
-        if len(set(self.datasets)) < len(self.datasets):
-            raise ValueError(f"datasets lists a kind twice: {self.datasets}")
+        for name, noun in (("datasets", "kind"), ("methods", "method"), ("p_values", "p value")):
+            listed = getattr(self, name)
+            if len(set(listed)) < len(listed):  # a repeat would run, and write, its rows twice
+                raise ValueError(f"{name} lists a {noun} twice: {listed}")
+        if not all(0.0 < p <= 1.0 for p in self.p_values):
+            raise ValueError(f"p_values must lie in (0, 1]: {self.p_values}")
+        if EstimatorMethod.CONSERVATIVE.value in self.methods and not self.p_values:
+            raise ValueError("the conservative method needs at least one value in p_values")
+        if not 0.0 < self.delta < 1.0:
+            raise ValueError(f"delta must lie in (0, 1): {self.delta}")
         if self.qubit_count < 1:
             raise ValueError("qubit_count must be >= 1")
         if self.embedding not in _EMBEDDINGS:

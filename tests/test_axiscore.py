@@ -2,6 +2,8 @@
 
 import multiprocessing
 import os
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -339,3 +341,49 @@ def test_a_forked_child_scans_on_its_own_pool(monkeypatch):
         child.kill()
         child.join()
     assert child.exitcode == 0
+
+
+@pytest.mark.parametrize("cores", [1, 2, 3])
+def test_ordered_map_reads_ahead_by_two_tasks_per_core_and_yields_in_order(monkeypatch, cores):
+    monkeypatch.setattr(axiscore, "_CORES", cores)
+    monkeypatch.setattr(axiscore, "_POOL_MIN_ITEMS", 2)
+    caller = threading.get_ident()
+    reads, read_threads, task_threads = [], set(), set()
+
+    def read(item):
+        reads.append(item)
+        read_threads.add(threading.get_ident())
+        return 10 * item
+
+    def task(value):
+        time.sleep(0.002 * (2 - value // 10 % 3))  # later tasks often finish first
+        task_threads.add(threading.get_ident())
+        if value == 70:
+            raise RuntimeError("task 7 failed")
+        return value + 1
+
+    items = range(12)
+    window = 1 if cores == 1 else 2 * cores  # reads made ahead of the consumer
+    ahead = []
+    for k, (value, result) in enumerate(axiscore._ordered_map(task, items[:7], read)):
+        assert (value, result) == (10 * k, 10 * k + 1)
+        ahead.append(len(reads) - k)
+    assert reads == list(range(7))
+    assert ahead == [min(window, 7 - k) for k in range(7)]
+    assert read_threads == {caller}
+    assert (caller in task_threads) == (cores == 1)
+
+    # a task's exception is raised when its turn comes, after every earlier result
+    reads.clear()
+    got = []
+    with pytest.raises(RuntimeError, match="task 7"):
+        for value, _ in axiscore._ordered_map(task, items, read):
+            got.append(value)
+    assert got == [0, 10, 20, 30, 40, 50, 60]
+    assert len(reads) == min(7 + window, len(items))
+
+    # fewer than _POOL_MIN_ITEMS items run inline
+    inline_threads = []
+    assert list(axiscore._ordered_map(lambda value: inline_threads.append(threading.get_ident()),
+                                      items[:1], read)) == [(0, None)]
+    assert inline_threads == [caller]

@@ -165,6 +165,36 @@ def test_philox_known_answers(counter, key, expected):
     odd = np.array([[counter[1]], [counter[3]]], dtype=np.uint64)
     (x0, x2), (x1, x3) = _philox4x32(even, odd, key)
     assert [int(w[0]) for w in (x0, x1, x2, x3)] == list(expected)
+    assert _philox_reference(counter, key) == expected
+
+
+def _philox_reference(counter, key):
+    """Philox4x32-10 word by word on Python integers."""
+    x0, x1, x2, x3 = counter
+    k0, k1 = key
+    for _ in range(10):
+        p0, p2 = 0xD2511F53 * x0, 0xCD9E8D57 * x2
+        x0, x1, x2, x3 = (p2 >> 32) ^ x1 ^ k0, p2 & 0xFFFFFFFF, (p0 >> 32) ^ x3 ^ k1, p0 & 0xFFFFFFFF
+        k0, k1 = (k0 + 0x9E3779B9) & 0xFFFFFFFF, (k1 + 0xBB67AE85) & 0xFFFFFFFF
+    return x0, x1, x2, x3
+
+
+@pytest.mark.parametrize("key", [(0xFFFFFFFF, 0xFFFFFFFF), (0xFFFFFFFF, 0), (0x12345678, 0x9ABCDEF0)])
+def test_philox_batch_matches_the_word_by_word_reference(key):
+    rng = np.random.default_rng(15)
+    words = rng.integers(0, 2 ** 32, size=(4, 2, 3, 5), dtype=np.uint64)
+    words[:, :, 0, :3] = 2 ** 32 - np.arange(1, 4)  # counters near 2^32
+    words[:, 0, 1, 0] = 0
+    even, odd = words[0], words[1]
+    for dtype in (np.uint32, np.uint64):
+        out_even, out_odd = _philox4x32(even.astype(dtype), odd.astype(dtype), key)
+        assert out_even.dtype == out_odd.dtype == np.uint32
+        assert out_even.shape == out_odd.shape == (2, 3, 5)
+        for index in np.ndindex(3, 5):
+            counter = tuple(int(w) for w in (even[0][index], odd[0][index], even[1][index], odd[1][index]))
+            x0, x1, x2, x3 = _philox_reference(counter, key)
+            assert (int(out_even[0][index]), int(out_odd[0][index]),
+                    int(out_even[1][index]), int(out_odd[1][index])) == (x0, x1, x2, x3)
 
 
 def test_projection_block_columns_are_projection_columns():

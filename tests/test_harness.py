@@ -8,6 +8,7 @@ import csv
 import dataclasses
 import io
 import json
+import math
 import re
 
 import numpy as np
@@ -98,6 +99,22 @@ def test_config_validation():
         ExperimentConfig(datasets=("circles", "circles"))
     with pytest.raises(ValueError, match="n_samples"):
         ExperimentConfig(n_samples=3)
+    # estimator settings too: a repeat would write its rows twice, and a p or
+    # delta out of range would fail only after the embedding, SVMs and scan ran
+    with pytest.raises(ValueError, match="p value twice"):
+        ExperimentConfig(p_values=(0.25, 0.25))
+    with pytest.raises(ValueError, match="method twice"):
+        ExperimentConfig(methods=("conservative", "conservative"))
+    for p in (0.0, -0.1, 1.5, math.nan):
+        with pytest.raises(ValueError, match="p_values"):
+            ExperimentConfig(p_values=(0.05, p))
+    for delta in (0.0, 1.0, 1.5, -0.05, math.nan):
+        with pytest.raises(ValueError, match="delta"):
+            ExperimentConfig(delta=delta)
+    with pytest.raises(ValueError, match="p_values"):
+        ExperimentConfig(p_values=(), methods=("deterministic", "conservative"))
+    assert ExperimentConfig(p_values=(), methods=("pilot",)).p_values == ()
+    assert ExperimentConfig(p_values=(1.0,), delta=0.5).p_values == (1.0,)
     assert ExperimentConfig(qubit_count=3).axis_count == 64
 
 
@@ -166,7 +183,7 @@ NON_DEFAULTS = {
     "embedding": ("pauli", "pauli"),
     "methods": ("pilot, adaptive", ("pilot", "adaptive")),
     "p_values": ("[0.5]", (0.5,)),
-    "delta": ("1", 1.0),              # an integer given for a float key
+    "delta": ("0.5", 0.5),
     "n_pilot": ("7", 7),
     "cap_fraction": ("0.5", 0.5),
     "batch_size": ("8", 8),
@@ -177,7 +194,7 @@ NON_DEFAULTS = {
     "master_seed": ("9", 9),
     "train_fraction": ("0.5", 0.5),
     "subsample_train": ("none", None),
-    "svm_c": ("2.5", 2.5),
+    "svm_c": ("3", 3.0),              # an integer given for a float key
     "svm_tol": ("0.01", 0.01),
     "svm_max_iter": ("50", 50),
     "output_dir": ("'out/run'", "out/run"),
