@@ -38,7 +38,7 @@ SEED = 0
 
 # --- data: concentric circles, the intrinsically non-linear case -----------
 
-spec = DatasetSpec(kind=CIRCLES, n_samples=1000, seed=SEED, informative_features=2)
+spec = DatasetSpec(kind=CIRCLES, n_samples=1000, seed=SEED)
 full = generate(spec)
 standardized, _ = standardize(full)
 train, test = stratified_split(standardized, train_fraction=0.7,

@@ -25,7 +25,7 @@ QUBITS = 3
 D = 4 ** QUBITS
 SEED = 7
 
-spec = DatasetSpec(kind=CIRCLES, n_samples=400, seed=SEED, informative_features=2)
+spec = DatasetSpec(kind=CIRCLES, n_samples=400, seed=SEED)
 standardized, _ = standardize(generate(spec))
 train, _ = stratified_split(standardized, subsample_train=100, seed=SEED)
 

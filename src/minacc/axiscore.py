@@ -122,6 +122,8 @@ class LabeledDataset:
         x = np.asarray(self.inputs, dtype=np.float64)
         if x.ndim != 2 or x.shape[0] == 0:
             raise ValueError("empty dataset: inputs must be a non-empty N x m matrix")
+        if not np.isfinite(x).all():
+            raise ValueError("non-finite input values in dataset")
         y = _as_label_array(self.labels)
         if y.shape[0] != x.shape[0]:
             raise ValueError("inputs and labels disagree on N")

@@ -18,6 +18,7 @@ import sys
 from . import harness
 from .datagen import (
     DATASET_KINDS,
+    DatasetSpec,
     dataset_from_csv,
     dataset_to_csv,
     generate,
@@ -123,7 +124,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_gen_data(args) -> int:
-    spec = harness.dataset_spec(args.kind, args.n_samples, args.seed)
+    spec = DatasetSpec(args.kind, args.n_samples, args.seed)
     dataset = generate(spec)
     if args.standardize:
         dataset, _ = standardize(dataset)

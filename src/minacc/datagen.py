@@ -37,7 +37,7 @@ class DatasetSpec:
     kind: str
     n_samples: int = 1000
     seed: int = 0
-    informative_features: int = 4
+    informative_features: int | None = None  # default: 2 (circles, the only value), 4 (the others)
     clusters_per_class: int | None = None  # default: 1 (linear), 3 (multi_cluster)
     noise_sigma: float = 0.1
     radius_factor: float = 0.5
@@ -47,6 +47,10 @@ class DatasetSpec:
     def __post_init__(self):
         if self.kind not in DATASET_KINDS:
             raise ValueError(f"unknown dataset kind {self.kind!r}; choose from {DATASET_KINDS}")
+        if self.informative_features is None:
+            object.__setattr__(self, "informative_features", 2 if self.kind == CIRCLES else 4)
+        if self.kind == CIRCLES and self.informative_features != 2:
+            raise ValueError("circles have 2 informative features, the plane's coordinates")
         if self.n_samples < 4:
             raise ValueError("n_samples must be >= 4")
         if self.informative_features < 1:

@@ -11,7 +11,8 @@ stage timings, and summary statistics.
 Config files are plain text, one ``key = value`` per line.  ``#`` starts a
 comment, lists are comma separated, and quotes or brackets around values are
 tolerated.  The keys are the ``ExperimentConfig`` fields, each read as the
-type of its default.  Keys and their defaults:
+type of its default and checked when the config is built.  Keys and their
+defaults:
 
     datasets        = linear_separable, multi_cluster, circles
     n_samples       = 1000
@@ -57,7 +58,7 @@ import numpy as np
 
 from . import axiscore
 from .axiscore import r_min_deterministic
-from .datagen import CIRCLES, DATASET_KINDS, DatasetSpec, generate, standardize, stratified_split
+from .datagen import DATASET_KINDS, DatasetSpec, generate, standardize, stratified_split
 from .featmap import (
     _MATRIX_QUBIT_LIMIT,
     EncodingCircuitSpec,
@@ -80,6 +81,15 @@ CSV_HEADER = "dataset,method,p,rep,r_hat,axes_evaluated,stop_reason,svm_linear,s
 _METHOD_NAMES = tuple(m.value for m in EstimatorMethod)
 _EMBEDDINGS = ("proxy", "pauli")
 
+# (settings, the rule as its error states it, the rule); a NaN breaks every rule
+_SETTING_RULES = (
+    (("qubit_count", "repetitions", "n_pilot", "batch_size", "patience"), "be >= 1", lambda v: v >= 1),
+    (("stability_eps",), "be >= 0", lambda v: v >= 0.0),
+    (("svm_c",), "be > 0", lambda v: v > 0.0),
+    (("cap_fraction", "budget_fraction"), "lie in (0, 1]", lambda v: 0.0 < v <= 1.0),
+    (("delta", "train_fraction"), "lie in (0, 1)", lambda v: 0.0 < v < 1.0),
+)
+
 
 def derive_seed(master_seed: int, dataset: str, stage: str, p=None, rep: int = 0) -> int:
     """Sub-seed for one pipeline cell: master seed XOR a stable hash of the
@@ -87,13 +97,6 @@ def derive_seed(master_seed: int, dataset: str, stage: str, p=None, rep: int = 0
     tag = f"{dataset}|{stage}|{p}|{rep}".encode()
     digest = hashlib.blake2s(tag, digest_size=8).digest()
     return (int(master_seed) ^ int.from_bytes(digest, "big")) & (2**63 - 1)
-
-
-def dataset_spec(kind: str, n_samples: int, seed: int) -> DatasetSpec:
-    """The benchmark dataset of ``kind``: circles on 2 informative features,
-    the others on 4."""
-    return DatasetSpec(kind=kind, n_samples=n_samples, seed=seed,
-                       informative_features=2 if kind == CIRCLES else 4)
 
 
 @dataclass(frozen=True)
@@ -127,7 +130,7 @@ class ExperimentConfig:
         if not self.datasets:
             raise ValueError("datasets must name at least one dataset")
         for kind in self.datasets:
-            dataset_spec(kind, self.n_samples, 0)  # rejects an unknown kind or too few samples
+            DatasetSpec(kind, self.n_samples)  # rejects an unknown kind or too few samples
         for name, noun in (("datasets", "kind"), ("methods", "method"), ("p_values", "p value")):
             listed = getattr(self, name)
             if len(set(listed)) < len(listed):  # a repeat would run, and write, its rows twice
@@ -136,10 +139,10 @@ class ExperimentConfig:
             raise ValueError(f"p_values must lie in (0, 1]: {self.p_values}")
         if EstimatorMethod.CONSERVATIVE.value in self.methods and not self.p_values:
             raise ValueError("the conservative method needs at least one value in p_values")
-        if not 0.0 < self.delta < 1.0:
-            raise ValueError(f"delta must lie in (0, 1): {self.delta}")
-        if self.qubit_count < 1:
-            raise ValueError("qubit_count must be >= 1")
+        for names, rule, holds in _SETTING_RULES:
+            for name in names:
+                if not holds(value := getattr(self, name)):
+                    raise ValueError(f"{name} must {rule}: {value}")
         if self.embedding not in _EMBEDDINGS:
             raise ValueError(f"embedding must be one of {_EMBEDDINGS}")
         if self.embedding == "pauli" and self.qubit_count > _MATRIX_QUBIT_LIMIT:
@@ -147,18 +150,12 @@ class ExperimentConfig:
         for m in self.methods:
             if m not in _METHOD_NAMES:
                 raise ValueError(f"unknown method {m!r}; choose from {_METHOD_NAMES}")
-        if self.repetitions < 1:
-            raise ValueError("repetitions must be >= 1")
-
-    @property
-    def axis_count(self) -> int:
-        return 4 ** self.qubit_count
 
 
 def default_datasets(master_seed: int,
                      n_samples: int = ExperimentConfig.n_samples) -> tuple[DatasetSpec, ...]:
     """The benchmark trio with per-dataset seeds derived from the master."""
-    return tuple(dataset_spec(kind, n_samples, derive_seed(master_seed, kind, "datagen"))
+    return tuple(DatasetSpec(kind, n_samples, derive_seed(master_seed, kind, "datagen"))
                  for kind in DATASET_KINDS)
 
 
@@ -263,7 +260,7 @@ def _training_split(kind: str, config: ExperimentConfig):
     """generate -> standardize -> split/subsample; returns the train split,
     whose embedding the scan, the estimators and the SVM baselines all read."""
     seed = derive_seed(config.master_seed, kind, "datagen")
-    full = generate(dataset_spec(kind, config.n_samples, seed))
+    full = generate(DatasetSpec(kind, config.n_samples, seed))
     standardized, _ = standardize(full)
     train, _ = stratified_split(
         standardized,
@@ -472,19 +469,6 @@ def report_to_csv_text(report: ExperimentReport) -> str:
     return buf.getvalue()
 
 
-def _as_lists(value):
-    """Tuples become lists, at any depth, as JSON reads them back."""
-    if isinstance(value, dict):
-        return {key: _as_lists(item) for key, item in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_as_lists(item) for item in value]
-    return value
-
-
-def report_to_dict(report: ExperimentReport) -> dict:
-    return _as_lists(asdict(report))
-
-
 def emit_report(report: ExperimentReport, fmt: str = "csv") -> list[str]:
     """Write the report into ``report.config.output_dir``; returns the written file paths.
 
@@ -510,7 +494,7 @@ def emit_report(report: ExperimentReport, fmt: str = "csv") -> list[str]:
     elif fmt == "json":
         target = os.path.join(out_dir, "report.json")
         with open(target, "w") as fh:
-            json.dump(report_to_dict(report), fh, indent=2)
+            json.dump(asdict(report), fh, indent=2)
             fh.write("\n")
         written.append(target)
     else:

@@ -122,10 +122,8 @@ def sample_size(p: float, delta: float) -> int:
     up a fraction >= p of the population.  Callers that know d should clamp
     the result to d.
     """
-    if p <= 0.0:
-        raise ValueError("prior excludes good axes (p must be > 0)")
-    if p > 1.0:
-        raise ValueError("fraction p must lie in (0, 1]")
+    if not 0.0 < p <= 1.0:
+        raise ValueError(f"prior p must lie in (0, 1]: {p}")
     if not 0.0 < delta < 1.0:
         raise ValueError("failure probability delta must lie in (0, 1)")
     return int(math.ceil(math.log(1.0 / delta) / p))
@@ -271,19 +269,20 @@ def pilot_estimate(
 ) -> EstimateResult:
     """Two-stage estimate: learn the good-axis fraction from a pilot sample.
 
-    Stage 1 draws ``n_pilot`` axes and sets the target accuracy eta to the
-    nearest-rank 75th percentile of the pilot accuracies (ascending index
-    ceil(0.75 * n_pilot)), so the estimated fraction p_hat of pilot axes at
-    or above eta is always >= 0.25.  Stage 2 completes the sample, without
-    replacement from the unexplored axes, up to
-    min(ceil(log(1/delta)/p_hat), ceil(cap_fraction * d), d).
+    Stage 1 draws ``n_pilot`` axes, clamped to d like every sample size, and
+    sets the target accuracy eta to the nearest-rank 75th percentile of the
+    pilot accuracies (ascending index ceil(0.75 * n_pilot)), so the
+    estimated fraction p_hat of pilot axes at or above eta is always >= 0.25.
+    Stage 2 completes the sample, without replacement from the unexplored
+    axes, up to min(ceil(log(1/delta)/p_hat), ceil(cap_fraction * d), d).
     """
     run = _ScoredAxes(features, labels)
     d = run.source.axis_count
-    if not 1 <= n_pilot <= d:
-        raise ValueError("sample exceeds population: n_pilot must lie in [1, d]")
+    if n_pilot < 1:
+        raise ValueError("n_pilot must be >= 1")
     if not 0.0 < cap_fraction <= 1.0:
         raise ValueError("cap_fraction must lie in (0, 1]")
+    n_pilot = min(n_pilot, d)
 
     sampler = _AxisSampler(d, rng_seed)
     run.score(sampler.draw(n_pilot))

@@ -253,7 +253,7 @@ def full_scale(tmp_path_factory):
 
 def test_full_scale_pipeline_properties(full_scale):
     config, report = full_scale
-    assert config.axis_count == FULL_SCALE_D
+    assert 4 ** config.qubit_count == FULL_SCALE_D
     assert report.errors == []
     kinds = list(config.datasets)
     assert sorted(report.r_min) == sorted(kinds)

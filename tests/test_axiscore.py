@@ -321,6 +321,14 @@ def test_labeled_dataset_counts():
     assert ds.negative_count == 1
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_labeled_dataset_rejects_non_finite_inputs(bad):
+    inputs = np.zeros((3, 2))
+    inputs[1, 1] = bad
+    with pytest.raises(ValueError, match="non-finite input values in dataset"):
+        LabeledDataset(inputs=inputs, labels=np.array([1, -1, 1]))
+
+
 def _exit_zero_if_the_scan_matches(values, labels, expected):
     os._exit(0 if r_min_deterministic(values, labels)[0] == expected else 1)
 

@@ -297,6 +297,18 @@ def test_svm_on_raw_and_embedded(tmp_path, capsys, small_data):
     assert f"{saved['duality_gap']:g}" == parsed_lines(stdout)["duality_gap"]
 
 
+@pytest.mark.parametrize("command", ["svm", "embed"])
+def test_a_non_finite_input_fails_when_the_dataset_is_read(tmp_path, capsys, small_data, command):
+    lines = small_data.read_text().splitlines()
+    first = lines[1].split(",")
+    lines[1] = ",".join(["nan"] + first[1:])
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    code, stdout, err = run_cli(capsys, command, "--data", str(bad), "--out", str(tmp_path / "out"))
+    assert code == 1 and stdout == ""
+    assert "error: non-finite input values in dataset" in err
+
+
 def test_experiment_end_to_end(tmp_path, capsys):
     config = tmp_path / "exp.cfg"
     config.write_text(

@@ -119,6 +119,12 @@ def test_circles_resist_linear_classification():
     assert acc < 0.8
 
 
+@pytest.mark.parametrize("kind", DATASET_KINDS)
+def test_default_spec_records_the_shape_of_its_data(kind):
+    spec = DatasetSpec(kind=kind, n_samples=12, seed=0)
+    assert generate(spec).input_dim == spec.informative_features == (2 if kind == CIRCLES else 4)
+
+
 def test_spec_validation():
     with pytest.raises(ValueError, match="unknown dataset kind"):
         DatasetSpec(kind="moons")
@@ -128,6 +134,8 @@ def test_spec_validation():
         DatasetSpec(kind=CIRCLES, radius_factor=1.5)
     with pytest.raises(ValueError, match="informative_features"):
         DatasetSpec(kind=LINEAR_SEPARABLE, informative_features=0)
+    with pytest.raises(ValueError, match="circles have 2 informative features"):
+        DatasetSpec(kind=CIRCLES, informative_features=4)
     with pytest.raises(ValueError, match="not enough hypercube vertices"):
         gen_multi_cluster(DatasetSpec(kind=MULTI_CLUSTER, informative_features=2,
                                       clusters_per_class=3))

@@ -10,6 +10,7 @@ import io
 import json
 import math
 import re
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -25,7 +26,6 @@ from minacc.harness import (
     parse_config,
     pearson,
     report_to_csv_text,
-    report_to_dict,
     reports_equivalent,
     run_experiment,
 )
@@ -115,7 +115,27 @@ def test_config_validation():
         ExperimentConfig(p_values=(), methods=("deterministic", "conservative"))
     assert ExperimentConfig(p_values=(), methods=("pilot",)).p_values == ()
     assert ExperimentConfig(p_values=(1.0,), delta=0.5).p_values == (1.0,)
-    assert ExperimentConfig(qubit_count=3).axis_count == 64
+
+
+# out-of-range values of every numeric setting; each would otherwise fail, or
+# be ignored, only after the embedding, the SVMs and the scan had run
+OUT_OF_RANGE = {
+    "n_pilot": (0, -1),
+    "batch_size": (0,),
+    "patience": (0,),
+    "stability_eps": (-1e-3, math.nan),
+    "cap_fraction": (0.0, 1.5, math.nan),
+    "budget_fraction": (0.0, 1.5, math.nan),
+    "train_fraction": (0.0, 1.0, math.nan),
+    "svm_c": (0.0, -1.0, math.nan),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OUT_OF_RANGE))
+def test_every_setting_is_checked_when_the_config_is_built(name):
+    for value in OUT_OF_RANGE[name]:
+        with pytest.raises(ValueError, match=f"^{name} must"):
+            ExperimentConfig(**{name: value})
 
 
 # ---------------------------------------------------------------------------
@@ -134,7 +154,7 @@ def test_parse_config_defaults_and_overrides():
         master_seed = 3
         """
     )
-    assert config.qubit_count == 4 and config.axis_count == 256
+    assert config.qubit_count == 4
     assert config.methods == ("deterministic", "conservative")
     assert config.p_values == (0.05, 0.25)
     assert config.subsample_train is None
@@ -315,7 +335,7 @@ def test_run_experiment_is_deterministic(tmp_path):
     a = run_experiment(config)
     b = run_experiment(config)
     assert reports_equivalent(report_to_csv_text(a), report_to_csv_text(b))
-    dict_a, dict_b = report_to_dict(a), report_to_dict(b)
+    dict_a, dict_b = asdict(a), asdict(b)
     for d in (dict_a, dict_b):
         for row in d["rows"]:
             row.pop("wall_ms")
@@ -359,9 +379,13 @@ def test_replaced_master_seed_reaches_the_datasets(tmp_path):
     assert reports_equivalent(report_to_csv_text(replaced), report_to_csv_text(fresh))
 
 
-def test_run_experiment_records_cell_errors_and_continues(tmp_path):
-    # n_pilot larger than d makes every pilot cell fail; everything else runs
-    config = small_config(tmp_path, n_pilot=100)
+def test_run_experiment_records_cell_errors_and_continues(tmp_path, monkeypatch):
+    # every pilot cell fails; everything else runs
+    def failing_pilot(*args, **kwargs):
+        raise ValueError("n_pilot must be >= 1")
+
+    monkeypatch.setattr(harness, "pilot_estimate", failing_pilot)
+    config = small_config(tmp_path)
     report = run_experiment(config)
     assert all(e["stage"] == "pilot" for e in report.errors)
     assert all(e["type"] == "ValueError" for e in report.errors)
@@ -370,6 +394,17 @@ def test_run_experiment_records_cell_errors_and_continues(tmp_path):
     methods_seen = {r.method for r in report.rows}
     assert "pilot" not in methods_seen
     assert {"deterministic", "conservative", "adaptive"} <= methods_seen
+
+
+def test_default_estimators_run_where_d_is_below_n_pilot():
+    # d = 64 < n_pilot = 100: the pilot scans every axis instead of failing
+    config = ExperimentConfig(qubit_count=3)
+    report = run_experiment(config)
+    assert report.errors == []
+    pilot_rows = [r for r in report.rows if r.method == "pilot"]
+    assert len(pilot_rows) == len(config.datasets) * config.repetitions
+    assert all(r.axes_evaluated == 64 and r.stop_reason == "exhausted" and r.r_hat == report.r_min[r.dataset]
+               for r in pilot_rows)
 
 
 def test_run_experiment_baselines_only(tmp_path):
@@ -465,8 +500,11 @@ def test_emit_json_roundtrip(tmp_path):
     (path,) = emit_report(report, fmt="json")
     with open(path) as fh:
         loaded = json.load(fh)
-    assert loaded == report_to_dict(report)
-    assert loaded["config"]["qubit_count"] == 2
+    expected = asdict(report)
+    # JSON writes the config's tuples as arrays; the config reads back equal
+    assert ExperimentConfig(**loaded.pop("config")) == report.config
+    expected.pop("config")
+    assert loaded == expected
     assert loaded["svm_fits"] == report.svm_fits
     with pytest.raises(ValueError, match="format"):
         emit_report(report, fmt="yaml")

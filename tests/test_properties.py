@@ -299,13 +299,15 @@ def test_pooled_scan_rejects_a_non_finite_column_in_a_later_block(cores, bad):
 @pytest.mark.parametrize("bad_row", [[np.nan, np.nan], [np.inf, np.inf]])
 @pytest.mark.parametrize("method", ["deterministic", "conservative", "pilot", "adaptive"])
 def test_estimators_reject_non_finite_lazy_columns(method, bad_row):
-    # LabeledDataset accepts non-finite inputs; the scan must not.  A NaN
-    # input spoils every column; inf - inf spoils only column 1 at this
-    # seed, so the winning axis is finite and only the batch check sees it.
-    # Each estimator below evaluates all six axes.
-    inputs = np.random.default_rng(0).normal(size=(6, 2))
-    inputs[3] = bad_row
-    dataset = LabeledDataset(inputs, np.array([1, -1, 1, -1, 1, -1]))
+    # LabeledDataset rejects non-finite inputs, so the bad row is written
+    # into a built dataset: a source that yields non-finite columns must
+    # still fail the scan.  A NaN input spoils every column; inf - inf
+    # spoils only column 1 at this seed, so the winning axis is finite and
+    # only the batch check sees it.  Each estimator below evaluates all six
+    # axes.
+    dataset = LabeledDataset(np.random.default_rng(0).normal(size=(6, 2)),
+                             np.array([1, -1, 1, -1, 1, -1]))
+    dataset.inputs[3] = bad_row
     lazy = LazyProxyFeatures(dataset, ProjectionSpec(input_dim=2, feature_dim=6, seed=3))
     estimate = {
         "deterministic": lambda: deterministic_estimate(lazy, dataset.labels),

@@ -55,8 +55,9 @@ def test_sample_sizes_for_standard_priors():
 
 
 def test_sample_size_rejects_zero_prior():
-    with pytest.raises(ValueError, match="prior excludes good axes"):
-        sample_size(0.0, 0.05)
+    for p in (0.0, -0.25, 1.5, float("nan")):
+        with pytest.raises(ValueError, match=r"prior p must lie in \(0, 1\]"):
+            sample_size(p, 0.05)
 
 
 # ---------------------------------------------------------------------------
@@ -363,19 +364,22 @@ def test_pilot_equal_accuracies_trace():
 
 
 def test_pilot_full_coverage_equals_deterministic():
+    # a pilot of d axes or more is clamped to d and scans every axis
     rng = np.random.default_rng(20)
     features, labels = random_matrix(rng, n_max=30, d_max=15)
     d = features.axis_count
-    result = pilot_estimate(features, labels, n_pilot=d, cap_fraction=1.0, rng_seed=5)
-    assert result.r_hat == r_min_deterministic(features, labels)[0]
-    assert result.stopping_reason is StopReason.EXHAUSTED
+    for n_pilot in (d, d + 5):
+        result = pilot_estimate(features, labels, n_pilot=n_pilot, cap_fraction=1.0, rng_seed=5)
+        assert result.r_hat == r_min_deterministic(features, labels)[0]
+        assert sorted(result.sampled_axes) == list(range(d))
+        assert result.stopping_reason is StopReason.EXHAUSTED
 
 
-def test_pilot_rejects_oversized_pilot():
+def test_pilot_rejects_an_empty_pilot():
     features = FeatureMatrix(values=np.random.default_rng(21).uniform(size=(6, 4)))
     labels = np.array([1, -1, 1, -1, 1, -1])
-    with pytest.raises(ValueError, match="sample exceeds population"):
-        pilot_estimate(features, labels, n_pilot=5, rng_seed=0)
+    with pytest.raises(ValueError, match="n_pilot must be >= 1"):
+        pilot_estimate(features, labels, n_pilot=0, rng_seed=0)
 
 
 def test_pilot_respects_cap():
