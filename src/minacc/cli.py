@@ -29,6 +29,7 @@ from .featmap import feature_matrix_to_csv, load_feature_matrix, save_feature_ma
 from .sampling import (
     CoverageQuery,
     EstimatorMethod,
+    EstimatorSettings,
     coverage_probability_bound,
     coverage_probability_exact,
     sample_size,
@@ -77,11 +78,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_min.add_argument("--data", required=True, help="dataset CSV carrying the labels")
     p_min.add_argument("--method", choices=tuple(_METHOD_ALIASES), default="det")
     p_min.add_argument("--p", type=float, default=0.25, help="good-axis prior (conservative)")
-    # estimator settings: ExperimentConfig fields, read with their types and defaults
-    for name in ("delta", "n_pilot", "cap_fraction", "batch_size", "patience", "stability_eps",
-                 "budget_fraction"):
-        default = getattr(harness.ExperimentConfig, name)
-        p_min.add_argument(f"--{name.replace('_', '-')}", type=type(default), default=default)
+    for f in dataclasses.fields(EstimatorSettings):  # each read by the type of its default
+        p_min.add_argument(f"--{f.name.replace('_', '-')}", type=type(f.default), default=f.default)
     p_min.add_argument("--seed", type=int, default=0)
 
     p_cov = sub.add_parser("coverage", help="coverage probabilities and sample-size planning")
@@ -158,7 +156,9 @@ def _cmd_minacc(args) -> int:
             f"feature file has {features.sample_count} rows but dataset has {labels.shape[0]}"
         )
     method = _METHOD_ALIASES[args.method]
-    result = harness.run_estimator(method, features, labels, args.p, args, args.seed)
+    settings = EstimatorSettings(**{f.name: getattr(args, f.name)
+                                    for f in dataclasses.fields(EstimatorSettings)})
+    result = harness.run_estimator(method, features, labels, args.p, settings, args.seed)
     best = result.best
     print(f"method={method}")
     print(f"r_hat={result.r_hat:.6f}")
@@ -208,18 +208,13 @@ def _cmd_svm(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    if args.config:
-        config = harness.parse_config(pathlib.Path(args.config))
-    else:
-        config = harness.ExperimentConfig()
-
+    config = harness.parse_config(pathlib.Path(args.config)) if args.config else harness.ExperimentConfig()
     overrides = {
         field.name: _EXPERIMENT_FLAG_VALUE.get(field.name, lambda v: v)(value)
         for field in dataclasses.fields(config)
         if (value := getattr(args, field.name, None)) is not None
     }
-    if overrides:
-        config = dataclasses.replace(config, **overrides)
+    config = dataclasses.replace(config, **overrides)
 
     report = harness.run_experiment(config)
     written = []
@@ -243,9 +238,7 @@ def _cmd_experiment(args) -> int:
                     print(f"warning: dataset={name} {source} {kernel} SVM baseline did not "
                           f"converge in {fit['sweeps']} iterations, gap {fit['duality_gap']:.3g}",
                           file=sys.stderr)
-    if report.errors and not report.rows:
-        return 1
-    return 0
+    return 1 if report.errors and not report.rows else 0
 
 
 _COMMANDS = {

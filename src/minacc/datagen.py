@@ -61,8 +61,8 @@ class DatasetSpec:
             raise ValueError("noise/cluster scales must be positive")
 
 
-def _balanced_counts(n: int) -> tuple[int, int]:
-    # (positives, negatives), differing by at most one
+def balanced_counts(n: int) -> tuple[int, int]:
+    """(positives, negatives) of every generated dataset of n samples, differing by at most one."""
     return n - n // 2, n // 2
 
 
@@ -76,7 +76,7 @@ def gen_linear_separable(spec: DatasetSpec) -> LabeledDataset:
     (+-center_magnitude per coordinate), balanced classes, no label noise."""
     rng = np.random.default_rng(spec.seed)
     m = spec.informative_features
-    n_plus, n_minus = _balanced_counts(spec.n_samples)
+    n_plus, n_minus = balanced_counts(spec.n_samples)
     center = np.full(m, spec.center_magnitude)
     x_plus = rng.standard_normal((n_plus, m)) + center
     x_minus = rng.standard_normal((n_minus, m)) - center
@@ -101,7 +101,7 @@ def gen_multi_cluster(spec: DatasetSpec) -> LabeledDataset:
     centers = signs * spec.center_magnitude
     plus_centers, minus_centers = centers[:per_class], centers[per_class:]
 
-    n_plus, n_minus = _balanced_counts(spec.n_samples)
+    n_plus, n_minus = balanced_counts(spec.n_samples)
     rows, labels = [], []
     for count, cls_centers, label in ((n_plus, plus_centers, 1), (n_minus, minus_centers, -1)):
         assignment = np.arange(count) % per_class
@@ -115,7 +115,7 @@ def gen_circles(spec: DatasetSpec) -> LabeledDataset:
     """Concentric circles in the plane: outer radius 1 (label -1), inner radius
     ``radius_factor`` (label +1), uniform angles, additive Gaussian noise."""
     rng = np.random.default_rng(spec.seed)
-    n_inner, n_outer = _balanced_counts(spec.n_samples)
+    n_inner, n_outer = balanced_counts(spec.n_samples)
     rows, labels = [], []
     for count, radius, label in ((n_outer, 1.0, -1), (n_inner, spec.radius_factor, 1)):
         theta = rng.uniform(0.0, 2.0 * math.pi, count)
@@ -186,6 +186,11 @@ def _subsample_quotas(class_sizes: list[int], total: int) -> list[int]:
     return base
 
 
+def train_counts(class_sizes, train_fraction: float) -> list[int]:
+    """Train rows per class of a stratified split: each class's share, rounded."""
+    return [int(round(train_fraction * size)) for size in class_sizes]
+
+
 def stratified_split(
     dataset: LabeledDataset,
     train_fraction: float = 0.7,
@@ -198,17 +203,16 @@ def stratified_split(
     if not 0.0 < train_fraction < 1.0:
         raise ValueError("train_fraction must lie in (0, 1)")
     labels = dataset.labels
-    classes = [-1, 1]
-    if any(np.sum(labels == c) == 0 for c in classes):
+    members_per_class = [np.flatnonzero(labels == cls) for cls in (-1, 1)]
+    sizes = [members.size for members in members_per_class]
+    if 0 in sizes:
         raise ValueError("both classes must be present for a stratified split")
 
     rng = np.random.default_rng(seed)
     train_per_class: list[np.ndarray] = []
     test_parts: list[np.ndarray] = []
-    for cls in classes:
-        members = np.flatnonzero(labels == cls)
+    for members, n_train in zip(members_per_class, train_counts(sizes, train_fraction)):
         perm = rng.permutation(members.size)
-        n_train = int(round(train_fraction * members.size))
         train_per_class.append(members[perm[:n_train]])
         test_parts.append(members[perm[n_train:]])
 

@@ -46,9 +46,11 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import inspect
 import io
 import json
 import math
+import numbers
 import os
 import time
 import typing
@@ -56,7 +58,7 @@ from dataclasses import asdict, astuple, dataclass, field, fields
 
 import numpy as np
 
-from . import axiscore
+from . import axiscore, datagen
 from .axiscore import r_min_deterministic
 from .datagen import DATASET_KINDS, DatasetSpec, generate, standardize, stratified_split
 from .featmap import (
@@ -67,7 +69,10 @@ from .featmap import (
     pauli_feature_matrix,
 )
 from .sampling import (
+    _COUNT,
+    _OPEN_UNIT,
     EstimatorMethod,
+    EstimatorSettings,
     adaptive_estimate,
     conservative_estimate,
     deterministic_estimate,
@@ -80,15 +85,7 @@ CSV_HEADER = "dataset,method,p,rep,r_hat,axes_evaluated,stop_reason,svm_linear,s
 
 _METHOD_NAMES = tuple(m.value for m in EstimatorMethod)
 _EMBEDDINGS = ("proxy", "pauli")
-
-# (settings, the rule as its error states it, the rule); a NaN breaks every rule
-_SETTING_RULES = (
-    (("qubit_count", "repetitions", "n_pilot", "batch_size", "patience"), "be >= 1", lambda v: v >= 1),
-    (("stability_eps",), "be >= 0", lambda v: v >= 0.0),
-    (("svm_c",), "be > 0", lambda v: v > 0.0),
-    (("cap_fraction", "budget_fraction"), "lie in (0, 1]", lambda v: 0.0 < v <= 1.0),
-    (("delta", "train_fraction"), "lie in (0, 1)", lambda v: 0.0 < v < 1.0),
-)
+_POSITIVE = ("be > 0", lambda v: v > 0.0)
 
 
 def derive_seed(master_seed: int, dataset: str, stage: str, p=None, rep: int = 0) -> int:
@@ -100,20 +97,13 @@ def derive_seed(master_seed: int, dataset: str, stage: str, p=None, rep: int = 0
 
 
 @dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(EstimatorSettings):
     datasets: tuple[str, ...] = DATASET_KINDS  # kinds; each spec is built from master_seed
     n_samples: int = 1000
     qubit_count: int = 8
     embedding: str = "proxy"
     methods: tuple[str, ...] = _METHOD_NAMES
     p_values: tuple[float, ...] = (0.05, 0.15, 0.25)
-    delta: float = 0.05
-    n_pilot: int = 100
-    cap_fraction: float = 0.01
-    batch_size: int = 40
-    patience: int = 3
-    stability_eps: float = 1e-3
-    budget_fraction: float = 0.01
     repetitions: int = 10
     master_seed: int = 0
     train_fraction: float = 0.7
@@ -122,6 +112,9 @@ class ExperimentConfig:
     svm_tol: float = 1e-3
     svm_max_iter: int = 10000
     output_dir: str = "results"
+
+    _RULES = dict(EstimatorSettings._RULES, qubit_count=_COUNT, repetitions=_COUNT, train_fraction=_OPEN_UNIT,
+                  svm_c=_POSITIVE, svm_tol=_POSITIVE, svm_max_iter=_COUNT)
 
     def __post_init__(self):
         object.__setattr__(self, "datasets", tuple(self.datasets))
@@ -139,10 +132,11 @@ class ExperimentConfig:
             raise ValueError(f"p_values must lie in (0, 1]: {self.p_values}")
         if EstimatorMethod.CONSERVATIVE.value in self.methods and not self.p_values:
             raise ValueError("the conservative method needs at least one value in p_values")
-        for names, rule, holds in _SETTING_RULES:
-            for name in names:
-                if not holds(value := getattr(self, name)):
-                    raise ValueError(f"{name} must {rule}: {value}")
+        super().__post_init__()
+        rows = self.subsample_train
+        split = sum(datagen.train_counts(datagen.balanced_counts(self.n_samples), self.train_fraction))
+        if rows is not None and not (isinstance(rows, numbers.Integral) and 2 <= rows <= split):
+            raise ValueError(f"subsample_train must be none or an integer in [2, {split}]: {rows}")
         if self.embedding not in _EMBEDDINGS:
             raise ValueError(f"embedding must be one of {_EMBEDDINGS}")
         if self.embedding == "pauli" and self.qubit_count > _MATRIX_QUBIT_LIMIT:
@@ -271,37 +265,18 @@ def _training_split(kind: str, config: ExperimentConfig):
     return train
 
 
-def run_estimator(method: str, features, labels, p, settings, seed: int):
-    """Run one estimator by its ``EstimatorMethod`` value.  ``settings`` is
-    anything carrying the estimator parameters by their ExperimentConfig
-    names (an ExperimentConfig or the CLI's parsed arguments); ``p`` is the
-    conservative prior."""
-    if method == EstimatorMethod.DETERMINISTIC.value:
-        return deterministic_estimate(features, labels)
-    if method == EstimatorMethod.CONSERVATIVE.value:
-        return conservative_estimate(
-            features, labels, p_conservative=p, delta=settings.delta, rng_seed=seed
-        )
-    if method == EstimatorMethod.PILOT.value:
-        return pilot_estimate(
-            features,
-            labels,
-            n_pilot=settings.n_pilot,
-            delta=settings.delta,
-            cap_fraction=settings.cap_fraction,
-            rng_seed=seed,
-        )
-    if method == EstimatorMethod.ADAPTIVE.value:
-        return adaptive_estimate(
-            features,
-            labels,
-            batch_size=settings.batch_size,
-            patience=settings.patience,
-            stability_eps=settings.stability_eps,
-            budget_fraction=settings.budget_fraction,
-            rng_seed=seed,
-        )
-    raise ValueError(f"unknown estimator method {method!r}")
+# each estimator's keywords after (features, labels), read once from the library's signatures
+_KEYWORDS = {m: tuple(inspect.signature(globals()[f"{m}_estimate"]).parameters)[2:] for m in _METHOD_NAMES}
+
+
+def run_estimator(method: str, features, labels, p, settings: EstimatorSettings, seed: int):
+    """Run one estimator by its ``EstimatorMethod`` value.  Each of its settings
+    is the ``settings`` field of that name; ``p`` is the conservative prior."""
+    if method not in _KEYWORDS:
+        raise ValueError(f"unknown estimator method {method!r}")
+    values = {**vars(settings), "p_conservative": p, "rng_seed": seed}
+    # looked up at call time, so the module's current binding runs
+    return globals()[f"{method}_estimate"](features, labels, **{k: values[k] for k in _KEYWORDS[method]})
 
 
 def pearson(xs, ys):

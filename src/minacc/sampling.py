@@ -25,6 +25,7 @@ adaptivity:
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 from enum import Enum
@@ -50,6 +51,41 @@ class StopReason(Enum):
     STABLE = "stable"
     BUDGET_EXHAUSTED = "budget_exhausted"
     EXHAUSTED = "exhausted"
+
+
+# rules, each as its error states it and as its test; a NaN breaks every rule
+_COUNT = ("be an integer >= 1", lambda v: isinstance(v, numbers.Integral) and v >= 1)
+_OPEN_UNIT = ("lie in (0, 1)", lambda v: 0.0 < v < 1.0)
+_FRACTION = ("lie in (0, 1]", lambda v: 0.0 < v <= 1.0)
+
+
+@dataclass(frozen=True)
+class EstimatorSettings:
+    """The estimators' settings, each the keyword of every estimator that takes
+    it, with its default and the one rule that checks it wherever it comes from."""
+
+    delta: float = 0.05
+    n_pilot: int = 100
+    cap_fraction: float = 0.01
+    batch_size: int = 40
+    patience: int = 3
+    stability_eps: float = 1e-3
+    budget_fraction: float = 0.01
+
+    # unannotated, so a class attribute and not a field
+    _RULES = dict(delta=_OPEN_UNIT, n_pilot=_COUNT, cap_fraction=_FRACTION, batch_size=_COUNT,
+                  patience=_COUNT, stability_eps=("be >= 0", lambda v: v >= 0.0), budget_fraction=_FRACTION)
+
+    def __post_init__(self):
+        self.check(**{name: getattr(self, name) for name in self._RULES})
+
+    @classmethod
+    def check(cls, **values) -> None:
+        """Raise ValueError naming the first value that breaks its rule."""
+        for name, value in values.items():
+            rule, holds = cls._RULES[name]
+            if not holds(value):
+                raise ValueError(f"{name} must {rule}: {value}")
 
 
 @dataclass(frozen=True)
@@ -124,8 +160,7 @@ def sample_size(p: float, delta: float) -> int:
     """
     if not 0.0 < p <= 1.0:
         raise ValueError(f"prior p must lie in (0, 1]: {p}")
-    if not 0.0 < delta < 1.0:
-        raise ValueError("failure probability delta must lie in (0, 1)")
+    EstimatorSettings.check(delta=delta)
     return int(math.ceil(math.log(1.0 / delta) / p))
 
 
@@ -259,14 +294,9 @@ def conservative_estimate(features, labels, p_conservative: float, delta: float,
     return _result(run, EstimatorMethod.CONSERVATIVE, StopReason.FIXED_SIZE_REACHED)
 
 
-def pilot_estimate(
-    features,
-    labels,
-    n_pilot: int = 100,
-    delta: float = 0.05,
-    cap_fraction: float = 0.01,
-    rng_seed=None,
-) -> EstimateResult:
+def pilot_estimate(features, labels, n_pilot: int = EstimatorSettings.n_pilot,
+                   delta: float = EstimatorSettings.delta,
+                   cap_fraction: float = EstimatorSettings.cap_fraction, rng_seed=None) -> EstimateResult:
     """Two-stage estimate: learn the good-axis fraction from a pilot sample.
 
     Stage 1 draws ``n_pilot`` axes, clamped to d like every sample size, and
@@ -276,12 +306,9 @@ def pilot_estimate(
     Stage 2 completes the sample, without replacement from the unexplored
     axes, up to min(ceil(log(1/delta)/p_hat), ceil(cap_fraction * d), d).
     """
+    EstimatorSettings.check(n_pilot=n_pilot, delta=delta, cap_fraction=cap_fraction)
     run = _ScoredAxes(features, labels)
     d = run.source.axis_count
-    if n_pilot < 1:
-        raise ValueError("n_pilot must be >= 1")
-    if not 0.0 < cap_fraction <= 1.0:
-        raise ValueError("cap_fraction must lie in (0, 1]")
     n_pilot = min(n_pilot, d)
 
     sampler = _AxisSampler(d, rng_seed)
@@ -305,15 +332,11 @@ def pilot_estimate(
                    PilotStats(eta_pilot=eta, p_hat=p_hat, t_required=t_required))
 
 
-def adaptive_estimate(
-    features,
-    labels,
-    batch_size: int = 40,
-    patience: int = 3,
-    stability_eps: float = 1e-3,
-    budget_fraction: float = 0.01,
-    rng_seed=None,
-) -> EstimateResult:
+def adaptive_estimate(features, labels, batch_size: int = EstimatorSettings.batch_size,
+                      patience: int = EstimatorSettings.patience,
+                      stability_eps: float = EstimatorSettings.stability_eps,
+                      budget_fraction: float = EstimatorSettings.budget_fraction,
+                      rng_seed=None) -> EstimateResult:
     """Batch-incremental estimate with empirical stopping rules.
 
     After each batch the rules are checked in order: all axes evaluated
@@ -322,15 +345,8 @@ def adaptive_estimate(
     batches (CONVERGED), best-value spread over the last 5 batch-ends at most
     ``stability_eps`` (STABLE); the 5-batch window is fixed.
     """
-    if batch_size < 1:
-        raise ValueError("batch_size must be >= 1")
-    if patience < 1:
-        raise ValueError("patience must be >= 1")
-    if stability_eps < 0:
-        raise ValueError("stability_eps must be >= 0")
-    if not 0.0 < budget_fraction <= 1.0:
-        raise ValueError("budget_fraction must lie in (0, 1]")
-
+    EstimatorSettings.check(batch_size=batch_size, patience=patience, stability_eps=stability_eps,
+                            budget_fraction=budget_fraction)
     run = _ScoredAxes(features, labels)
     n, d = run.source.sample_count, run.source.axis_count
     budget = math.ceil(budget_fraction * d)

@@ -18,6 +18,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from .axiscore import _as_label_array
+
 KERNEL_LINEAR = "linear"
 KERNEL_RBF = "rbf"
 KERNELS = (KERNEL_LINEAR, KERNEL_RBF)
@@ -95,7 +97,7 @@ def svm_train(
     layout of the input: an axis-major (F-ordered) matrix gives the same bits.
     """
     x = np.ascontiguousarray(features, dtype=np.float64)
-    y = np.asarray(labels, dtype=np.float64)
+    y = _as_label_array(labels).astype(np.float64)
     if x.ndim != 2 or x.shape[0] != y.shape[0]:
         raise ValueError("features must be N x q with one label per row")
     n = x.shape[0]
@@ -103,8 +105,12 @@ def svm_train(
         raise ValueError("need at least two training samples")
     if np.all(y == y[0]):
         raise ValueError("single-class input: both labels must be present")
-    if C <= 0.0:
+    if not C > 0.0:
         raise ValueError("C must be positive")
+    if not tol > 0.0:  # a tolerance of zero is never met, and a NaN never compares
+        raise ValueError(f"tol must be > 0: {tol}")
+    if not max_iter >= 0:  # a negative cap is never reached
+        raise ValueError(f"max_iter must be >= 0: {max_iter}")
 
     gamma_val = resolve_gamma(gamma, x) if kernel == KERNEL_RBF else None
     K = kernel_matrix(x, x, kernel, gamma_val)
@@ -127,7 +133,7 @@ def svm_train(
         if np.all(inside & ((r >= -tol) | (alpha == C)) & ((r <= tol) | (alpha == 0.0))):
             converged = True
             break
-        if iterations == max_iter or not np.all((a > 0.0) & (a < C)):
+        if iterations >= max_iter or not np.all((a > 0.0) & (a < C)):
             break  # out of iterations, or rounding has pinned the iterate to a bound
         iterations += 1
 

@@ -4,6 +4,7 @@ Each subcommand runs through ``main(argv)`` against temporary files; outputs
 are cross-checked with the library functions they wrap.
 """
 
+import dataclasses
 import inspect
 import json
 
@@ -23,6 +24,7 @@ from minacc.featmap import load_feature_matrix
 from minacc.harness import ExperimentConfig
 from minacc.sampling import (
     EstimatorMethod,
+    EstimatorSettings,
     adaptive_estimate,
     conservative_estimate,
     pilot_estimate,
@@ -234,20 +236,20 @@ def test_coverage_planning_and_probabilities(capsys):
 
 
 def test_estimator_defaults_are_the_config_defaults():
-    settings = {"delta", "n_pilot", "cap_fraction", "batch_size", "patience", "stability_eps",
-                "budget_fraction"}
+    settings = {f.name: f.default for f in dataclasses.fields(EstimatorSettings)}
+    assert len(settings) == 7
     config = ExperimentConfig()
+    assert {name: getattr(config, name) for name in settings} == settings
     parser = _build_parser()
     args = parser.parse_args(["minacc", "--features", "f", "--data", "d"])
-    assert {name: getattr(args, name) for name in settings} == {
-        name: getattr(config, name) for name in settings}
+    assert {name: getattr(args, name) for name in settings} == settings
     covered = set()
     for estimator in (conservative_estimate, pilot_estimate, adaptive_estimate):
         for name, param in inspect.signature(estimator).parameters.items():
             if name in settings and param.default is not param.empty:
-                assert param.default == getattr(config, name), (estimator.__name__, name)
+                assert param.default == settings[name], (estimator.__name__, name)
                 covered.add(name)
-    assert covered == settings
+    assert covered == set(settings)
 
     # the other subcommands' defaults and choices come from the same sources
     def parse(*argv):
@@ -295,6 +297,11 @@ def test_svm_on_raw_and_embedded(tmp_path, capsys, small_data):
     assert saved["kernel"] == "linear"
     assert f"{saved['training_accuracy']:.6f}" == parsed_lines(stdout)["training_accuracy"]
     assert f"{saved['duality_gap']:g}" == parsed_lines(stdout)["duality_gap"]
+
+
+def test_svm_rejects_a_tolerance_it_cannot_meet(capsys, small_data):
+    code, _, err = run_cli(capsys, "svm", "--data", str(small_data), "--tol", "0")
+    assert code == 1 and err == "error: tol must be > 0: 0.0\n"
 
 
 @pytest.mark.parametrize("command", ["svm", "embed"])

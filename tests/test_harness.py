@@ -6,6 +6,7 @@ d = 16 (qubit_count 2) so the whole pipeline executes in well under a second.
 
 import csv
 import dataclasses
+import inspect
 import io
 import json
 import math
@@ -15,19 +16,41 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from minacc import axiscore, harness
-from minacc.datagen import CIRCLES, DATASET_KINDS, LINEAR_SEPARABLE, MULTI_CLUSTER, DatasetSpec
+from minacc import axiscore, cli, harness
+from minacc.axiscore import FeatureMatrix
+from minacc.datagen import (
+    CIRCLES,
+    DATASET_KINDS,
+    LINEAR_SEPARABLE,
+    MULTI_CLUSTER,
+    DatasetSpec,
+    dataset_to_csv,
+    generate,
+    stratified_split,
+)
+from minacc.featmap import save_feature_matrix
 from minacc.harness import (
     CSV_HEADER,
     ExperimentConfig,
     default_datasets,
     derive_seed,
+    embed_dataset,
     emit_report,
     parse_config,
     pearson,
     report_to_csv_text,
     reports_equivalent,
+    run_estimator,
     run_experiment,
+)
+from minacc.sampling import (
+    EstimatorMethod,
+    EstimatorSettings,
+    adaptive_estimate,
+    conservative_estimate,
+    deterministic_estimate,
+    pilot_estimate,
+    sample_size,
 )
 
 SMALL = dict(
@@ -99,8 +122,8 @@ def test_config_validation():
         ExperimentConfig(datasets=("circles", "circles"))
     with pytest.raises(ValueError, match="n_samples"):
         ExperimentConfig(n_samples=3)
-    # estimator settings too: a repeat would write its rows twice, and a p or
-    # delta out of range would fail only after the embedding, SVMs and scan ran
+    # estimator settings too: a repeat would write its rows twice, and a p out
+    # of range would fail only after the embedding, SVMs and scan ran
     with pytest.raises(ValueError, match="p value twice"):
         ExperimentConfig(p_values=(0.25, 0.25))
     with pytest.raises(ValueError, match="method twice"):
@@ -108,9 +131,6 @@ def test_config_validation():
     for p in (0.0, -0.1, 1.5, math.nan):
         with pytest.raises(ValueError, match="p_values"):
             ExperimentConfig(p_values=(0.05, p))
-    for delta in (0.0, 1.0, 1.5, -0.05, math.nan):
-        with pytest.raises(ValueError, match="delta"):
-            ExperimentConfig(delta=delta)
     with pytest.raises(ValueError, match="p_values"):
         ExperimentConfig(p_values=(), methods=("deterministic", "conservative"))
     assert ExperimentConfig(p_values=(), methods=("pilot",)).p_values == ()
@@ -120,22 +140,147 @@ def test_config_validation():
 # out-of-range values of every numeric setting; each would otherwise fail, or
 # be ignored, only after the embedding, the SVMs and the scan had run
 OUT_OF_RANGE = {
-    "n_pilot": (0, -1),
-    "batch_size": (0,),
-    "patience": (0,),
+    "delta": (0.0, 1.0, 1.5, -0.05, math.nan),
+    "n_pilot": (0, -1, 2.5),
+    "batch_size": (0, 2.5),
+    "patience": (0, 2.5),
     "stability_eps": (-1e-3, math.nan),
     "cap_fraction": (0.0, 1.5, math.nan),
     "budget_fraction": (0.0, 1.5, math.nan),
+    "qubit_count": (0, 2.5),
+    "repetitions": (0, 2.5),
     "train_fraction": (0.0, 1.0, math.nan),
+    "subsample_train": (1, 0, 5000, 2.5),  # the default train split holds 700 rows
     "svm_c": (0.0, -1.0, math.nan),
+    "svm_tol": (0.0, -1e-3, math.nan),
+    "svm_max_iter": (0, -3, 2.5),
 }
+ESTIMATORS = {
+    EstimatorMethod.CONSERVATIVE.value: conservative_estimate,
+    EstimatorMethod.PILOT.value: pilot_estimate,
+    EstimatorMethod.ADAPTIVE.value: adaptive_estimate,
+}
+SETTING_NAMES = [f.name for f in dataclasses.fields(EstimatorSettings)]
+
+
+def config_error(name, value) -> str:
+    with pytest.raises(ValueError, match=f"^{name} must") as exc:
+        ExperimentConfig(**{name: value})
+    return str(exc.value)
+
+
+def estimators_taking(name):
+    return [method for method, estimator in ESTIMATORS.items()
+            if name in inspect.signature(estimator).parameters]
 
 
 @pytest.mark.parametrize("name", sorted(OUT_OF_RANGE))
 def test_every_setting_is_checked_when_the_config_is_built(name):
     for value in OUT_OF_RANGE[name]:
-        with pytest.raises(ValueError, match=f"^{name} must"):
-            ExperimentConfig(**{name: value})
+        config_error(name, value)
+
+
+def test_subsample_train_may_take_the_whole_train_split():
+    # the bound is the split's own per-class rounding, for every kind and odd sizes
+    for n_samples, train_fraction in ((61, 0.7), (45, 0.5), (1000, 0.7), (9, 0.35)):
+        for kind in DATASET_KINDS:
+            data = generate(DatasetSpec(kind, n_samples, seed=3))
+            train, _ = stratified_split(data, train_fraction=train_fraction, subsample_train=None)
+            size = train.sample_count
+            config = ExperimentConfig(datasets=(kind,), n_samples=n_samples,
+                                      train_fraction=train_fraction, subsample_train=size)
+            assert config.subsample_train == size
+            with pytest.raises(ValueError, match=rf"^subsample_train must .*\[2, {size}\]"):
+                dataclasses.replace(config, subsample_train=size + 1)
+    assert ExperimentConfig(subsample_train=2).subsample_train == 2
+    assert ExperimentConfig(subsample_train=None).subsample_train is None
+
+
+@pytest.mark.parametrize("name", SETTING_NAMES)
+def test_estimators_check_each_setting_by_the_config_rule(name):
+    # the same rule, and the same message, from a library call as from a config
+    rng = np.random.default_rng(31)
+    features = FeatureMatrix(values=rng.uniform(size=(12, 16)))
+    labels = np.array([1, -1] * 6)
+    assert estimators_taking(name)
+    for value in OUT_OF_RANGE[name]:
+        message = config_error(name, value)
+        with pytest.raises(ValueError) as exc:
+            EstimatorSettings(**{name: value})
+        assert str(exc.value) == message
+        for method in estimators_taking(name):
+            keywords = {name: value, "rng_seed": 0}
+            if method == EstimatorMethod.CONSERVATIVE.value:
+                keywords["p_conservative"] = 0.25
+                keywords.setdefault("delta", EstimatorSettings.delta)
+            with pytest.raises(ValueError) as exc:
+                ESTIMATORS[method](features, labels, **keywords)
+            assert str(exc.value) == message, method
+        if name == "delta":
+            with pytest.raises(ValueError) as exc:
+                sample_size(0.25, value)
+            assert str(exc.value) == message
+
+
+@pytest.fixture(scope="module")
+def minacc_files(tmp_path_factory):
+    folder = tmp_path_factory.mktemp("minacc")
+    data = generate(DatasetSpec(CIRCLES, 40, seed=3))
+    features = embed_dataset(data, "proxy", 2, seed=0)
+    dataset_to_csv(data, folder / "data.csv")
+    save_feature_matrix(features, folder / "features.bin")
+    return ["--features", str(folder / "features.bin"), "--data", str(folder / "data.csv")]
+
+
+@pytest.mark.parametrize("name", SETTING_NAMES)
+def test_minacc_flags_check_each_setting_by_the_config_rule(name, minacc_files, capsys):
+    flag = "--" + name.replace("_", "-")
+    for value in OUT_OF_RANGE[name]:
+        message = config_error(name, value)
+        for method in estimators_taking(name):
+            argv = ["minacc", *minacc_files, "--method", method, f"{flag}={value}"]
+            if isinstance(getattr(EstimatorSettings, name), int) and not isinstance(value, int):
+                with pytest.raises(SystemExit) as exc:  # argparse reads the flag by its type
+                    cli.main(argv)
+                assert exc.value.code == 2
+                capsys.readouterr()
+                continue
+            assert cli.main(argv) == 1, (method, value)
+            assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_run_estimator_forwards_every_setting_by_name():
+    settings = dict(delta=0.1, n_pilot=7, cap_fraction=0.5, batch_size=5, patience=2,
+                    stability_eps=0.01, budget_fraction=0.75)
+    assert sorted(settings) == sorted(SETTING_NAMES)
+    assert all(value != getattr(EstimatorSettings, name) for name, value in settings.items())
+    config = ExperimentConfig(**settings)
+    rng = np.random.default_rng(32)
+    features = FeatureMatrix(values=rng.uniform(size=(30, 256)))
+    labels = np.where(rng.uniform(size=30) < 0.5, 1, -1)
+    p, seed = 0.25, 3
+    direct = {
+        "deterministic": deterministic_estimate(features, labels),
+        "conservative": conservative_estimate(features, labels, p_conservative=p, delta=0.1,
+                                              rng_seed=seed),
+        "pilot": pilot_estimate(features, labels, n_pilot=7, delta=0.1, cap_fraction=0.5,
+                                rng_seed=seed),
+        "adaptive": adaptive_estimate(features, labels, batch_size=5, patience=2, stability_eps=0.01,
+                                      budget_fraction=0.75, rng_seed=seed),
+    }
+
+    def fields_of(result):
+        return {f.name: getattr(result, f.name) for f in dataclasses.fields(result)
+                if f.name != "axis_accuracies"} | {"accuracies": result.axis_accuracies.tolist()}
+
+    for method, expected in direct.items():
+        assert fields_of(run_estimator(method, features, labels, p, config, seed)) == fields_of(expected)
+        # and the settings matter: the defaults give another run
+        if method != "deterministic":
+            default = run_estimator(method, features, labels, p, EstimatorSettings(), seed)
+            assert fields_of(default) != fields_of(expected), method
+    with pytest.raises(ValueError, match="unknown estimator method"):
+        run_estimator("oracle", features, labels, p, config, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -165,11 +310,12 @@ def test_parse_config_defaults_and_overrides():
 
 
 def test_parse_config_datasets_and_n_samples():
-    config = parse_config("datasets = circles\nn_samples = 120\nmaster_seed = 5")
-    assert config.datasets == (CIRCLES,) and config.n_samples == 120
+    # (the default subsample of 100 rows needs n_samples >= 143)
+    config = parse_config("datasets = circles\nn_samples = 150\nmaster_seed = 5")
+    assert config.datasets == (CIRCLES,) and config.n_samples == 150
     # n_samples alone keeps the default trio
-    trio = parse_config("n_samples = 80")
-    assert trio.datasets == DATASET_KINDS and trio.n_samples == 80
+    trio = parse_config("n_samples = 200")
+    assert trio.datasets == DATASET_KINDS and trio.n_samples == 200
 
 
 def test_parse_config_rejects_unknown_keys_and_bad_lines():

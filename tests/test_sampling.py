@@ -378,7 +378,7 @@ def test_pilot_full_coverage_equals_deterministic():
 def test_pilot_rejects_an_empty_pilot():
     features = FeatureMatrix(values=np.random.default_rng(21).uniform(size=(6, 4)))
     labels = np.array([1, -1, 1, -1, 1, -1])
-    with pytest.raises(ValueError, match="n_pilot must be >= 1"):
+    with pytest.raises(ValueError, match="n_pilot must be an integer >= 1"):
         pilot_estimate(features, labels, n_pilot=0, rng_seed=0)
 
 

@@ -6,6 +6,7 @@ optimum on small instances is recomputed with scipy's SLSQP on the exact
 same QP (box constraints plus the equality constraint).
 """
 
+import math
 from pathlib import Path
 
 import numpy as np
@@ -222,6 +223,24 @@ def test_input_validation():
     model = svm_train(np.eye(2), [1, -1])
     with pytest.raises(ValueError, match="dimension"):
         decision_function(model, np.ones((3, 5)))
+
+
+def test_svm_train_rejects_inputs_it_cannot_fit():
+    x = np.linspace(-1.0, 1.0, 20)[:, None]
+    y = np.where(x[:, 0] > 0.0, 1, -1)
+    # 0/1 labels, separable on the one axis, used to fit as a "converged" coin flip
+    with pytest.raises(ValueError, match=r"labels must be -1 or \+1"):
+        svm_train(x, (y + 1) // 2)
+    # a tolerance of zero or less is never met; zero overflowed on the way
+    for tol in (0.0, -1e-3, math.nan):
+        with pytest.raises(ValueError, match="tol must be > 0"):
+            svm_train(x, y, tol=tol)
+    # a negative cap is never reached: max_iter = -3 ran until convergence
+    for max_iter in (-1, -3, math.nan):
+        with pytest.raises(ValueError, match="max_iter must be >= 0"):
+            svm_train(x, y, max_iter=max_iter)
+    start = svm_train(x, y, max_iter=0)
+    assert start.n_sweeps == 0 and not start.converged
 
 
 def test_gamma_scale_convention():
