@@ -24,6 +24,8 @@ run numpy only: no column source, no BLAS and no nested pool call.
 
 from __future__ import annotations
 
+import math
+import numbers
 import os
 from collections import deque
 from dataclasses import dataclass
@@ -100,6 +102,35 @@ class Orientation(Enum):
 
     BELOW_IS_PLUS = "below_is_plus"    # a <  tau -> +1,  a >= tau -> -1
     BELOW_IS_MINUS = "below_is_minus"  # a <  tau -> -1,  a >= tau -> +1
+
+
+class Rule:
+    """Rule shapes of numeric settings, each what a value must do, as its error
+    states it, and its test; a NaN or an infinity breaks every rule."""
+
+    @staticmethod
+    def integer_at_least(low: int) -> tuple:
+        return f"be an integer >= {low}", lambda v: isinstance(v, numbers.Integral) and v >= low
+    COUNT = integer_at_least(1)
+    OPEN_UNIT = ("lie in (0, 1)", lambda v: 0.0 < v < 1.0)
+    FRACTION = ("lie in (0, 1]", lambda v: 0.0 < v <= 1.0)
+    POSITIVE = ("be a finite number > 0", lambda v: 0.0 < v < math.inf)
+    NON_NEGATIVE = ("be a finite number >= 0", lambda v: 0.0 <= v < math.inf)
+
+
+def check(rules: dict, **values) -> None:
+    """Raise ValueError naming the first value that breaks its rule in ``rules``."""
+    for name, value in values.items():
+        rule, holds = rules[name]
+        if not holds(value):
+            raise ValueError(f"{name} must {rule}: {value}")
+
+
+class Checked:
+    """Base of a dataclass that, when built, checks each field its unannotated ``_RULES`` names."""
+
+    def __post_init__(self):
+        check(self._RULES, **{name: getattr(self, name) for name in self._RULES})
 
 
 def _as_label_array(labels) -> np.ndarray:

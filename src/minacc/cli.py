@@ -174,10 +174,10 @@ def _cmd_minacc(args) -> int:
 
 
 def _cmd_coverage(args) -> int:
-    required = sample_size(args.p, args.delta)
-    print(f"required_t={required}")
+    plan = CoverageQuery(d=args.d, p=args.p, t=min(sample_size(args.p, args.delta), args.d))
+    print(f"required_t={plan.t}")
     if args.t is not None:
-        query = CoverageQuery(d=args.d, p=args.p, t=args.t)
+        query = dataclasses.replace(plan, t=args.t)
         print(f"exact={coverage_probability_exact(query):.6f}")
         print(f"bound={coverage_probability_bound(query):.6f}")
     return 0

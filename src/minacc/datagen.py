@@ -22,43 +22,40 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .axiscore import LabeledDataset
+from .axiscore import Checked, LabeledDataset, Rule, check
 
 LINEAR_SEPARABLE = "linear_separable"
 MULTI_CLUSTER = "multi_cluster"
 CIRCLES = "circles"
 DATASET_KINDS = (LINEAR_SEPARABLE, MULTI_CLUSTER, CIRCLES)
+_SPLIT_RULES = dict(train_fraction=Rule.OPEN_UNIT, subsample_train=Rule.COUNT)
 
 
 @dataclass(frozen=True)
-class DatasetSpec:
+class DatasetSpec(Checked):
     """Everything needed to reproduce a synthetic dataset."""
 
     kind: str
     n_samples: int = 1000
     seed: int = 0
     informative_features: int | None = None  # default: 2 (circles, the only value), 4 (the others)
-    clusters_per_class: int | None = None  # default: 1 (linear), 3 (multi_cluster)
+    clusters_per_class: int | None = None  # read by multi_cluster alone; default 3
     noise_sigma: float = 0.1
     radius_factor: float = 0.5
     center_magnitude: float = 2.0
     cluster_std: float = 1.0
+
+    _RULES = dict(n_samples=Rule.integer_at_least(4), informative_features=Rule.COUNT,
+                  radius_factor=Rule.OPEN_UNIT, noise_sigma=Rule.NON_NEGATIVE, cluster_std=Rule.POSITIVE)
 
     def __post_init__(self):
         if self.kind not in DATASET_KINDS:
             raise ValueError(f"unknown dataset kind {self.kind!r}; choose from {DATASET_KINDS}")
         if self.informative_features is None:
             object.__setattr__(self, "informative_features", 2 if self.kind == CIRCLES else 4)
+        super().__post_init__()
         if self.kind == CIRCLES and self.informative_features != 2:
             raise ValueError("circles have 2 informative features, the plane's coordinates")
-        if self.n_samples < 4:
-            raise ValueError("n_samples must be >= 4")
-        if self.informative_features < 1:
-            raise ValueError("informative_features must be >= 1")
-        if not 0.0 < self.radius_factor < 1.0:
-            raise ValueError("radius_factor must lie in (0, 1)")
-        if self.noise_sigma < 0.0 or self.cluster_std <= 0.0:
-            raise ValueError("noise/cluster scales must be positive")
 
 
 def balanced_counts(n: int) -> tuple[int, int]:
@@ -200,8 +197,7 @@ def stratified_split(
     """Per-class train/test split, then an optional stratified subsample of the
     train side to exactly ``subsample_train`` points (class ratio within one
     sample).  Deterministic per seed."""
-    if not 0.0 < train_fraction < 1.0:
-        raise ValueError("train_fraction must lie in (0, 1)")
+    check(_SPLIT_RULES, train_fraction=train_fraction)
     labels = dataset.labels
     members_per_class = [np.flatnonzero(labels == cls) for cls in (-1, 1)]
     sizes = [members.size for members in members_per_class]
@@ -217,6 +213,7 @@ def stratified_split(
         test_parts.append(members[perm[n_train:]])
 
     if subsample_train is not None:
+        check(_SPLIT_RULES, subsample_train=subsample_train)
         n_train_total = sum(part.size for part in train_per_class)
         if subsample_train > n_train_total:
             raise ValueError(

@@ -28,13 +28,14 @@ and every other value within its rounding bound (n + 3) eps/2 of zero becomes 0.
 from __future__ import annotations
 
 import csv
+import numbers
 import struct
 import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .axiscore import FeatureMatrix, LabeledDataset, _ordered_map, checked_axes
+from .axiscore import Checked, FeatureMatrix, LabeledDataset, Rule, _ordered_map, checked_axes
 from .datagen import read_numeric_csv
 
 _DENSE_QUBIT_LIMIT = 12      # statevector simulation guard
@@ -49,7 +50,7 @@ _PAULI_DIGITS = str.maketrans(_PAULI_LETTERS, "0123")
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class ProjectionSpec:
+class ProjectionSpec(Checked):
     """Seeded random projection R^m -> R^d; column i is reproducible from (seed, i).
     The seed is the 64-bit Philox key, so it must lie in [0, 2^64)."""
 
@@ -57,11 +58,8 @@ class ProjectionSpec:
     feature_dim: int
     seed: int
 
-    def __post_init__(self):
-        if self.input_dim < 1 or self.feature_dim < 1:
-            raise ValueError("projection dimensions must be >= 1")
-        if not 0 <= self.seed < 2 ** 64:
-            raise ValueError(f"projection seed {self.seed} out of range [0, 2^64)")
+    _RULES = dict(input_dim=Rule.COUNT, feature_dim=Rule.COUNT,
+                  seed=("be an integer in [0, 2^64)", lambda v: isinstance(v, numbers.Integral) and 0 <= v < 2 ** 64))
 
 
 _LOW32 = 0xFFFFFFFF
@@ -210,7 +208,7 @@ def pauli_string(index: int, n: int) -> PauliString:
 
 
 @dataclass(frozen=True)
-class EncodingCircuitSpec:
+class EncodingCircuitSpec(Checked):
     """Angle-encoding circuit: L layers of RY(rotation_scale * x_{j mod m}) on
     qubit j followed by the entangler ('ring_cz' or 'none')."""
 
@@ -219,11 +217,10 @@ class EncodingCircuitSpec:
     entangler: str = "ring_cz"
     rotation_scale: float = 1.0
 
+    _RULES = dict(qubit_count=Rule.COUNT, layers=Rule.COUNT)
+
     def __post_init__(self):
-        if self.qubit_count < 1:
-            raise ValueError("need at least one qubit")
-        if self.layers < 1:
-            raise ValueError("need at least one layer")
+        super().__post_init__()
         if self.entangler not in ("ring_cz", "none"):
             raise ValueError(f"unknown entangler {self.entangler!r}")
 

@@ -59,7 +59,7 @@ from dataclasses import asdict, astuple, dataclass, field, fields
 import numpy as np
 
 from . import axiscore, datagen
-from .axiscore import r_min_deterministic
+from .axiscore import Rule, r_min_deterministic
 from .datagen import DATASET_KINDS, DatasetSpec, generate, standardize, stratified_split
 from .featmap import (
     _MATRIX_QUBIT_LIMIT,
@@ -69,8 +69,6 @@ from .featmap import (
     pauli_feature_matrix,
 )
 from .sampling import (
-    _COUNT,
-    _OPEN_UNIT,
     EstimatorMethod,
     EstimatorSettings,
     adaptive_estimate,
@@ -85,7 +83,6 @@ CSV_HEADER = "dataset,method,p,rep,r_hat,axes_evaluated,stop_reason,svm_linear,s
 
 _METHOD_NAMES = tuple(m.value for m in EstimatorMethod)
 _EMBEDDINGS = ("proxy", "pauli")
-_POSITIVE = ("be > 0", lambda v: v > 0.0)
 
 
 def derive_seed(master_seed: int, dataset: str, stage: str, p=None, rep: int = 0) -> int:
@@ -113,8 +110,8 @@ class ExperimentConfig(EstimatorSettings):
     svm_max_iter: int = 10000
     output_dir: str = "results"
 
-    _RULES = dict(EstimatorSettings._RULES, qubit_count=_COUNT, repetitions=_COUNT, train_fraction=_OPEN_UNIT,
-                  svm_c=_POSITIVE, svm_tol=_POSITIVE, svm_max_iter=_COUNT)
+    _RULES = dict(EstimatorSettings._RULES, qubit_count=Rule.COUNT, repetitions=Rule.COUNT,
+                  train_fraction=Rule.OPEN_UNIT, svm_c=Rule.POSITIVE, svm_tol=Rule.POSITIVE, svm_max_iter=Rule.COUNT)
 
     def __post_init__(self):
         object.__setattr__(self, "datasets", tuple(self.datasets))
@@ -232,9 +229,12 @@ def parse_config(source) -> ExperimentConfig:
         key = key.strip().lower()
         if key not in _FIELDS:
             raise ValueError(f"config line {lineno}: unknown key {key!r}")
-        values[key] = raw
+        try:
+            values[key] = _field_value(key, raw)
+        except ValueError as exc:
+            raise ValueError(f"config line {lineno}: {key}: {exc}") from exc
 
-    return ExperimentConfig(**{key: _field_value(key, raw) for key, raw in values.items()})
+    return ExperimentConfig(**values)
 
 
 # ---------------------------------------------------------------------------

@@ -25,17 +25,17 @@ adaptivity:
 from __future__ import annotations
 
 import math
-import numbers
 import warnings
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .axiscore import AxisResult, _ScoredAxes, axis_accuracy
+from .axiscore import AxisResult, Checked, Rule, _ScoredAxes, axis_accuracy, check
 
 # adaptive stops as STABLE once the best value spread over this many batch-ends is small
 _STABILITY_WINDOW = 5
+_PRIOR_RULES = dict(p=Rule.FRACTION)  # the prior a sample size is planned for
 
 
 class EstimatorMethod(Enum):
@@ -53,14 +53,8 @@ class StopReason(Enum):
     EXHAUSTED = "exhausted"
 
 
-# rules, each as its error states it and as its test; a NaN breaks every rule
-_COUNT = ("be an integer >= 1", lambda v: isinstance(v, numbers.Integral) and v >= 1)
-_OPEN_UNIT = ("lie in (0, 1)", lambda v: 0.0 < v < 1.0)
-_FRACTION = ("lie in (0, 1]", lambda v: 0.0 < v <= 1.0)
-
-
 @dataclass(frozen=True)
-class EstimatorSettings:
+class EstimatorSettings(Checked):
     """The estimators' settings, each the keyword of every estimator that takes
     it, with its default and the one rule that checks it wherever it comes from."""
 
@@ -72,37 +66,22 @@ class EstimatorSettings:
     stability_eps: float = 1e-3
     budget_fraction: float = 0.01
 
-    # unannotated, so a class attribute and not a field
-    _RULES = dict(delta=_OPEN_UNIT, n_pilot=_COUNT, cap_fraction=_FRACTION, batch_size=_COUNT,
-                  patience=_COUNT, stability_eps=("be >= 0", lambda v: v >= 0.0), budget_fraction=_FRACTION)
-
-    def __post_init__(self):
-        self.check(**{name: getattr(self, name) for name in self._RULES})
-
-    @classmethod
-    def check(cls, **values) -> None:
-        """Raise ValueError naming the first value that breaks its rule."""
-        for name, value in values.items():
-            rule, holds = cls._RULES[name]
-            if not holds(value):
-                raise ValueError(f"{name} must {rule}: {value}")
+    _RULES = dict(delta=Rule.OPEN_UNIT, n_pilot=Rule.COUNT, cap_fraction=Rule.FRACTION, batch_size=Rule.COUNT,
+                  patience=Rule.COUNT, stability_eps=Rule.NON_NEGATIVE, budget_fraction=Rule.FRACTION)
 
 
 @dataclass(frozen=True)
-class CoverageQuery:
+class CoverageQuery(Checked):
     """Inputs of a coverage question: population d, good fraction p, sample size t."""
 
     d: int
     p: float
     t: int
 
+    _RULES = dict(d=Rule.COUNT, p=("lie in [0, 1]", lambda v: 0.0 <= v <= 1.0), t=Rule.integer_at_least(0))
+
     def __post_init__(self):
-        if self.d < 1:
-            raise ValueError("population d must be >= 1")
-        if not 0.0 <= self.p <= 1.0:
-            raise ValueError("fraction p must lie in [0, 1]")
-        if self.t < 0:
-            raise ValueError("sample size t must be >= 0")
+        super().__post_init__()
         if self.t > self.d:
             raise ValueError("sample exceeds population")
 
@@ -158,9 +137,8 @@ def sample_size(p: float, delta: float) -> int:
     up a fraction >= p of the population.  Callers that know d should clamp
     the result to d.
     """
-    if not 0.0 < p <= 1.0:
-        raise ValueError(f"prior p must lie in (0, 1]: {p}")
-    EstimatorSettings.check(delta=delta)
+    check(_PRIOR_RULES, p=p)
+    check(EstimatorSettings._RULES, delta=delta)
     return int(math.ceil(math.log(1.0 / delta) / p))
 
 
@@ -199,8 +177,7 @@ class _AxisSampler:
     """
 
     def __init__(self, d: int, seed):
-        if d < 1:
-            raise ValueError("population d must be >= 1")
+        check(CoverageQuery._RULES, d=d)
         self._d = d
         self._rng = np.random.default_rng(seed)
         self._swaps: dict[int, int] = {}
@@ -306,7 +283,7 @@ def pilot_estimate(features, labels, n_pilot: int = EstimatorSettings.n_pilot,
     Stage 2 completes the sample, without replacement from the unexplored
     axes, up to min(ceil(log(1/delta)/p_hat), ceil(cap_fraction * d), d).
     """
-    EstimatorSettings.check(n_pilot=n_pilot, delta=delta, cap_fraction=cap_fraction)
+    check(EstimatorSettings._RULES, n_pilot=n_pilot, delta=delta, cap_fraction=cap_fraction)
     run = _ScoredAxes(features, labels)
     d = run.source.axis_count
     n_pilot = min(n_pilot, d)
@@ -345,8 +322,8 @@ def adaptive_estimate(features, labels, batch_size: int = EstimatorSettings.batc
     batches (CONVERGED), best-value spread over the last 5 batch-ends at most
     ``stability_eps`` (STABLE); the 5-batch window is fixed.
     """
-    EstimatorSettings.check(batch_size=batch_size, patience=patience, stability_eps=stability_eps,
-                            budget_fraction=budget_fraction)
+    check(EstimatorSettings._RULES, batch_size=batch_size, patience=patience, stability_eps=stability_eps,
+          budget_fraction=budget_fraction)
     run = _ScoredAxes(features, labels)
     n, d = run.source.sample_count, run.source.axis_count
     budget = math.ceil(budget_fraction * d)

@@ -18,15 +18,18 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .axiscore import _as_label_array
+from .axiscore import Rule, _as_label_array, check
 
 KERNEL_LINEAR = "linear"
 KERNEL_RBF = "rbf"
 KERNELS = (KERNEL_LINEAR, KERNEL_RBF)
 
+# a tolerance of zero is never met, a negative cap never reached
+_RULES = dict(C=Rule.POSITIVE, tol=Rule.POSITIVE, max_iter=Rule.integer_at_least(0), gamma=Rule.POSITIVE)
+
 
 def resolve_gamma(gamma, features: np.ndarray) -> float:
-    """Accept a positive float or the string 'scale' = 1 / (q * var(X))."""
+    """Accept a finite positive float or the string 'scale' = 1 / (q * var(X))."""
     if gamma == "scale":
         x = np.asarray(features, dtype=np.float64)
         var = float(x.var())
@@ -34,8 +37,7 @@ def resolve_gamma(gamma, features: np.ndarray) -> float:
             return 1.0
         return 1.0 / (x.shape[1] * var)
     value = float(gamma)
-    if value <= 0.0:
-        raise ValueError("gamma must be positive")
+    check(_RULES, gamma=value)
     return value
 
 
@@ -105,12 +107,7 @@ def svm_train(
         raise ValueError("need at least two training samples")
     if np.all(y == y[0]):
         raise ValueError("single-class input: both labels must be present")
-    if not C > 0.0:
-        raise ValueError("C must be positive")
-    if not tol > 0.0:  # a tolerance of zero is never met, and a NaN never compares
-        raise ValueError(f"tol must be > 0: {tol}")
-    if not max_iter >= 0:  # a negative cap is never reached
-        raise ValueError(f"max_iter must be >= 0: {max_iter}")
+    check(_RULES, C=C, tol=tol, max_iter=max_iter)
 
     gamma_val = resolve_gamma(gamma, x) if kernel == KERNEL_RBF else None
     K = kernel_matrix(x, x, kernel, gamma_val)

@@ -235,6 +235,16 @@ def test_coverage_planning_and_probabilities(capsys):
     assert float(values["bound"]) <= float(values["exact"])
 
 
+def test_coverage_checks_d_and_plans_inside_it(capsys):
+    # d is checked with or without --t, and the plan never exceeds d
+    code, stdout, err = run_cli(capsys, "coverage", "--d", "-5", "--p", "0.25")
+    assert code == 1 and stdout == "" and err == "error: d must be an integer >= 1: -5\n"
+    code, stdout, _ = run_cli(capsys, "coverage", "--d", "5", "--p", "0.05")
+    assert code == 0 and parsed_lines(stdout)["required_t"] == "5"
+    code, stdout, _ = run_cli(capsys, "coverage", "--d", "65536", "--p", "0.25", "--t", "12")
+    assert code == 0 and parsed_lines(stdout)["required_t"] == "12"
+
+
 def test_estimator_defaults_are_the_config_defaults():
     settings = {f.name: f.default for f in dataclasses.fields(EstimatorSettings)}
     assert len(settings) == 7
@@ -301,7 +311,15 @@ def test_svm_on_raw_and_embedded(tmp_path, capsys, small_data):
 
 def test_svm_rejects_a_tolerance_it_cannot_meet(capsys, small_data):
     code, _, err = run_cli(capsys, "svm", "--data", str(small_data), "--tol", "0")
-    assert code == 1 and err == "error: tol must be > 0: 0.0\n"
+    assert code == 1 and err == "error: tol must be a finite number > 0: 0.0\n"
+
+
+@pytest.mark.parametrize("flag, value", [("--tol", "inf"), ("--gamma", "nan"), ("--gamma", "inf")])
+def test_svm_rejects_a_non_finite_setting(capsys, small_data, flag, value):
+    # each would fit a model that looks trained: --tol inf stops at the starting point
+    code, stdout, err = run_cli(capsys, "svm", "--data", str(small_data), "--kernel", "rbf", flag, value)
+    assert code == 1 and stdout == ""
+    assert err == f"error: {flag[2:]} must be a finite number > 0: {value}\n"
 
 
 @pytest.mark.parametrize("command", ["svm", "embed"])

@@ -232,7 +232,7 @@ def test_column_sources_reject_axes_out_of_range(source, indices):
 
 
 def test_projection_validation_errors():
-    with pytest.raises(ValueError, match="dimensions must be >= 1"):
+    with pytest.raises(ValueError, match="^input_dim must be an integer >= 1: 0$"):
         ProjectionSpec(input_dim=0, feature_dim=4, seed=0)
     spec = ProjectionSpec(input_dim=3, feature_dim=4, seed=0)
     with pytest.raises(ValueError, match="out of range"):

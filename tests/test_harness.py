@@ -28,7 +28,7 @@ from minacc.datagen import (
     generate,
     stratified_split,
 )
-from minacc.featmap import save_feature_matrix
+from minacc.featmap import ProjectionSpec, save_feature_matrix
 from minacc.harness import (
     CSV_HEADER,
     ExperimentConfig,
@@ -44,6 +44,7 @@ from minacc.harness import (
     run_experiment,
 )
 from minacc.sampling import (
+    CoverageQuery,
     EstimatorMethod,
     EstimatorSettings,
     adaptive_estimate,
@@ -52,6 +53,7 @@ from minacc.sampling import (
     pilot_estimate,
     sample_size,
 )
+from minacc.svmref import svm_train
 
 SMALL = dict(
     qubit_count=2,          # d = 16
@@ -144,15 +146,15 @@ OUT_OF_RANGE = {
     "n_pilot": (0, -1, 2.5),
     "batch_size": (0, 2.5),
     "patience": (0, 2.5),
-    "stability_eps": (-1e-3, math.nan),
+    "stability_eps": (-1e-3, math.nan, math.inf),
     "cap_fraction": (0.0, 1.5, math.nan),
     "budget_fraction": (0.0, 1.5, math.nan),
     "qubit_count": (0, 2.5),
     "repetitions": (0, 2.5),
     "train_fraction": (0.0, 1.0, math.nan),
     "subsample_train": (1, 0, 5000, 2.5),  # the default train split holds 700 rows
-    "svm_c": (0.0, -1.0, math.nan),
-    "svm_tol": (0.0, -1e-3, math.nan),
+    "svm_c": (0.0, -1.0, math.nan, math.inf),
+    "svm_tol": (0.0, -1e-3, math.nan, math.inf),
     "svm_max_iter": (0, -3, 2.5),
 }
 ESTIMATORS = {
@@ -178,6 +180,33 @@ def estimators_taking(name):
 def test_every_setting_is_checked_when_the_config_is_built(name):
     for value in OUT_OF_RANGE[name]:
         config_error(name, value)
+
+
+SPLIT_DATA = generate(DatasetSpec(CIRCLES, 40, seed=0))
+SVM_X = np.linspace(-1.0, 1.0, 20)[:, None]
+SVM_Y = np.where(SVM_X[:, 0] > 0.0, 1, -1)
+# library calls with a value that breaks its rule; each must fail naming its key
+# before it builds, fits or splits (an infinite tol fits as "converged" at once, an
+# infinite C returns a NaN duality gap)
+REJECTED_CALLS = {
+    "svm tol inf": ("tol", lambda: svm_train(SVM_X, SVM_Y, tol=math.inf)),
+    "svm C inf": ("C", lambda: svm_train(SVM_X, SVM_Y, C=math.inf)),
+    "svm gamma inf": ("gamma", lambda: svm_train(SVM_X, SVM_Y, kernel="rbf", gamma=math.inf)),
+    "svm gamma nan": ("gamma", lambda: svm_train(SVM_X, SVM_Y, kernel="rbf", gamma=math.nan)),
+    "split subsample -3": ("subsample_train", lambda: stratified_split(SPLIT_DATA, subsample_train=-3)),
+    "split subsample 2.5": ("subsample_train", lambda: stratified_split(SPLIT_DATA, subsample_train=2.5)),
+    "projection feature_dim 2.5": ("feature_dim", lambda: ProjectionSpec(input_dim=2, feature_dim=2.5, seed=0)),
+    "projection seed 2.5": ("seed", lambda: ProjectionSpec(input_dim=2, feature_dim=4, seed=2.5)),
+    "coverage d 2.5": ("d", lambda: CoverageQuery(d=2.5, p=0.5, t=1)),
+    "dataset n_samples 4.5": ("n_samples", lambda: DatasetSpec(CIRCLES, 4.5)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REJECTED_CALLS))
+def test_library_calls_check_each_value_by_its_rule(case):
+    name, call = REJECTED_CALLS[case]
+    with pytest.raises(ValueError, match=f"^{name} must "):
+        call()
 
 
 def test_subsample_train_may_take_the_whole_train_split():
@@ -325,6 +354,11 @@ def test_parse_config_rejects_unknown_keys_and_bad_lines():
         parse_config("qubit_count = 2\njust some words\n")
     with pytest.raises(ValueError, match="unknown dataset kind"):
         parse_config("datasets = moons")
+    # a value its key's type cannot read names the line and the key
+    with pytest.raises(ValueError, match=r"^config line 1: subsample_train: .*'50\.0'"):
+        parse_config("subsample_train = 50.0")
+    with pytest.raises(ValueError, match=r"^config line 2: n_pilot: .*'1e2'"):
+        parse_config("qubit_count = 2\nn_pilot = 1e2")
 
 
 def test_empty_dataset_list_is_rejected():

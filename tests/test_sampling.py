@@ -56,7 +56,7 @@ def test_sample_sizes_for_standard_priors():
 
 def test_sample_size_rejects_zero_prior():
     for p in (0.0, -0.25, 1.5, float("nan")):
-        with pytest.raises(ValueError, match=r"prior p must lie in \(0, 1\]"):
+        with pytest.raises(ValueError, match=r"^p must lie in \(0, 1\]: "):
             sample_size(p, 0.05)
 
 

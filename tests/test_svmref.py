@@ -214,7 +214,7 @@ def test_input_validation():
         svm_train(np.eye(3), [1, 1, 1])
     with pytest.raises(ValueError, match="two training samples"):
         svm_train(np.ones((1, 2)), [1])
-    with pytest.raises(ValueError, match="C must be positive"):
+    with pytest.raises(ValueError, match="^C must be a finite number > 0: 0.0$"):
         svm_train(np.eye(2), [1, -1], C=0.0)
     with pytest.raises(ValueError, match="unknown kernel"):
         svm_train(np.eye(2), [1, -1], kernel="poly")
@@ -233,11 +233,11 @@ def test_svm_train_rejects_inputs_it_cannot_fit():
         svm_train(x, (y + 1) // 2)
     # a tolerance of zero or less is never met; zero overflowed on the way
     for tol in (0.0, -1e-3, math.nan):
-        with pytest.raises(ValueError, match="tol must be > 0"):
+        with pytest.raises(ValueError, match="^tol must be a finite number > 0: "):
             svm_train(x, y, tol=tol)
     # a negative cap is never reached: max_iter = -3 ran until convergence
     for max_iter in (-1, -3, math.nan):
-        with pytest.raises(ValueError, match="max_iter must be >= 0"):
+        with pytest.raises(ValueError, match="^max_iter must be an integer >= 0: "):
             svm_train(x, y, max_iter=max_iter)
     start = svm_train(x, y, max_iter=0)
     assert start.n_sweeps == 0 and not start.converged
