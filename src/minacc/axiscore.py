@@ -116,6 +116,13 @@ class Rule:
     FRACTION = ("lie in (0, 1]", lambda v: 0.0 < v <= 1.0)
     POSITIVE = ("be a finite number > 0", lambda v: 0.0 < v < math.inf)
     NON_NEGATIVE = ("be a finite number >= 0", lambda v: 0.0 <= v < math.inf)
+    FINITE = ("be a finite number", lambda v: -math.inf < v < math.inf)
+
+    @staticmethod
+    def optional(rule: tuple) -> tuple:
+        """``rule`` for a value that may also be None."""
+        text, holds = rule
+        return f"{text} when given", lambda v: v is None or holds(v)
 
 
 def check(rules: dict, **values) -> None:
@@ -282,17 +289,32 @@ def _midpoint(lo: float, hi: float) -> float:
     return float(mid)
 
 
-def _sweep(block: np.ndarray, y: np.ndarray):
-    """Threshold sweep over every column of an N x k block at once.
+def _sorted_rows(block: np.ndarray):
+    """The k columns of an N x k block as k contiguous rows, and each row
+    sorted.  NaN sorts last and -inf/+inf to the ends, so the block is finite
+    exactly when the first and last sorted value of every row are.
 
-    Cut j (0 <= j < N) puts the first j sorted values of a column below the
+    An axis-major (F-contiguous) block, as the proxy embedding builds,
+    transposes to those rows as a view; a row-major block is copied once.
+    """
+    rows = np.ascontiguousarray(block.T)
+    sv = np.sort(rows, axis=1)
+    if not (np.all(np.isfinite(sv[:, 0])) and np.all(np.isfinite(sv[:, -1]))):
+        raise ValueError("non-finite feature values")
+    return rows, sv
+
+
+def _sweep(rows: np.ndarray, sv: np.ndarray, y: np.ndarray):
+    """Threshold sweep over k axes at once, given as the k x N ``rows`` and
+    their sorted values ``sv`` from ``_sorted_rows``.
+
+    Cut j (0 <= j < N) puts the first j sorted values of a row below the
     threshold: cut 0 is the sentinel below the minimum, where everything
     lands at-or-above and the two orientations realize the two single-class
     assignments, and cut j > 0 lies between sorted values j-1 and j.
-    Returns three k x N arrays: the sorted columns, the correct-count of
-    ``BELOW_IS_PLUS`` at each cut, and the better of the two orientations'
-    counts, set to -1 where a cut falls between equal values (a duplicate
-    value collapses the interval).
+    Returns two k x N arrays: the correct-count of ``BELOW_IS_PLUS`` at each
+    cut, and the better of the two orientations' counts, set to -1 where a
+    cut falls between equal values (a duplicate value collapses the interval).
 
     ``BELOW_IS_PLUS`` at cut j scores every negative (all at-or-above) plus
     one for each positive and minus one for each negative below the cut, so
@@ -301,21 +323,12 @@ def _sweep(block: np.ndarray, y: np.ndarray):
     exclusive cumulative sum.  The sort need not be stable: a cut between
     equal values is masked to -1, and at every other cut the samples below
     it are exactly those with a smaller value, whatever order ties sorted
-    in.  NaN sorts last and -inf/+inf to the ends, so the block is finite
-    exactly when the first and last sorted value of every row are.
-
-    Each sort runs over one contiguous row per axis.  An axis-major
-    (F-contiguous) block, as the proxy embedding builds, transposes to those
-    rows as a view; a row-major block is copied once.  The sorted values come
-    from a second sort rather than a gather through the argsort: it yields the
-    same sequence, except that equal -0.0 and +0.0 may swap, which no count,
-    duplicate mask, finiteness check or midpoint can see.
+    in.  The sorted values come from a second sort rather than a gather
+    through the argsort: it yields the same sequence, except that equal -0.0
+    and +0.0 may swap, which no count, duplicate mask, finiteness check or
+    midpoint can see.
     """
-    rows = np.ascontiguousarray(block.T)
     steps = y.astype(np.int32)[np.argsort(rows, axis=1)]   # no int64 order beside the sort
-    sv = np.sort(rows, axis=1)
-    if not (np.all(np.isfinite(sv[:, 0])) and np.all(np.isfinite(sv[:, -1]))):
-        raise ValueError("non-finite feature values")
     n = y.size
     n_minus = n - int(np.count_nonzero(y == 1))
     steps[:, 0] += n_minus
@@ -325,7 +338,7 @@ def _sweep(block: np.ndarray, y: np.ndarray):
     cand = np.subtract(n, plus_side, out=steps)   # below predicted -1; steps is spent
     np.maximum(plus_side, cand, out=cand)
     cand[:, 1:][sv[:, :-1] >= sv[:, 1:]] = -1
-    return sv, plus_side, cand
+    return plus_side, cand
 
 
 def _checked(values, labels, ndim: int):
@@ -341,10 +354,20 @@ def _checked(values, labels, ndim: int):
 def best_counts(block, labels) -> np.ndarray:
     """Best correct-count of every column of an N x k block, in one sweep.
 
-    Entry i equals ``axis_accuracy(block[:, i], labels).correct_count``.
+    Entry i equals ``axis_accuracy(block[:, i], labels).correct_count``.  A
+    column whose smallest value equals its largest has no cut between values,
+    so it scores the majority count max(#pos, #neg) with no label walk; the
+    other columns are swept.
     """
     v, y = _checked(block, labels, 2)
-    return _sweep(v, y)[2].max(axis=1).astype(np.int64)
+    rows, sv = _sorted_rows(v)
+    varying = sv[:, 0] != sv[:, -1]
+    if varying.all():
+        return _sweep(rows, sv, y)[1].max(axis=1).astype(np.int64)
+    positives = int(np.count_nonzero(y == 1))
+    counts = np.full(rows.shape[0], max(positives, y.size - positives), dtype=np.int64)
+    counts[varying] = _sweep(rows[varying], sv[varying], y)[1].max(axis=1)
+    return counts
 
 
 def axis_accuracy(values, labels, axis_index: int = 0) -> AxisResult:
@@ -361,7 +384,9 @@ def axis_accuracy(values, labels, axis_index: int = 0) -> AxisResult:
     Runs in O(N log N): one sort plus a prefix-count sweep.
     """
     v, y = _checked(values, labels, 1)
-    sv, plus_side, cand = (a[0] for a in _sweep(v[:, None], y))
+    rows, sorted_rows = _sorted_rows(v[:, None])
+    plus_side, cand = (a[0] for a in _sweep(rows, sorted_rows, y))
+    sv = sorted_rows[0]
     n = v.size
     j = int(np.argmax(cand))               # first max: lowest threshold wins ties
     count = int(cand[j])

@@ -46,7 +46,8 @@ class DatasetSpec(Checked):
     cluster_std: float = 1.0
 
     _RULES = dict(n_samples=Rule.integer_at_least(4), informative_features=Rule.COUNT,
-                  radius_factor=Rule.OPEN_UNIT, noise_sigma=Rule.NON_NEGATIVE, cluster_std=Rule.POSITIVE)
+                  clusters_per_class=Rule.optional(Rule.COUNT), radius_factor=Rule.OPEN_UNIT,
+                  noise_sigma=Rule.NON_NEGATIVE, center_magnitude=Rule.FINITE, cluster_std=Rule.POSITIVE)
 
     def __post_init__(self):
         if self.kind not in DATASET_KINDS:

@@ -8,6 +8,12 @@ iteration solves two (N+1) x (N+1) linear systems, and about ten iterations
 suffice even where the Gram matrix is numerically singular.  Every model
 carries its duality gap, primal minus dual objective at the returned point,
 which bounds its distance from the optimum by weak duality alone.
+
+The solver reads nothing but the kernel matrix, so a fit takes either the
+feature rows or their ``Gram`` matrix F F'.  On Pauli features that is the
+fidelity kernel 2^n <psi_x|psi_x'>^2 (Havlicek et al., Nature 567, 2019;
+Schuld & Killoran, PRL 122, 2019), built from the N statevectors by
+``featmap.pauli_gram`` without the N x 4^n matrix.
 """
 
 from __future__ import annotations
@@ -28,17 +34,50 @@ KERNELS = (KERNEL_LINEAR, KERNEL_RBF)
 _RULES = dict(C=Rule.POSITIVE, tol=Rule.POSITIVE, max_iter=Rule.integer_at_least(0), gamma=Rule.POSITIVE)
 
 
-def resolve_gamma(gamma, features: np.ndarray) -> float:
-    """Accept a finite positive float or the string 'scale' = 1 / (q * var(X))."""
+@dataclass(frozen=True)
+class Gram:
+    """All a fit reads of an N x q feature matrix F when F is not at hand:
+    its linear kernel F F' (N x N), q, and the mean of the entries of F."""
+
+    values: np.ndarray
+    axis_count: int
+    feature_mean: float
+
+    @property
+    def feature_variance(self) -> float:
+        """var(F) = trace(F F') / (N q) - mean(F)^2."""
+        return float(np.trace(self.values)) / (self.values.shape[0] * self.axis_count) - self.feature_mean ** 2
+
+    def kernel(self, kernel: str, gamma: float | None) -> np.ndarray:
+        """``kernel_matrix`` of F with itself, from F F' alone."""
+        if kernel == KERNEL_LINEAR:
+            return self.values
+        if kernel == KERNEL_RBF:
+            norms = np.diag(self.values)
+            return _rbf(self.values, norms, norms, gamma)
+        raise ValueError(f"unknown kernel {kernel!r}; choose from {KERNELS}")
+
+
+def resolve_gamma(gamma, features) -> float:
+    """Accept a finite positive float or the string 'scale' = 1 / (q * var(F)),
+    read from the N x q features F or from their ``Gram``."""
     if gamma == "scale":
-        x = np.asarray(features, dtype=np.float64)
-        var = float(x.var())
-        if var <= 0.0:
-            return 1.0
-        return 1.0 / (x.shape[1] * var)
+        if isinstance(features, Gram):
+            q, var = features.axis_count, features.feature_variance
+        else:
+            x = np.asarray(features, dtype=np.float64)
+            q, var = x.shape[1], float(x.var())
+        return 1.0 if var <= 0.0 else 1.0 / (q * var)
     value = float(gamma)
     check(_RULES, gamma=value)
     return value
+
+
+def _rbf(cross: np.ndarray, sq_a: np.ndarray, sq_b: np.ndarray, gamma: float) -> np.ndarray:
+    """exp(-gamma |a - b|^2) from the inner products A B' and the squared row norms."""
+    sq = sq_a[:, None] + sq_b[None, :] - 2.0 * cross
+    np.maximum(sq, 0.0, out=sq)
+    return np.exp(-gamma * sq)
 
 
 def kernel_matrix(a: np.ndarray, b: np.ndarray, kernel: str, gamma: float | None) -> np.ndarray:
@@ -47,9 +86,7 @@ def kernel_matrix(a: np.ndarray, b: np.ndarray, kernel: str, gamma: float | None
     if kernel == KERNEL_LINEAR:
         return a @ b.T
     if kernel == KERNEL_RBF:
-        sq = (a * a).sum(axis=1)[:, None] + (b * b).sum(axis=1)[None, :] - 2.0 * (a @ b.T)
-        np.maximum(sq, 0.0, out=sq)
-        return np.exp(-gamma * sq)
+        return _rbf(a @ b.T, (a * a).sum(axis=1), (b * b).sum(axis=1), gamma)
     raise ValueError(f"unknown kernel {kernel!r}; choose from {KERNELS}")
 
 
@@ -77,41 +114,26 @@ def _max_step(v: np.ndarray, dv: np.ndarray) -> float:
     return min(1.0, float(np.min(-v[shrinking] / dv[shrinking]))) if shrinking.any() else 1.0
 
 
-def svm_train(
-    features: np.ndarray,
-    labels: np.ndarray,
-    kernel: str = KERNEL_LINEAR,
-    C: float = 1.0,
-    tol: float = 1e-3,
-    max_iter: int = 10000,
-    gamma="scale",
-) -> SvmModel:
-    """Solve the dual: minimize 1/2 a'Qa - 1'a, y'a = 0, 0 <= a <= C, Q = (yy')K.
+def _solve_dual(K: np.ndarray, y: np.ndarray, C: float, tol: float, max_iter: int):
+    """Minimize 1/2 a'Qa - 1'a, y'a = 0, 0 <= a <= C, Q = (yy')K, for a kernel
+    matrix K and labels y in {-1.0, +1.0}.
 
     Mehrotra predictor-corrector steps from a = C/2; z and u are the
     multipliers of a >= 0 and a <= C, and the bias b is the multiplier of
     y'a = 0.  After each step the iterate is snapped onto any bound within
     1e-6 C and y'a = 0 is restored on the free coefficients; the solver stops
     once that point has no KKT violator at ``tol``, or after ``max_iter``
-    iterations with ``converged`` False.
+    iterations with ``converged`` False.  The (N+1) x (N+1) system of each
+    step is refilled in one buffer.
 
-    Features are read row-major, so the fit does not depend on the memory
-    layout of the input: an axis-major (F-ordered) matrix gives the same bits.
+    Returns (alpha, b, decision values, iterations, converged).
     """
-    x = np.ascontiguousarray(features, dtype=np.float64)
-    y = _as_label_array(labels).astype(np.float64)
-    if x.ndim != 2 or x.shape[0] != y.shape[0]:
-        raise ValueError("features must be N x q with one label per row")
-    n = x.shape[0]
-    if n < 2:
-        raise ValueError("need at least two training samples")
-    if np.all(y == y[0]):
-        raise ValueError("single-class input: both labels must be present")
-    check(_RULES, C=C, tol=tol, max_iter=max_iter)
-
-    gamma_val = resolve_gamma(gamma, x) if kernel == KERNEL_RBF else None
-    K = kernel_matrix(x, x, kernel, gamma_val)
+    n = y.size
     Q = y[:, None] * K * y[None, :]
+    system = np.empty((n + 1, n + 1))
+    system[:n, n] = system[n, :n] = y
+    system[n, n] = 0.0
+    inner, diagonal = system[:n, :n], np.arange(n)
 
     a, z, u, b = np.full(n, 0.5 * C), np.ones(n), np.ones(n), 0.0
     snap = 1e-6 * C
@@ -138,7 +160,8 @@ def svm_train(
         v = np.concatenate([a, s, z, u])
         mu = (a @ z + s @ u) / (2 * n)
         rd = Q @ a + b * y - 1.0 - z + u
-        system = np.block([[Q + np.diag(z / a + u / s), y[:, None]], [y, 0.0]])
+        np.copyto(inner, Q)
+        inner[diagonal, diagonal] += z / a + u / s
 
         def direction(rz, ru):
             d = np.linalg.solve(system, np.append(rz / a - ru / s - rd, -(y @ a)))
@@ -152,25 +175,61 @@ def svm_train(
         da, db, dz, du = direction(sigma_mu - a * z - da * dz, sigma_mu - s * u + da * du)
         t = 0.99 * _max_step(v, np.concatenate([da, -da, dz, du]))
         a, b, z, u = a + t * da, b + t * db, z + t * dz, u + t * du
+    return alpha, b, decision, iterations, converged
+
+
+def svm_train(
+    features,
+    labels: np.ndarray,
+    kernel: str = KERNEL_LINEAR,
+    C: float = 1.0,
+    tol: float = 1e-3,
+    max_iter: int = 10000,
+    gamma="scale",
+) -> SvmModel:
+    """Solve the dual soft-margin QP on the kernel matrix of ``features``.
+
+    ``features`` is an N x q matrix, or the ``Gram`` of one: a fit on a Gram
+    reads no feature row, and its model keeps no support vectors, so it
+    reports its fit but cannot predict.  Features are read row-major, so the
+    fit does not depend on the memory layout of the input: an axis-major
+    (F-ordered) matrix gives the same bits.
+    """
+    gram = features if isinstance(features, Gram) else None
+    if gram is None:
+        x = np.ascontiguousarray(features, dtype=np.float64)
+    else:
+        x = np.asarray(gram.values, dtype=np.float64)
+    y = _as_label_array(labels).astype(np.float64)
+    if x.ndim != 2 or x.shape[0] != y.shape[0] or (gram is not None and x.shape[1] != x.shape[0]):
+        raise ValueError("features must be N x q, or their Gram N x N, with one label per row")
+    if x.shape[0] < 2:
+        raise ValueError("need at least two training samples")
+    if np.all(y == y[0]):
+        raise ValueError("single-class input: both labels must be present")
+    check(_RULES, C=C, tol=tol, max_iter=max_iter)
+    if not np.isfinite(x).all():
+        raise ValueError(f"non-finite {'feature' if gram is None else 'Gram'} values")
+
+    gamma_val = resolve_gamma(gamma, x if gram is None else gram) if kernel == KERNEL_RBF else None
+    K = kernel_matrix(x, x, kernel, gamma_val) if gram is None else gram.kernel(kernel, gamma_val)
+    alpha, b, decision, iterations, converged = _solve_dual(K, y, C, tol, max_iter)
 
     ay = alpha * y
-    quadratic = ay @ K @ ay
     # primal 1/2 a'Qa + C sum(hinge) minus dual 1'a - 1/2 a'Qa
-    duality_gap = quadratic + C * np.maximum(0.0, -r).sum() - alpha.sum()
+    duality_gap = ay @ K @ ay + C * np.maximum(0.0, 1.0 - y * decision).sum() - alpha.sum()
     support = np.flatnonzero(alpha > 0.0)
-    dual_coef = ay[support]
     predictions = np.where(decision >= 0.0, 1.0, -1.0)
-    training_accuracy = float(np.mean(predictions == y))
 
     return SvmModel(
         kernel=kernel,
         gamma=gamma_val,
         C=float(C),
-        dual_coef=dual_coef,
+        dual_coef=ay[support],
         bias=float(b),
         support_indices=support,
-        support_vectors=x[support],
-        training_accuracy=training_accuracy,
+        support_vectors=x[support] if gram is None else np.empty((0, 0)),
+        training_accuracy=float(np.mean(predictions == y)),
         converged=converged,
         n_sweeps=iterations,
         duality_gap=float(duality_gap),
@@ -183,6 +242,8 @@ def decision_function(model: SvmModel, features: np.ndarray) -> np.ndarray:
         raise ValueError("feature dimension does not match the trained model")
     if model.support_indices.size == 0:
         return np.full(x.shape[0], model.bias)
+    if model.support_vectors.shape[0] != model.support_indices.size:
+        raise ValueError("a model fit on a Gram matrix keeps no support vectors to predict with")
     K = kernel_matrix(x, model.support_vectors, model.kernel, model.gamma)
     return K @ model.dual_coef + model.bias
 

@@ -172,10 +172,11 @@ def test_feature_matrix_finds_a_non_finite_value_in_a_later_block(order):
         FeatureMatrix(values=values)
 
 
-@pytest.mark.parametrize("row", [0, 3, 6])
+@pytest.mark.parametrize("row", [0, 3, 6, slice(None)])
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_value_anywhere_in_a_column_is_rejected(bad, row):
-    # the check reads the sorted ends of each row: NaN sorts last, -inf first
+    # the check reads the sorted ends of each row: NaN sorts last, -inf first;
+    # a whole column of one non-finite value has equal ends and still fails
     block = np.random.default_rng(5).uniform(-1, 1, size=(7, 5))
     block[row, 2] = bad
     labels = np.array([1, -1, 1, 1, -1, -1, 1])
@@ -183,6 +184,24 @@ def test_non_finite_value_anywhere_in_a_column_is_rejected(bad, row):
         best_counts(block, labels)
     with pytest.raises(ValueError, match="non-finite"):
         axis_accuracy(block[:, 2], labels)
+
+
+def test_all_equal_columns_score_the_majority_among_varying_ones():
+    # signed zeros, one repeated value and a single-sample column have no cut
+    # between values; the walk gives them max(#pos, #neg), and so must the shortcut
+    rng = np.random.default_rng(7)
+    labels = np.array([1, -1, 1, 1, -1, 1, -1, 1, 1])
+    zeros = np.where(rng.uniform(size=9) < 0.5, -0.0, 0.0)
+    columns = [zeros, rng.uniform(-1, 1, 9), np.full(9, 0.3), np.full(9, -0.0),
+               rng.choice([0.0, 1.0], 9), np.zeros(9), rng.uniform(-1, 1, 9)]
+    block = np.column_stack(columns)
+    expected = [axis_accuracy(block[:, i], labels).correct_count for i in range(block.shape[1])]
+    assert best_counts(block, labels).tolist() == expected
+    assert [expected[i] for i in (0, 2, 3, 5)] == [6] * 4
+    for order in ("C", "F"):
+        assert best_counts(np.asarray(block, order=order), labels).tolist() == expected
+    assert best_counts(block[:, [0, 2, 3, 5]], labels).tolist() == [6] * 4
+    assert best_counts(block[:1], labels[:1]).tolist() == [1] * 7
 
 
 def test_counts_do_not_overflow_a_narrow_integer():

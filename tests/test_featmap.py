@@ -27,6 +27,7 @@ from minacc.featmap import (
     load_feature_matrix,
     pauli_expectation,
     pauli_feature_matrix,
+    pauli_gram,
     pauli_string,
     projection_block,
     save_feature_matrix,
@@ -458,6 +459,19 @@ def test_odd_y_columns_are_exact_zeros():
         odd_y = [pauli_string(i, n).letters.count("Y") % 2 == 1 for i in range(4 ** n)]
         block = feats.values[:, odd_y]
         assert np.all(block == 0.0) and not np.any(np.signbit(block))
+
+
+@pytest.mark.parametrize("n", [2, 6, 8])
+def test_pauli_gram_is_the_linear_kernel_of_the_features(n):
+    # sum_P <P>_x <P>_x' = 2^n <psi_x|psi_x'>^2 on real states, to rounding
+    data = small_dataset(np.random.default_rng(20), n_samples=24, n_features=4)
+    spec = EncodingCircuitSpec(qubit_count=n)
+    features = pauli_feature_matrix(data, spec).values
+    gram = pauli_gram(data, spec)
+    assert gram.shape == (24, 24)
+    assert np.max(np.abs(gram - features @ features.T)) <= 1e-11 * 2 ** n
+    assert np.array_equal(gram, gram.T)
+    assert np.all(np.diag(gram) == 2.0 ** n)
 
 
 @st.composite

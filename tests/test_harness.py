@@ -6,6 +6,8 @@ d = 16 (qubit_count 2) so the whole pipeline executes in well under a second.
 
 import csv
 import dataclasses
+import functools
+import hashlib
 import inspect
 import io
 import json
@@ -16,7 +18,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from minacc import axiscore, cli, harness
+from minacc import axiscore, cli, harness, svmref
 from minacc.axiscore import FeatureMatrix
 from minacc.datagen import (
     CIRCLES,
@@ -28,10 +30,12 @@ from minacc.datagen import (
     generate,
     stratified_split,
 )
-from minacc.featmap import ProjectionSpec, save_feature_matrix
+from minacc.featmap import EncodingCircuitSpec, ProjectionSpec, save_feature_matrix
 from minacc.harness import (
     CSV_HEADER,
     ExperimentConfig,
+    ExperimentReport,
+    ReportRow,
     default_datasets,
     derive_seed,
     embed_dataset,
@@ -200,6 +204,16 @@ REJECTED_CALLS = {
     "coverage d 2.5": ("d", lambda: CoverageQuery(d=2.5, p=0.5, t=1)),
     "dataset n_samples 4.5": ("n_samples", lambda: DatasetSpec(CIRCLES, 4.5)),
 }
+
+# a bad clusters_per_class failed inside generate (0: IndexError, -1: "negative dimensions
+# are not allowed"), and center_magnitude and rotation_scale took NaN and infinities
+for _name, _values, _build in (
+    ("clusters_per_class", (0, -1, 2.5), lambda v: DatasetSpec(MULTI_CLUSTER, 12, clusters_per_class=v)),
+    ("center_magnitude", (math.nan, math.inf, -math.inf), lambda v: DatasetSpec(LINEAR_SEPARABLE, center_magnitude=v)),
+    ("rotation_scale", (math.nan, math.inf, -math.inf), lambda v: EncodingCircuitSpec(2, rotation_scale=v)),
+):
+    for _value in _values:
+        REJECTED_CALLS[f"{_name} {_value}"] = (_name, functools.partial(_build, _value))
 
 
 @pytest.mark.parametrize("case", sorted(REJECTED_CALLS))
@@ -510,6 +524,45 @@ def test_unconverged_baselines_are_reported(tmp_path):
                        for fit in models.values())
 
 
+def _refuse_pauli_matrices(monkeypatch, axis_count):
+    """Make every kernel or gamma read of an N x ``axis_count`` matrix raise."""
+    for name in ("kernel_matrix", "resolve_gamma"):
+        original = getattr(svmref, name)
+
+        def guarded(*args, _original=original, _name=name):
+            if any(np.ndim(a) == 2 and np.shape(a)[1] == axis_count for a in args):
+                raise AssertionError(f"{_name} read the N x {axis_count} feature matrix")
+            return _original(*args)
+
+        monkeypatch.setattr(svmref, name, guarded)
+
+
+@pytest.mark.parametrize("qubits", [6, 8])
+def test_pauli_baselines_read_the_states_not_the_matrix(tmp_path, monkeypatch, qubits):
+    # the fidelity kernel of the states gives the matrix path's accuracies and sweeps
+    config = ExperimentConfig(embedding="pauli", qubit_count=qubits, methods=(), output_dir=str(tmp_path))
+    with monkeypatch.context() as patch:
+        _refuse_pauli_matrices(patch, 4 ** qubits)
+        report = run_experiment(config)
+    assert report.errors == [] and sorted(report.embedded_svm) == sorted(DATASET_KINDS)
+    for kind in DATASET_KINDS:
+        train = harness._training_split(kind, config)
+        features = embed_dataset(train, "pauli", qubits, seed=0).values
+        for kernel in ("linear", "rbf"):
+            model = svm_train(features, train.labels, kernel=kernel)
+            fit = report.svm_fits[kind]["embedded"][kernel]
+            assert report.embedded_svm[kind][kernel] == model.training_accuracy
+            assert (fit["sweeps"], fit["converged"]) == (model.n_sweeps, model.converged)
+            assert fit["duality_gap"] == pytest.approx(model.duality_gap, rel=1e-4, abs=1e-9)
+
+
+def test_proxy_baselines_read_the_matrix(tmp_path, monkeypatch):
+    # the guard above sees a matrix read: the proxy experiment's fits make one
+    _refuse_pauli_matrices(monkeypatch, 16)
+    report = run_experiment(small_config(tmp_path, methods=()))
+    assert [(e["stage"], e["type"]) for e in report.errors] == [("svm", "AssertionError")] * 3
+
+
 def test_run_experiment_is_deterministic(tmp_path):
     config = small_config(tmp_path)
     a = run_experiment(config)
@@ -688,6 +741,40 @@ def test_emit_json_roundtrip(tmp_path):
     assert loaded["svm_fits"] == report.svm_fits
     with pytest.raises(ValueError, match="format"):
         emit_report(report, fmt="yaml")
+
+
+PINNED_CSV = """\
+dataset,method,p,rep,r_hat,axes_evaluated,stop_reason,svm_linear,svm_rbf,wall_ms
+circles,deterministic,,0,0.750000,16,exhausted,1.000000,0.500000,1.250000
+circles,conservative,0.250000,0,0.666667,12,fixed_size_reached,1.000000,0.500000,0.500000
+circles,conservative,0.250000,1,0.700000,12,fixed_size_reached,1.000000,0.500000,0.125000
+circles,deterministic,,mean,0.750000,16.000000,,1.000000,0.500000,1.250000
+circles,deterministic,,min,0.750000,16.000000,,1.000000,0.500000,1.250000
+circles,deterministic,,max,0.750000,16.000000,,1.000000,0.500000,1.250000
+circles,conservative,0.250000,mean,0.683333,12.000000,,1.000000,0.500000,0.312500
+circles,conservative,0.250000,min,0.666667,12.000000,,1.000000,0.500000,0.125000
+circles,conservative,0.250000,max,0.700000,12.000000,,1.000000,0.500000,0.500000
+"""
+# sha256 of the report.json of the report below, as json.dump(asdict(report), indent=2) wrote it
+PINNED_JSON_SHA256 = "fd45ce73a9728f5c3d5f4c0d949f227da0af5f69f6ace9f08a4497a9ac5fe9e6"
+
+
+def test_emitted_report_bytes_are_pinned(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # the config, and so report.json, names a relative output_dir
+    rows = [ReportRow("circles", "deterministic", None, 0, 0.75, 16, "exhausted", 1.0, 0.5, 1.25),
+            ReportRow("circles", "conservative", 0.25, 0, 2 / 3, 12, "fixed_size_reached", 1.0, 0.5, 0.5),
+            ReportRow("circles", "conservative", 0.25, 1, 0.7, 12, "fixed_size_reached", 1.0, 0.5, 0.125)]
+    report = ExperimentReport(
+        config=ExperimentConfig(datasets=("circles",), repetitions=2, output_dir="out"), rows=rows,
+        r_min={"circles": 0.75}, majority_rate={"circles": 0.5},
+        survival={"circles": {"thresholds": [0.5, 0.75], "values": [1.0, 0.0625]}},
+        embedded_svm={"circles": {"linear": 1.0, "rbf": 0.5}}, raw_svm={"circles": {"linear": 0.5, "rbf": 1.0}},
+        svm_fits={"circles": {"embedded": {"linear": {"converged": True, "sweeps": 9, "duality_gap": 3.3e-08}}}},
+        timings={"circles": {"embed_s": 0.25, "svm_s": 0.03125}}, exact_path_threads=2)
+    emit_report(report, fmt="csv")
+    emit_report(report, fmt="json")
+    assert (tmp_path / "out" / "report.csv").read_bytes() == PINNED_CSV.encode()
+    assert hashlib.sha256((tmp_path / "out" / "report.json").read_bytes()).hexdigest() == PINNED_JSON_SHA256
 
 
 def test_reports_equivalent_ignores_wall_clock(tmp_path):

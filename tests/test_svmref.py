@@ -16,6 +16,7 @@ from scipy.optimize import minimize
 from minacc.datagen import CIRCLES, generate, standardize, stratified_split
 from minacc.harness import ExperimentConfig, default_datasets, derive_seed, embed_dataset
 from minacc.svmref import (
+    Gram,
     SvmModel,
     decision_function,
     kernel_matrix,
@@ -241,6 +242,50 @@ def test_svm_train_rejects_inputs_it_cannot_fit():
             svm_train(x, y, max_iter=max_iter)
     start = svm_train(x, y, max_iter=0)
     assert start.n_sweeps == 0 and not start.converged
+    # a NaN feature used to fit as accuracy 0.5 with a NaN duality gap
+    for kernel in ("linear", "rbf"):
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="^non-finite feature values$"):
+                svm_train(np.array([[bad], [1.0], [-1.0], [2.0]]), [1, -1, 1, -1], kernel=kernel)
+
+
+def gram_of(x):
+    return Gram(x @ x.T, x.shape[1], float(x.mean()))
+
+
+@pytest.mark.parametrize("kernel", ["linear", "rbf"])
+def test_fit_on_the_gram_is_the_fit_on_the_features(kernel):
+    # the solver reads only the kernel matrix, which the Gram gives to within rounding
+    rng = np.random.default_rng(10)
+    x, y = blobs(rng, n_per=20, gap=1.0, dim=3)
+    x = np.tanh(x @ rng.standard_normal((3, 50)))
+    rows, gram = svm_train(x, y, kernel=kernel), svm_train(gram_of(x), y, kernel=kernel)
+    if kernel == "rbf":
+        assert gram.gamma == pytest.approx(rows.gamma, rel=1e-12)
+    assert (gram.training_accuracy, gram.n_sweeps, gram.converged) == (
+        rows.training_accuracy, rows.n_sweeps, rows.converged)
+    assert gram.support_indices.tolist() == rows.support_indices.tolist()
+    assert gram.dual_coef == pytest.approx(rows.dual_coef, rel=1e-8, abs=1e-10)
+    assert gram.duality_gap == pytest.approx(rows.duality_gap, rel=1e-6, abs=1e-10)
+    assert gram.support_vectors.size == 0
+    with pytest.raises(ValueError, match="Gram matrix keeps no support vectors"):
+        decision_function(gram, x)
+
+
+def test_gram_input_validation():
+    x = np.linspace(-1.0, 1.0, 6)[:, None]
+    y = np.where(x[:, 0] > 0.0, 1, -1)
+    for bad in (math.nan, math.inf):
+        values = x @ x.T
+        values[2, 3] = values[3, 2] = bad
+        with pytest.raises(ValueError, match="^non-finite Gram values$"):
+            svm_train(Gram(values, 1, 0.0), y, kernel="rbf")
+    with pytest.raises(ValueError, match="Gram N x N"):
+        svm_train(Gram((x @ x.T)[:, :5], 1, 0.0), y)
+    with pytest.raises(ValueError, match="unknown kernel"):
+        svm_train(gram_of(x), y, kernel="poly")
+    assert resolve_gamma("scale", gram_of(x)) == pytest.approx(resolve_gamma("scale", x), rel=1e-12)
+    assert resolve_gamma("scale", Gram(np.zeros((3, 3)), 4, 0.0)) == 1.0
 
 
 def test_gamma_scale_convention():
