@@ -296,6 +296,10 @@ def _sorted_rows(block: np.ndarray):
 
     An axis-major (F-contiguous) block, as the proxy embedding builds,
     transposes to those rows as a view; a row-major block is copied once.
+    The sorted values come from a sort of their own rather than a gather
+    through the sweep's argsort: it yields the same sequence, except that
+    equal -0.0 and +0.0 may swap, which no count, duplicate mask, all-equal
+    test, finiteness check or midpoint can see.
     """
     rows = np.ascontiguousarray(block.T)
     sv = np.sort(rows, axis=1)
@@ -323,10 +327,7 @@ def _sweep(rows: np.ndarray, sv: np.ndarray, y: np.ndarray):
     exclusive cumulative sum.  The sort need not be stable: a cut between
     equal values is masked to -1, and at every other cut the samples below
     it are exactly those with a smaller value, whatever order ties sorted
-    in.  The sorted values come from a second sort rather than a gather
-    through the argsort: it yields the same sequence, except that equal -0.0
-    and +0.0 may swap, which no count, duplicate mask, finiteness check or
-    midpoint can see.
+    in.
     """
     steps = y.astype(np.int32)[np.argsort(rows, axis=1)]   # no int64 order beside the sort
     n = y.size

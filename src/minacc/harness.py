@@ -244,13 +244,19 @@ def parse_config(source) -> ExperimentConfig:
 # pipeline
 # ---------------------------------------------------------------------------
 
+def _pauli_spec(qubit_count: int) -> EncodingCircuitSpec:
+    """The encoding circuit of the Pauli embedding: its features and the Gram
+    of its SVM baselines both come from this one circuit."""
+    return EncodingCircuitSpec(qubit_count=qubit_count)
+
+
 def embed_dataset(dataset, embedding: str, qubit_count: int, seed: int):
     """The d = 4^qubit_count feature matrix of ``dataset``: the tanh proxy
     with projection seed ``seed``, or the exact Pauli expectations."""
     if embedding == "proxy":
         proj = ProjectionSpec(input_dim=dataset.input_dim, feature_dim=4 ** qubit_count, seed=seed)
         return LazyProxyFeatures(dataset, proj).materialize()
-    return pauli_feature_matrix(dataset, EncodingCircuitSpec(qubit_count=qubit_count))
+    return pauli_feature_matrix(dataset, _pauli_spec(qubit_count))
 
 
 def _training_split(kind: str, config: ExperimentConfig):
@@ -323,7 +329,7 @@ def _run_dataset(name: str, config: ExperimentConfig, report: ExperimentReport) 
     def fit_baselines():
         if config.embedding == "pauli":
             # F F' is the fidelity kernel of the states: no fit reads the N x 4^n matrix
-            gram = pauli_gram(train, EncodingCircuitSpec(qubit_count=config.qubit_count))
+            gram = pauli_gram(train, _pauli_spec(config.qubit_count))
             embedded = Gram(gram, features.axis_count, float(features.values.mean()))
         else:
             # svm_train reads row-major: copy an axis-major embedding once, not per kernel

@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, fields
+from functools import partial
 
 import numpy as np
 
@@ -37,11 +38,19 @@ _RULES = dict(C=Rule.POSITIVE, tol=Rule.POSITIVE, max_iter=Rule.integer_at_least
 @dataclass(frozen=True)
 class Gram:
     """All a fit reads of an N x q feature matrix F when F is not at hand:
-    its linear kernel F F' (N x N), q, and the mean of the entries of F."""
+    its linear kernel F F' (N x N, finite), q, and the mean of the entries of F."""
 
     values: np.ndarray
     axis_count: int
     feature_mean: float
+
+    def __post_init__(self):
+        values = np.asarray(self.values, dtype=np.float64)
+        if values.ndim != 2 or values.shape[0] != values.shape[1]:
+            raise ValueError("a Gram matrix must be N x N")
+        if not np.isfinite(values).all():
+            raise ValueError("non-finite Gram values")
+        object.__setattr__(self, "values", values)
 
     @property
     def feature_variance(self) -> float:
@@ -50,12 +59,7 @@ class Gram:
 
     def kernel(self, kernel: str, gamma: float | None) -> np.ndarray:
         """``kernel_matrix`` of F with itself, from F F' alone."""
-        if kernel == KERNEL_LINEAR:
-            return self.values
-        if kernel == KERNEL_RBF:
-            norms = np.diag(self.values)
-            return _rbf(self.values, norms, norms, gamma)
-        raise ValueError(f"unknown kernel {kernel!r}; choose from {KERNELS}")
+        return _kernel(self.values, lambda: (np.diag(self.values),) * 2, kernel, gamma)
 
 
 def resolve_gamma(gamma, features) -> float:
@@ -73,21 +77,24 @@ def resolve_gamma(gamma, features) -> float:
     return value
 
 
-def _rbf(cross: np.ndarray, sq_a: np.ndarray, sq_b: np.ndarray, gamma: float) -> np.ndarray:
-    """exp(-gamma |a - b|^2) from the inner products A B' and the squared row norms."""
-    sq = sq_a[:, None] + sq_b[None, :] - 2.0 * cross
-    np.maximum(sq, 0.0, out=sq)
-    return np.exp(-gamma * sq)
+def _kernel(cross: np.ndarray, squared_norms, kernel: str, gamma: float | None) -> np.ndarray:
+    """``kernel`` between two sets of rows, from their inner products A B'.
+    ``squared_norms()`` returns the squared row norms of A and of B; only the
+    RBF kernel calls it."""
+    if kernel == KERNEL_LINEAR:
+        return cross
+    if kernel == KERNEL_RBF:
+        sq_a, sq_b = squared_norms()
+        sq = sq_a[:, None] + sq_b[None, :] - 2.0 * cross
+        np.maximum(sq, 0.0, out=sq)
+        return np.exp(-gamma * sq)
+    raise ValueError(f"unknown kernel {kernel!r}; choose from {KERNELS}")
 
 
 def kernel_matrix(a: np.ndarray, b: np.ndarray, kernel: str, gamma: float | None) -> np.ndarray:
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
-    if kernel == KERNEL_LINEAR:
-        return a @ b.T
-    if kernel == KERNEL_RBF:
-        return _rbf(a @ b.T, (a * a).sum(axis=1), (b * b).sum(axis=1), gamma)
-    raise ValueError(f"unknown kernel {kernel!r}; choose from {KERNELS}")
+    return _kernel(a @ b.T, lambda: ((a * a).sum(axis=1), (b * b).sum(axis=1)), kernel, gamma)
 
 
 @dataclass
@@ -195,24 +202,27 @@ def svm_train(
     fit does not depend on the memory layout of the input: an axis-major
     (F-ordered) matrix gives the same bits.
     """
-    gram = features if isinstance(features, Gram) else None
-    if gram is None:
-        x = np.ascontiguousarray(features, dtype=np.float64)
-    else:
-        x = np.asarray(gram.values, dtype=np.float64)
     y = _as_label_array(labels).astype(np.float64)
-    if x.ndim != 2 or x.shape[0] != y.shape[0] or (gram is not None and x.shape[1] != x.shape[0]):
-        raise ValueError("features must be N x q, or their Gram N x N, with one label per row")
-    if x.shape[0] < 2:
+    if isinstance(features, Gram):   # checked when built; a fit on it keeps no rows
+        source, rows, kernel_of = features, None, features.kernel
+        n = features.values.shape[0]
+    else:
+        source = rows = np.ascontiguousarray(features, dtype=np.float64)
+        if rows.ndim != 2:
+            raise ValueError("features must be N x q with one label per row")
+        if not np.isfinite(rows).all():
+            raise ValueError("non-finite feature values")
+        n, kernel_of = rows.shape[0], partial(kernel_matrix, rows, rows)
+    if n != y.shape[0]:
+        raise ValueError("features must be N x q, or their Gram, with one label per row")
+    if y.size < 2:
         raise ValueError("need at least two training samples")
     if np.all(y == y[0]):
         raise ValueError("single-class input: both labels must be present")
     check(_RULES, C=C, tol=tol, max_iter=max_iter)
-    if not np.isfinite(x).all():
-        raise ValueError(f"non-finite {'feature' if gram is None else 'Gram'} values")
 
-    gamma_val = resolve_gamma(gamma, x if gram is None else gram) if kernel == KERNEL_RBF else None
-    K = kernel_matrix(x, x, kernel, gamma_val) if gram is None else gram.kernel(kernel, gamma_val)
+    gamma_val = resolve_gamma(gamma, source) if kernel == KERNEL_RBF else None
+    K = kernel_of(kernel, gamma_val)
     alpha, b, decision, iterations, converged = _solve_dual(K, y, C, tol, max_iter)
 
     ay = alpha * y
@@ -228,7 +238,7 @@ def svm_train(
         dual_coef=ay[support],
         bias=float(b),
         support_indices=support,
-        support_vectors=x[support] if gram is None else np.empty((0, 0)),
+        support_vectors=np.empty((0, 0)) if rows is None else rows[support],
         training_accuracy=float(np.mean(predictions == y)),
         converged=converged,
         n_sweeps=iterations,

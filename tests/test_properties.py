@@ -147,10 +147,19 @@ def test_scan_result_does_not_depend_on_its_chunk_width(case, chunk, cores):
     assert best.axis_index == np.flatnonzero(per_axis == r_min)[0]
 
 
+def _stable_gather_sorted_rows(block):
+    """Reference sort: the sorted values gathered through a stable argsort."""
+    rows = np.ascontiguousarray(block.T)
+    sv = np.take_along_axis(rows, np.argsort(rows, axis=1, kind="stable"), axis=1)
+    if not (np.all(np.isfinite(sv[:, 0])) and np.all(np.isfinite(sv[:, -1]))):
+        raise ValueError("non-finite feature values")
+    return rows, sv
+
+
 def _stable_gather_sweep(rows, sv, y):
-    """Reference sweep: a stable argsort, the sorted values gathered through it."""
+    """Reference sweep: a stable argsort, and the sorted values ``sv`` it is
+    given for the duplicate mask."""
     order = np.argsort(rows, axis=1, kind="stable")
-    sv = np.take_along_axis(rows, order, axis=1)
     n = y.size
     below_plus = np.cumsum(y[order] == 1, axis=1) - np.cumsum(y[order] == -1, axis=1)
     plus_side = np.empty((rows.shape[0], n), dtype=np.int64)
@@ -179,6 +188,7 @@ def test_scan_results_do_not_depend_on_layout_or_tie_order(case):
     row_major = _scan_results(np.ascontiguousarray(values), labels)
     assert _scan_results(np.asfortranarray(values), labels) == row_major
     with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(axiscore, "_sorted_rows", _stable_gather_sorted_rows)
         patch.setattr(axiscore, "_sweep", _stable_gather_sweep)
         assert _scan_results(np.ascontiguousarray(values), labels) == row_major
 

@@ -280,8 +280,10 @@ def test_gram_input_validation():
         values[2, 3] = values[3, 2] = bad
         with pytest.raises(ValueError, match="^non-finite Gram values$"):
             svm_train(Gram(values, 1, 0.0), y, kernel="rbf")
-    with pytest.raises(ValueError, match="Gram N x N"):
+    with pytest.raises(ValueError, match="Gram matrix must be N x N"):
         svm_train(Gram((x @ x.T)[:, :5], 1, 0.0), y)
+    with pytest.raises(ValueError, match="one label per row"):
+        svm_train(gram_of(x), y[:5])
     with pytest.raises(ValueError, match="unknown kernel"):
         svm_train(gram_of(x), y, kernel="poly")
     assert resolve_gamma("scale", gram_of(x)) == pytest.approx(resolve_gamma("scale", x), rel=1e-12)
