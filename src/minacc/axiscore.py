@@ -140,6 +140,23 @@ class Checked:
         check(self._RULES, **{name: getattr(self, name) for name in self._RULES})
 
 
+def read_text(source) -> str:
+    """The text of a path or text ``source``: an ``os.PathLike`` is a path,
+    whose file is read; anything else, a ``str``, is the text itself."""
+    if isinstance(source, os.PathLike):
+        with open(source) as fh:
+            return fh.read()
+    return source
+
+
+def write_text(text: str, path=None) -> str:
+    """Return ``text``; with a ``path``, also write it there plus one newline."""
+    if path is not None:
+        with open(path, "w") as fh:
+            fh.write(text + "\n")
+    return text
+
+
 def _as_label_array(labels) -> np.ndarray:
     y = np.asarray(labels)
     if y.ndim != 1 or y.size == 0:

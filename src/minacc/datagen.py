@@ -17,12 +17,11 @@ from __future__ import annotations
 import csv
 import json
 import math
-import os
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .axiscore import Checked, LabeledDataset, Rule, check
+from .axiscore import Checked, LabeledDataset, Rule, check, read_text, write_text
 
 LINEAR_SEPARABLE = "linear_separable"
 MULTI_CLUSTER = "multi_cluster"
@@ -236,12 +235,18 @@ def stratified_split(
 
 def dataset_to_csv(dataset: LabeledDataset, path) -> None:
     """Columns x_1..x_m then y."""
-    m = dataset.input_dim
+    header = [f"x_{j + 1}" for j in range(dataset.input_dim)] + ["y"]
+    write_numeric_csv(path, header, dataset.inputs, dataset.labels)
+
+
+def write_numeric_csv(path, header, rows, *int_columns) -> None:
+    """``header``, then each row's floats as ``repr`` followed by its entry of
+    each of ``int_columns`` as an int: the layout ``read_numeric_csv`` reads."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow([f"x_{j + 1}" for j in range(m)] + ["y"])
-        for row, label in zip(dataset.inputs, dataset.labels):
-            writer.writerow([repr(float(v)) for v in row] + [int(label)])
+        writer.writerow(header)
+        for row, *ints in zip(rows, *int_columns):
+            writer.writerow([repr(float(v)) for v in row] + [int(i) for i in ints])
 
 
 def read_numeric_csv(path) -> tuple[list[str], np.ndarray]:
@@ -275,17 +280,9 @@ def dataset_from_csv(path) -> LabeledDataset:
 
 
 def spec_to_json(spec: DatasetSpec, path=None) -> str:
-    text = json.dumps(asdict(spec), indent=2, sort_keys=True)
-    if path is not None:
-        with open(path, "w") as fh:
-            fh.write(text + "\n")
-    return text
+    return write_text(json.dumps(asdict(spec), indent=2, sort_keys=True), path)
 
 
 def spec_from_json(source) -> DatasetSpec:
-    """From a path (os.PathLike: the file is read) or JSON text (str)."""
-    text = source
-    if isinstance(source, os.PathLike):
-        with open(source) as fh:
-            text = fh.read()
-    return DatasetSpec(**json.loads(text))
+    """From JSON, with ``source`` taken as ``read_text`` takes it."""
+    return DatasetSpec(**json.loads(read_text(source)))

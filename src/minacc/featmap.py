@@ -29,7 +29,6 @@ The linear kernel of those features is the fidelity kernel of the states, so
 
 from __future__ import annotations
 
-import csv
 import numbers
 import struct
 import sys
@@ -38,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .axiscore import Checked, FeatureMatrix, LabeledDataset, Rule, _ordered_map, checked_axes
-from .datagen import read_numeric_csv
+from .datagen import read_numeric_csv, write_numeric_csv
 
 _DENSE_QUBIT_LIMIT = 12      # statevector simulation guard
 _MATRIX_QUBIT_LIMIT = 8      # full 4^n-column materialization guard
@@ -412,11 +411,7 @@ def load_feature_matrix(path) -> FeatureMatrix:
 
 
 def feature_matrix_to_csv(features: FeatureMatrix, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"axis_{i}" for i in range(features.axis_count)])
-        for row in features.values:
-            writer.writerow([repr(float(v)) for v in row])
+    write_numeric_csv(path, [f"axis_{i}" for i in range(features.axis_count)], features.values)
 
 
 def feature_matrix_from_csv(path) -> FeatureMatrix:

@@ -60,7 +60,7 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from . import axiscore, datagen
-from .axiscore import Rule, r_min_deterministic
+from .axiscore import Rule, r_min_deterministic, read_text, write_text
 from .datagen import DATASET_KINDS, DatasetSpec, generate, standardize, stratified_split
 from .featmap import (
     _MATRIX_QUBIT_LIMIT,
@@ -215,14 +215,9 @@ def _field_value(name: str, raw: str):
 
 
 def parse_config(source) -> ExperimentConfig:
-    """Build an ExperimentConfig from a path (os.PathLike: the file is read) or config text (str)."""
-    text = source
-    if isinstance(source, os.PathLike):
-        with open(source) as fh:
-            text = fh.read()
-
+    """Build an ExperimentConfig from config text, with ``source`` taken as ``read_text`` takes it."""
     values = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(read_text(source).splitlines(), start=1):
         body = line.split("#", 1)[0].strip()
         if not body or body.startswith(";"):
             continue
@@ -485,8 +480,7 @@ def emit_report(report: ExperimentReport, fmt: str = "csv") -> list[str]:
             written.append(spath)
     elif fmt == "json":
         target = os.path.join(out_dir, "report.json")
-        with open(target, "w") as fh:
-            fh.write(json.dumps(asdict(report), indent=2) + "\n")
+        write_text(json.dumps(asdict(report), indent=2), target)
         written.append(target)
     else:
         raise ValueError("format must be 'csv' or 'json'")
@@ -494,14 +488,10 @@ def emit_report(report: ExperimentReport, fmt: str = "csv") -> list[str]:
 
 
 def reports_equivalent(a, b) -> bool:
-    """Compare two report CSVs (os.PathLike paths or str text) ignoring the wall_ms column."""
+    """Compare two report CSVs, each taken as ``read_text`` takes it, ignoring
+    the wall_ms column."""
 
     def rows_of(source):
-        text = source
-        if isinstance(source, os.PathLike):
-            with open(source) as fh:
-                text = fh.read()
-        parsed = list(csv.reader(io.StringIO(text)))
-        return [row[:-1] for row in parsed if row]
+        return [row[:-1] for row in csv.reader(io.StringIO(read_text(source))) if row]
 
     return rows_of(a) == rows_of(b)

@@ -198,11 +198,11 @@ class _AxisSampler:
         targets = self._rng.integers(np.arange(self._pos, self._pos + count), self._d).tolist()
         out = []
         for j, r in enumerate(targets, start=self._pos):
-            v_j = self._swaps.get(j, j)
-            v_r = self._swaps.get(r, r)
-            out.append(v_r)
-            self._swaps[r] = v_j
-            self._swaps[j] = v_r
+            # no draw reads a position behind the cursor: j leaves the map
+            out.append(self._swaps.get(r, r))
+            v_j = self._swaps.pop(j, j)
+            if r != j:
+                self._swaps[r] = v_j
         self._pos += count
         return out
 

@@ -19,13 +19,12 @@ Schuld & Killoran, PRL 122, 2019), built from the N statevectors by
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass, fields
 from functools import partial
 
 import numpy as np
 
-from .axiscore import Rule, _as_label_array, check
+from .axiscore import Rule, _as_label_array, check, read_text, write_text
 
 KERNEL_LINEAR = "linear"
 KERNEL_RBF = "rbf"
@@ -129,18 +128,23 @@ def _solve_dual(K: np.ndarray, y: np.ndarray, C: float, tol: float, max_iter: in
     multipliers of a >= 0 and a <= C, and the bias b is the multiplier of
     y'a = 0.  After each step the iterate is snapped onto any bound within
     1e-6 C and y'a = 0 is restored on the free coefficients; the solver stops
-    once that point has no KKT violator at ``tol``, or after ``max_iter``
-    iterations with ``converged`` False.  The (N+1) x (N+1) system of each
-    step is refilled in one buffer.
+    once that point has no KKT violator at ``tol``.  Otherwise it stops with
+    ``converged`` False after ``max_iter`` iterations, or once rounding pins
+    the iterate to a bound: a = C, a so small that C - a == C, or every
+    product a z and (C - a) u rounded to zero (mu = 0).  The
+    (N+1) x (N+1) system holds Q from the start, and each step rewrites
+    only its diagonal.
 
     Returns (alpha, b, decision values, iterations, converged).
     """
     n = y.size
     Q = y[:, None] * K * y[None, :]
     system = np.empty((n + 1, n + 1))
+    system[:n, :n] = Q
     system[:n, n] = system[n, :n] = y
     system[n, n] = 0.0
-    inner, diagonal = system[:n, :n], np.arange(n)
+    diagonal = system.reshape(-1)[: n * (n + 2) : n + 2]  # a view of the first n diagonal entries
+    q_diagonal = np.diagonal(Q)
 
     a, z, u, b = np.full(n, 0.5 * C), np.ones(n), np.ones(n), 0.0
     snap = 1e-6 * C
@@ -159,16 +163,15 @@ def _solve_dual(K: np.ndarray, y: np.ndarray, C: float, tol: float, max_iter: in
         if np.all(inside & ((r >= -tol) | (alpha == C)) & ((r <= tol) | (alpha == 0.0))):
             converged = True
             break
-        if iterations >= max_iter or not np.all((a > 0.0) & (a < C)):
+        s = C - a
+        mu = (a @ z + s @ u) / (2 * n)
+        if iterations >= max_iter or not (np.all((s > 0.0) & (s < C)) and mu > 0.0):
             break  # out of iterations, or rounding has pinned the iterate to a bound
         iterations += 1
 
-        s = C - a
         v = np.concatenate([a, s, z, u])
-        mu = (a @ z + s @ u) / (2 * n)
         rd = Q @ a + b * y - 1.0 - z + u
-        np.copyto(inner, Q)
-        inner[diagonal, diagonal] += z / a + u / s
+        np.add(q_diagonal, z / a + u / s, out=diagonal)
 
         def direction(rz, ru):
             d = np.linalg.solve(system, np.append(rz / a - ru / s - rd, -(y @ a)))
@@ -273,20 +276,12 @@ def model_to_json(model: SvmModel, path=None) -> str:
     for f in fields(SvmModel):
         value = getattr(model, f.name)
         payload[f.name] = value.tolist() if isinstance(value, np.ndarray) else value
-    text = json.dumps(payload, indent=2)
-    if path is not None:
-        with open(path, "w") as fh:
-            fh.write(text + "\n")
-    return text
+    return write_text(json.dumps(payload, indent=2), path)
 
 
 def model_from_json(source) -> SvmModel:
-    """From a path (os.PathLike: the file is read) or JSON text (str)."""
-    text = source
-    if isinstance(source, os.PathLike):
-        with open(source) as fh:
-            text = fh.read()
-    raw = json.loads(text)
+    """From JSON, with ``source`` taken as ``read_text`` takes it."""
+    raw = json.loads(read_text(source))
     values = {f.name: raw[f.name] for f in fields(SvmModel)}
     for name, value in values.items():
         if isinstance(value, list):  # the arrays

@@ -180,7 +180,8 @@ def test_sample_axes_uniform_frequency():
 
 
 class ScalarAxisSampler:
-    """Reference partial Fisher-Yates: one scalar generator call per index."""
+    """Reference partial Fisher-Yates: one scalar generator call per index,
+    writing both swapped positions back to the map, the drawn one included."""
 
     def __init__(self, d, seed):
         self.d, self.rng, self.swaps, self.pos = d, np.random.default_rng(seed), {}, 0
@@ -206,7 +207,33 @@ def test_batched_draws_follow_the_scalar_stream(d, seed, counts):
         count = min(count, sampler.remaining)
         assert sampler.draw(count) == reference.draw(count)
         assert sampler.drawn == reference.pos
+        assert all(position >= sampler.drawn for position in sampler._swaps)  # only entries ahead of the cursor
     assert sampler._rng.bit_generator.state == reference.rng.bit_generator.state
+
+
+@pytest.mark.parametrize("d", [1, 2, 5, 64])
+def test_sample_axes_follows_the_scalar_stream_up_to_t_equal_d(d):
+    # the last position always draws itself, and d = 1 draws nothing else
+    for seed in range(20):
+        for t in (1, d // 2, d):
+            assert sample_axes(d, t, rng_seed=seed) == ScalarAxisSampler(d, seed).draw(t)
+    sampler = _AxisSampler(d, 7)
+    sampler.draw(d)
+    assert sampler._swaps == {}
+
+
+def test_pilot_and_adaptive_draws_follow_the_scalar_stream():
+    # pilot stage 2 and every adaptive batch extend the stream of the first draw
+    rng = np.random.default_rng(23)
+    features = FeatureMatrix(rng.standard_normal((30, 400)))
+    labels = rng.choice([-1, 1], size=30)
+    pilot = pilot_estimate(features, labels, n_pilot=12, delta=1e-4, cap_fraction=0.5, rng_seed=5)
+    assert pilot.axes_evaluated > 12  # stage 2 drew
+    adaptive = adaptive_estimate(features, labels, batch_size=7, patience=50, stability_eps=0.0,
+                                 budget_fraction=0.2, rng_seed=6)
+    assert adaptive.axes_evaluated > 7  # several batches
+    for result, seed in ((pilot, 5), (adaptive, 6)):
+        assert result.sampled_axes == ScalarAxisSampler(400, seed).draw(result.axes_evaluated)
 
 
 # ---------------------------------------------------------------------------

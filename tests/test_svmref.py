@@ -205,6 +205,26 @@ def test_nonconvergence_is_flagged_not_raised():
     assert again.converged
 
 
+@pytest.mark.parametrize("seed, shape, scale, C", [(1, (18, 29), 10.0, 10.0), (5, (6, 20), 100.0, 1.0)],
+                         ids=["coefficients_reach_zero", "multipliers_reach_zero"])
+def test_stuck_fit_stops_without_a_floating_point_warning(seed, shape, scale, C):
+    # on these separable inputs, snapping the coefficients within 1e-6 C of
+    # a bound leaves KKT violators, so the snapped point never passes; the
+    # iterate then runs down to a bound until the barrier overflows (the
+    # first; the parent ran out 10,000 iterations) or mu underflows to 0 (the
+    # second).  Tier-1 makes any RuntimeWarning on the way an error.
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(shape) * scale
+    y = rng.choice([-1, 1], shape[0])
+    model = svm_train(x, y, kernel="linear", C=C)
+    assert model.n_sweeps < 200
+    assert math.isfinite(model.duality_gap) and model.duality_gap >= 0.0
+    # converged only if the returned point passes the KKT check
+    alpha, r = full_alpha(model, len(y)), y * decision_function(model, x) - 1.0
+    kkt = np.all(((r >= -1e-3) | (alpha == C)) & ((r <= 1e-3) | (alpha == 0.0)))
+    assert not kkt and not model.converged
+
+
 def test_degenerate_duplicate_points_terminate():
     model = svm_train(np.zeros((2, 1)), [1, -1], kernel="linear", C=1.0)
     assert model.training_accuracy == 0.5
