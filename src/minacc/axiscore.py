@@ -245,6 +245,38 @@ class FeatureMatrix:
         return self.values[:, checked_axes(indices, self.axis_count)]
 
 
+class ScannedFeatures:
+    """A column source together with what the exhaustive scan of it found:
+    ``axis_accuracies`` is the per-axis vector ``r_min_deterministic(features,
+    labels)`` returned.  It reads columns as ``features`` does, and a scoring
+    run on it looks up each axis's best count instead of sweeping the column.
+    The counts hold for the scanned labels only: a run on any other labels is
+    a ValueError.
+    """
+
+    def __init__(self, features, labels, axis_accuracies):
+        self.source, self.labels = as_feature_source(features), _as_label_array(labels)
+        accuracies = np.asarray(axis_accuracies, dtype=np.float64)
+        if accuracies.shape != (self.source.axis_count,):
+            raise ValueError(f"{accuracies.shape} axis accuracies for {self.source.axis_count} axes")
+        # each accuracy is count / N; rounding recovers the count exactly for N < 2^51
+        self.counts = np.rint(accuracies * self.source.sample_count).astype(np.int64)
+
+    @property
+    def sample_count(self) -> int:
+        return self.source.sample_count
+
+    @property
+    def axis_count(self) -> int:
+        return self.source.axis_count
+
+    def column(self, axis_index: int) -> np.ndarray:
+        return self.source.column(axis_index)
+
+    def columns(self, indices) -> np.ndarray:
+        return self.source.columns(indices)
+
+
 def checked_axes(indices, axis_count: int) -> np.ndarray:
     """Axis indices as an int64 array; any index outside [0, axis_count) is a ValueError."""
     axes = np.asarray(indices, dtype=np.int64)
@@ -430,10 +462,15 @@ class _ScoredAxes:
     first axis to reach their maximum, kept with its column so its threshold
     rule needs no second read.  The exhaustive scan and every estimator are
     rules for which batches to score and when to stop.
+
+    On a ``ScannedFeatures`` source the counts are looked up, not swept:
+    only a new winner's column is read.
     """
 
     def __init__(self, features, labels):
         self.source, self.labels = as_feature_source(features), labels
+        if isinstance(self.source, ScannedFeatures) and not np.array_equal(self.source.labels, labels):
+            raise ValueError("labels differ from the labels the axis accuracies were scanned with")
         self._blocks: list = []               # index slices as given: ranges stay ranges
         self._counts: list[np.ndarray] = []
         self.best_count = -1
@@ -447,7 +484,10 @@ class _ScoredAxes:
         calling thread reads each slice, the pool sweeps it, and the counts
         fold in slice order.  A row-major slice is copied axis-major one
         sweep at a time, by the sweep, not whole by the calling thread.
+        On a ``ScannedFeatures`` source the batch's counts are one lookup.
         """
+        if isinstance(self.source, ScannedFeatures):
+            return self._look_up(indices)
         width = 4 * _SCAN_CHUNK  # axes per pool task: four sweeps
 
         def read(start):
@@ -469,6 +509,17 @@ class _ScoredAxes:
                 self.best_column = block[:, j].copy()  # keep one column, not its slice
                 rose = True
         return rose
+
+    def _look_up(self, indices) -> bool:
+        counts = self.source.counts[checked_axes(indices, self.source.axis_count)]
+        self._blocks.append(indices)
+        self._counts.append(counts)
+        j = int(np.argmax(counts))  # first max, as the slice-by-slice fold finds it
+        if counts[j] > self.best_count:
+            self.best_count, self.best_axis = int(counts[j]), int(indices[j])
+            self.best_column = self.source.column(self.best_axis)
+            return True
+        return False
 
     @property
     def axes(self) -> list[int]:

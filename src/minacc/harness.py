@@ -60,7 +60,7 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from . import axiscore, datagen
-from .axiscore import Rule, r_min_deterministic, read_text, write_text
+from .axiscore import Rule, ScannedFeatures, r_min_deterministic, read_text, write_text
 from .datagen import DATASET_KINDS, DatasetSpec, generate, standardize, stratified_split
 from .featmap import (
     _MATRIX_QUBIT_LIMIT,
@@ -180,7 +180,8 @@ class ExperimentReport:
     # dataset -> {"embedded"|"raw": {"linear"|"rbf": {"converged", "sweeps", "duality_gap"}}}
     svm_fits: dict = field(default_factory=dict)
     # dataset -> seconds per stage that ran: "embed_s", "svm_s" (all four baselines,
-    # with the Pauli Gram they are fit on), "scan_s"
+    # with the Pauli Gram they are fit on), "scan_s", and "<method>_s" summing the
+    # cells of each sampled method
     timings: dict = field(default_factory=dict)
     # threads of the proxy embedding and the exhaustive scan: one per usable core
     exact_path_threads: int = 1
@@ -367,6 +368,7 @@ def _run_dataset(name: str, config: ExperimentConfig, report: ExperimentReport) 
     except Exception as exc:
         return fail(EstimatorMethod.DETERMINISTIC.value, exc)
     report.r_min[name] = r_min
+    scanned = ScannedFeatures(features, train.labels, accuracies)  # the estimators look up its counts
     surv = survival_function(accuracies)
     report.survival[name] = {"thresholds": surv.thresholds.tolist(), "values": surv.values.tolist()}
     # the exhaustive row leads the dataset's rows wherever `methods` lists it
@@ -383,16 +385,19 @@ def _run_dataset(name: str, config: ExperimentConfig, report: ExperimentReport) 
     ]
     for method, p, rep in cells:
         seed = derive_seed(config.master_seed, name, method, p, rep)
+        start = time.perf_counter()
         try:
-            start = time.perf_counter()
-            result = run_estimator(method, features, train.labels, p, config, seed)
-            wall_ms = (time.perf_counter() - start) * 1000.0
+            result = run_estimator(method, scanned, train.labels, p, config, seed)
             if result.r_hat > r_min:
                 raise RuntimeError(f"estimate {result.r_hat} exceeds exhaustive value {r_min}")
         except Exception as exc:
             fail(method, exc, p=p, rep=rep)
             continue
-        add_row(method, p, rep, result.r_hat, result.axes_evaluated, result.stopping_reason.value, wall_ms)
+        finally:
+            seconds = time.perf_counter() - start
+            timings[f"{method}_s"] = timings.get(f"{method}_s", 0.0) + seconds
+        add_row(method, p, rep, result.r_hat, result.axes_evaluated, result.stopping_reason.value,
+                seconds * 1000.0)
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:

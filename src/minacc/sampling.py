@@ -10,7 +10,11 @@ statements about how likely the sample is to contain a high-accuracy axis.
 Every estimator, like the exhaustive scan, is a stopping rule over one
 scoring run (``axiscore._ScoredAxes``): it draws axes from one
 without-replacement stream, scores them a block at a time, and the run keeps
-the first axis to reach the maximum.  Three rules trade prior knowledge for
+the first axis to reach the maximum.  Given ``axiscore.ScannedFeatures``,
+the exhaustive scan's output for the same features and labels, a run looks
+up each drawn axis's count instead of sweeping its column; only the winner's
+column is read, for its threshold rule, and every result is the one a plain
+source gives, bit for bit.  Three rules trade prior knowledge for
 adaptivity:
 
 * conservative: one block of fixed size t = ceil(log(1/delta) / p) from an
@@ -241,8 +245,12 @@ class EstimateResult:
 
 def _result(run: _ScoredAxes, method, reason, pilot_stats=None) -> EstimateResult:
     """The result of a scoring run: the threshold rule of its winner, from the
-    column kept with it; every other axis stays a count."""
+    column kept with it; every other axis stays a count.  A winner whose rule
+    does not reach the count it won with is a RuntimeError, not an estimate."""
     best = axis_accuracy(run.best_column, run.labels, axis_index=run.best_axis)
+    if best.correct_count != run.best_count:
+        raise RuntimeError(f"axis {run.best_axis} scored {run.best_count} correct but its rule gets "
+                           f"{best.correct_count}")
     axes = run.axes
     return EstimateResult(
         r_hat=best.accuracy,

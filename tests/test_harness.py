@@ -555,6 +555,55 @@ def test_pauli_baselines_read_the_states_not_the_matrix(tmp_path, monkeypatch, q
             assert fit["duality_gap"] == pytest.approx(model.duality_gap, rel=1e-4, abs=1e-9)
 
 
+def test_estimator_cells_look_up_the_scan_counts(tmp_path, monkeypatch):
+    # only the exhaustive scan sweeps columns; every row is still the
+    # estimate a standalone call on the plain features gives
+    config = small_config(tmp_path, embedding="pauli")
+    sweeps, cell_sweeps = [], []
+    best_counts = axiscore.best_counts
+
+    def counted(*args):
+        sweeps.append(args)
+        return best_counts(*args)
+
+    def spied(*args):
+        before = len(sweeps)
+        result = run_estimator(*args)
+        cell_sweeps.append(len(sweeps) - before)
+        return result
+
+    monkeypatch.setattr(axiscore, "best_counts", counted)
+    monkeypatch.setattr(harness, "run_estimator", spied)
+    report = run_experiment(config)
+    sampled = [r for r in report.rows if r.method != "deterministic"]
+    assert report.errors == [] and sweeps
+    assert len(cell_sweeps) == len(sampled) == 3 * 4 * config.repetitions
+    assert set(cell_sweeps) == {0}
+    for kind in config.datasets:
+        train = harness._training_split(kind, config)
+        features = embed_dataset(train, "pauli", config.qubit_count, seed=0)
+        for row in (r for r in sampled if r.dataset == kind):
+            seed = derive_seed(config.master_seed, kind, row.method, row.p, row.rep)
+            direct = run_estimator(row.method, features, train.labels, row.p, config, seed)
+            assert (row.r_hat, row.axes_evaluated, row.stop_reason) == (
+                direct.r_hat, direct.axes_evaluated, direct.stopping_reason.value)
+
+
+def test_a_doctored_scan_count_is_a_cell_error(tmp_path, monkeypatch):
+    # every count raised by one: each estimator's winner misses its count
+    class Doctored(harness.ScannedFeatures):
+        def __init__(self, features, labels, axis_accuracies):
+            super().__init__(features, labels, axis_accuracies + 1.0 / features.sample_count)
+
+    monkeypatch.setattr(harness, "ScannedFeatures", Doctored)
+    config = small_config(tmp_path, datasets=(CIRCLES,))
+    report = run_experiment(config)
+    assert [r.method for r in report.rows] == ["deterministic"]
+    assert len(report.errors) == 4 * config.repetitions
+    assert {(e["stage"], e["type"]) for e in report.errors} == {
+        (m, "RuntimeError") for m in ("conservative", "pilot", "adaptive")}
+
+
 def test_proxy_baselines_read_the_matrix(tmp_path, monkeypatch):
     # the guard above sees a matrix read: the proxy experiment's fits make one
     _refuse_pauli_matrices(monkeypatch, 16)
@@ -582,11 +631,18 @@ def test_report_times_every_stage_per_dataset(tmp_path):
         timings = json.load(fh)["timings"]
     assert timings == report.timings
     assert set(timings) == {CIRCLES, LINEAR_SEPARABLE, MULTI_CLUSTER}
-    for stages in timings.values():
-        assert set(stages) == {"embed_s", "svm_s", "scan_s"}
+    sampled = ("conservative", "pilot", "adaptive")
+    for dataset, stages in timings.items():
+        assert set(stages) == {"embed_s", "svm_s", "scan_s", *(f"{m}_s" for m in sampled)}
         assert all(isinstance(s, float) and s >= 0.0 for s in stages.values())
+        for method in sampled:  # a method's stage is the sum of its cells
+            cells = [r.wall_ms for r in report.rows if (r.dataset, r.method) == (dataset, method)]
+            assert stages[f"{method}_s"] * 1000.0 == pytest.approx(sum(cells))
     det_rows = [r for r in report.rows if r.method == "deterministic"]
     assert [r.wall_ms for r in det_rows] == [timings[r.dataset]["scan_s"] * 1000.0 for r in det_rows]
+    # only the methods that ran are timed
+    pilot_only = run_experiment(small_config(tmp_path, methods=("pilot",), datasets=(CIRCLES,)))
+    assert set(pilot_only.timings[CIRCLES]) == {"embed_s", "svm_s", "scan_s", "pilot_s"}
 
 
 @pytest.mark.parametrize("cores", [1, 3])

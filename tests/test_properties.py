@@ -7,8 +7,9 @@ and a lazy proxy source give identical estimates, and the reported best
 axis reproduces the reported value.  Lazy proxy columns are byte-identical
 to the eager matrix for any index set, whichever columns share a block, and
 no scan result depends on the order of tied rows, on the memory layout of
-the matrix or on the number of threads.  Shapes include N = 1, single-class labels and duplicate-heavy
-columns.
+the matrix or on the number of threads.  An estimate that looks up the
+exhaustive scan's counts is the estimate that sweeps, byte for byte.  Shapes
+include N = 1, single-class labels and duplicate-heavy columns.
 """
 
 import threading
@@ -21,13 +22,20 @@ from hypothesis import strategies as st
 from minacc import axiscore, featmap
 from minacc.axiscore import (
     LabeledDataset,
+    ScannedFeatures,
     ThresholdClassifier,
     axis_accuracy,
     best_counts,
     classifier_accuracy,
     r_min_deterministic,
 )
-from minacc.featmap import _PROXY_BLOCK, LazyProxyFeatures, ProjectionSpec
+from minacc.featmap import (
+    _PROXY_BLOCK,
+    EncodingCircuitSpec,
+    LazyProxyFeatures,
+    ProjectionSpec,
+    pauli_feature_matrix,
+)
 from minacc.sampling import (
     adaptive_estimate,
     conservative_estimate,
@@ -232,6 +240,56 @@ def test_estimators_agree_across_sources_and_best_reproduces_r_hat(case, seed):
         best = result.best
         witness = ThresholdClassifier(best.axis_index, best.best_threshold, best.orientation)
         assert classifier_accuracy(witness, matrix, labels) == result.r_hat
+
+
+@st.composite
+def pauli_sources(draw):
+    """The n = 2 or 3 Pauli matrix of a few duplicate-prone samples, with labels."""
+    n = draw(st.integers(1, 8))
+    inputs = draw(st.lists(_DUPLICATE_HEAVY, min_size=2 * n, max_size=2 * n))
+    labels = draw(st.lists(st.sampled_from([-1, 1]), min_size=n, max_size=n))
+    dataset = LabeledDataset(np.array(inputs).reshape(n, 2), np.array(labels))
+    return pauli_feature_matrix(dataset, EncodingCircuitSpec(draw(st.integers(2, 3)))), dataset.labels
+
+
+def _result_bytes(result):
+    """Every EstimateResult field, floats and arrays as bytes so that -0.0 and 0.0 differ."""
+    best = result.best
+    return (np.float64(result.r_hat).tobytes(), result.sampled_axes, result.axis_accuracies.dtype,
+            result.axis_accuracies.tobytes(), best.axis_index, np.float64(best.best_threshold).tobytes(),
+            best.orientation, np.float64(best.accuracy).tobytes(), best.correct_count, result.method,
+            result.stopping_reason, result.axes_evaluated, result.pilot_stats)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(labeled_matrices(max_d=40), labeled_matrices(max_d=40, element=_TIE_HEAVY),
+                 blocks_with_all_equal_columns(), lazy_sources(), pauli_sources()),
+       st.integers(0, 2**32))
+def test_estimates_on_the_scanned_source_equal_the_swept_ones(case, seed):
+    source, labels = case
+    scanned = ScannedFeatures(source, labels, r_min_deterministic(source, labels)[2])
+    d = scanned.axis_count
+    estimators = dict(_estimators(d, seed), **{
+        f"conservative p={p}": lambda f, y, p=p: conservative_estimate(f, y, p, 0.05, rng_seed=seed)
+        for p in (0.05, 0.15, 0.25)
+    })
+    for name, estimate in estimators.items():
+        assert _result_bytes(estimate(scanned, labels)) == _result_bytes(estimate(source, labels)), name
+
+
+def test_scanned_source_rejects_other_labels_and_a_wrong_length_vector():
+    values = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 2.0], [2.0, 1.0, 0.0]])
+    labels = np.array([1, -1, 1])
+    accuracies = r_min_deterministic(values, labels)[2]
+    scanned = ScannedFeatures(values, labels, accuracies)
+    for other in (np.array([1, 1, -1]), np.array([-1, 1, -1])):
+        with pytest.raises(ValueError, match="labels differ"):
+            conservative_estimate(scanned, other, 0.25, 0.05, rng_seed=0)
+        with pytest.raises(ValueError, match="labels differ"):
+            r_min_deterministic(scanned, other)
+    for vector in (accuracies[:-1], np.append(accuracies, 1.0), accuracies[None, :]):
+        with pytest.raises(ValueError, match="axis accuracies for 3 axes"):
+            ScannedFeatures(values, labels, vector)
 
 
 @st.composite

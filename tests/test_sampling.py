@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from minacc.axiscore import FeatureMatrix, r_min_deterministic
+from minacc.axiscore import FeatureMatrix, ScannedFeatures, r_min_deterministic
 from minacc.sampling import (
     CoverageQuery,
     EstimatorMethod,
@@ -348,6 +348,42 @@ def test_exhaustive_scan_serves_each_column_once():
             source = CountingSource(features)
             scan(source, labels)
             assert source.served == features.axis_count
+
+
+def test_scanned_source_reads_only_the_winning_columns():
+    # a one-batch estimate reads its winner's column and nothing else
+    rng = np.random.default_rng(21)
+    for trial in range(10):
+        features, labels = random_matrix(rng, d_max=60)
+        source = CountingSource(features)
+        scanned = ScannedFeatures(source, labels, r_min_deterministic(features, labels)[2])
+        looked_up = conservative_estimate(scanned, labels, 0.15, 0.05, rng_seed=trial)
+        swept = conservative_estimate(features, labels, 0.15, 0.05, rng_seed=trial)
+        assert source.served == 1
+        assert (looked_up.r_hat, looked_up.best, looked_up.sampled_axes) == (
+            swept.r_hat, swept.best, swept.sampled_axes)
+
+
+@pytest.mark.parametrize("method", ["deterministic", "conservative", "pilot", "adaptive"])
+def test_a_count_no_rule_reaches_is_an_error(method):
+    # one axis's count raised past the maximum: that axis wins the lookup, but
+    # its threshold rule gets its true count, so no estimate may be returned
+    rng = np.random.default_rng(22)
+    features, labels = random_matrix(rng, n_max=20, d_max=12)
+    accuracies = r_min_deterministic(features, labels)[2]
+    doctored = accuracies.copy()
+    doctored[-1] = accuracies.max() + 1.0 / features.sample_count
+    scanned = ScannedFeatures(features, labels, doctored)
+    d = features.axis_count
+    estimate = {  # each samples every axis
+        "deterministic": lambda: deterministic_estimate(scanned, labels),
+        "conservative": lambda: conservative_estimate(scanned, labels, 0.05, 0.05, rng_seed=0),
+        "pilot": lambda: pilot_estimate(scanned, labels, n_pilot=d, rng_seed=0),
+        "adaptive": lambda: adaptive_estimate(scanned, labels, batch_size=d, budget_fraction=1.0,
+                                              rng_seed=0),
+    }[method]
+    with pytest.raises(RuntimeError, match=f"axis {d - 1} scored"):
+        estimate()
 
 
 def test_subset_monotonicity():
