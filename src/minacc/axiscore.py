@@ -246,12 +246,11 @@ class FeatureMatrix:
 
 
 class ScannedFeatures:
-    """A column source together with what the exhaustive scan of it found:
-    ``axis_accuracies`` is the per-axis vector ``r_min_deterministic(features,
-    labels)`` returned.  It reads columns as ``features`` does, and a scoring
-    run on it looks up each axis's best count instead of sweeping the column.
-    The counts hold for the scanned labels only: a run on any other labels is
-    a ValueError.
+    """The record of one exhaustive scan: its column ``source``, its
+    ``labels``, and each axis's best count, from the per-axis vector
+    ``r_min_deterministic(features, labels)`` returned.  Not a column source:
+    the scan and every estimator take it in place of ``features`` and look
+    its counts up instead of sweeping; on other labels that is a ValueError.
     """
 
     def __init__(self, features, labels, axis_accuracies):
@@ -261,20 +260,6 @@ class ScannedFeatures:
             raise ValueError(f"{accuracies.shape} axis accuracies for {self.source.axis_count} axes")
         # each accuracy is count / N; rounding recovers the count exactly for N < 2^51
         self.counts = np.rint(accuracies * self.source.sample_count).astype(np.int64)
-
-    @property
-    def sample_count(self) -> int:
-        return self.source.sample_count
-
-    @property
-    def axis_count(self) -> int:
-        return self.source.axis_count
-
-    def column(self, axis_index: int) -> np.ndarray:
-        return self.source.column(axis_index)
-
-    def columns(self, indices) -> np.ndarray:
-        return self.source.columns(indices)
 
 
 def checked_axes(indices, axis_count: int) -> np.ndarray:
@@ -463,14 +448,17 @@ class _ScoredAxes:
     rule needs no second read.  The exhaustive scan and every estimator are
     rules for which batches to score and when to stop.
 
-    On a ``ScannedFeatures`` source the counts are looked up, not swept:
-    only a new winner's column is read.
+    Built on a ``ScannedFeatures`` record, it reads the record's source and
+    looks counts up instead of sweeping: only a new winner's column is read.
     """
 
     def __init__(self, features, labels):
-        self.source, self.labels = as_feature_source(features), labels
-        if isinstance(self.source, ScannedFeatures) and not np.array_equal(self.source.labels, labels):
-            raise ValueError("labels differ from the labels the axis accuracies were scanned with")
+        self.labels, self._scanned = labels, None
+        if isinstance(features, ScannedFeatures):
+            if not np.array_equal(features.labels, labels):
+                raise ValueError("labels differ from the labels the axis accuracies were scanned with")
+            features, self._scanned = features.source, features.counts
+        self.source = as_feature_source(features)
         self._blocks: list = []               # index slices as given: ranges stay ranges
         self._counts: list[np.ndarray] = []
         self.best_count = -1
@@ -484,10 +472,10 @@ class _ScoredAxes:
         calling thread reads each slice, the pool sweeps it, and the counts
         fold in slice order.  A row-major slice is copied axis-major one
         sweep at a time, by the sweep, not whole by the calling thread.
-        On a ``ScannedFeatures`` source the batch's counts are one lookup.
+        On a scan record the batch is one slice, its counts one lookup.
         """
-        if isinstance(self.source, ScannedFeatures):
-            return self._look_up(indices)
+        if self._scanned is not None:
+            return self._fold([(indices, self._scanned[checked_axes(indices, self.source.axis_count)], None)])
         width = 4 * _SCAN_CHUNK  # axes per pool task: four sweeps
 
         def read(start):
@@ -499,27 +487,30 @@ class _ScoredAxes:
             return np.concatenate([best_counts(block[:, k:k + _SCAN_CHUNK], self.labels)
                                    for k in range(0, block.shape[1], _SCAN_CHUNK)])
 
+        slices = _ordered_map(sweep, range(0, len(indices), width), read)
+        return self._fold((part, counts, block) for (part, block), counts in slices)
+
+    def _fold(self, slices) -> bool:
+        """Fold ``(axes, counts, block)`` slices in order; a looked-up slice has no block."""
         rose = False
-        for (part, block), counts in _ordered_map(sweep, range(0, len(indices), width), read):
-            self._blocks.append(part)
+        for axes, counts, block in slices:
+            self._blocks.append(axes)
             self._counts.append(counts)
             j = int(np.argmax(counts))  # first max: the earliest axis wins ties, here and across slices
             if counts[j] > self.best_count:
-                self.best_count, self.best_axis = int(counts[j]), int(part[j])
-                self.best_column = block[:, j].copy()  # keep one column, not its slice
+                self.best_count, self.best_axis = int(counts[j]), int(axes[j])
+                # a swept winner keeps one column of its slice; a looked-up one reads it
+                self.best_column = self.source.column(self.best_axis) if block is None else block[:, j].copy()
                 rose = True
         return rose
 
-    def _look_up(self, indices) -> bool:
-        counts = self.source.counts[checked_axes(indices, self.source.axis_count)]
-        self._blocks.append(indices)
-        self._counts.append(counts)
-        j = int(np.argmax(counts))  # first max, as the slice-by-slice fold finds it
-        if counts[j] > self.best_count:
-            self.best_count, self.best_axis = int(counts[j]), int(indices[j])
-            self.best_column = self.source.column(self.best_axis)
-            return True
-        return False
+    def winner(self, best: AxisResult) -> AxisResult:
+        """``best``, the winner's recomputed threshold rule; a rule that misses
+        the count the axis won with is a RuntimeError, not a result."""
+        if best.correct_count != self.best_count:
+            raise RuntimeError(f"axis {self.best_axis} scored {self.best_count} correct but its rule gets "
+                               f"{best.correct_count}")
+        return best
 
     @property
     def axes(self) -> list[int]:
@@ -536,7 +527,8 @@ def r_min_deterministic(features, labels):
 
     Parameters
     ----------
-    features : FeatureMatrix, lazy column source, or ndarray of shape (N, d)
+    features : FeatureMatrix, lazy column source, ndarray of shape (N, d), or
+        the ``ScannedFeatures`` record of an earlier scan of them
     labels : length-N vector over {-1, +1}
 
     Returns
@@ -549,7 +541,7 @@ def r_min_deterministic(features, labels):
     """
     run = _ScoredAxes(features, labels)
     run.score(range(run.source.axis_count))
-    best = axis_accuracy(run.best_column, labels, axis_index=run.best_axis)
+    best = run.winner(axis_accuracy(run.best_column, labels, axis_index=run.best_axis))
     return best.accuracy, best, run.accuracies
 
 

@@ -69,10 +69,12 @@ from .featmap import (
     ProjectionSpec,
     pauli_feature_matrix,
     pauli_gram,
+    pauli_string,
 )
 from .sampling import (
     EstimatorMethod,
     EstimatorSettings,
+    StopReason,
     adaptive_estimate,
     conservative_estimate,
     deterministic_estimate,
@@ -80,8 +82,6 @@ from .sampling import (
     survival_function,
 )
 from .svmref import KERNELS, Gram, svm_train
-
-CSV_HEADER = "dataset,method,p,rep,r_hat,axes_evaluated,stop_reason,svm_linear,svm_rbf,wall_ms"
 
 _METHOD_NAMES = tuple(m.value for m in EstimatorMethod)
 _EMBEDDINGS = ("proxy", "pauli")
@@ -166,11 +166,17 @@ class ReportRow:
     wall_ms: float
 
 
+CSV_HEADER = ",".join(f.name for f in fields(ReportRow))
+
+
 @dataclass
 class ExperimentReport:
     config: ExperimentConfig
     rows: list[ReportRow] = field(default_factory=list)
     r_min: dict = field(default_factory=dict)         # dataset -> exhaustive ground truth
+    # dataset -> the scan's winning rule: {"axis", "pauli", "threshold", "orientation",
+    # "correct_count", "sample_count"}; "pauli" is the axis's letters, None under the proxy
+    witness: dict = field(default_factory=dict)
     majority_rate: dict = field(default_factory=dict)  # dataset -> max(#pos, #neg) / N of the train split
     survival: dict = field(default_factory=dict)      # dataset -> {"thresholds": [...], "values": [...]}
     embedded_svm: dict = field(default_factory=dict)  # dataset -> {"linear": acc, "rbf": acc}
@@ -364,17 +370,23 @@ def _run_dataset(name: str, config: ExperimentConfig, report: ExperimentReport) 
         return
 
     try:
-        r_min, _, accuracies = timed("scan_s", r_min_deterministic, features, train.labels)
+        r_min, best, accuracies = timed("scan_s", r_min_deterministic, features, train.labels)
     except Exception as exc:
         return fail(EstimatorMethod.DETERMINISTIC.value, exc)
     report.r_min[name] = r_min
+    report.witness[name] = dict(
+        axis=best.axis_index,
+        pauli=pauli_string(best.axis_index, config.qubit_count).letters if config.embedding == "pauli" else None,
+        threshold=best.best_threshold, orientation=best.orientation.value,
+        correct_count=best.correct_count, sample_count=train.sample_count,
+    )
     scanned = ScannedFeatures(features, train.labels, accuracies)  # the estimators look up its counts
     surv = survival_function(accuracies)
     report.survival[name] = {"thresholds": surv.thresholds.tolist(), "values": surv.values.tolist()}
     # the exhaustive row leads the dataset's rows wherever `methods` lists it
     if EstimatorMethod.DETERMINISTIC.value in config.methods:
-        add_row(EstimatorMethod.DETERMINISTIC.value, None, 0, r_min, features.axis_count, "exhausted",
-                timings["scan_s"] * 1000.0)
+        add_row(EstimatorMethod.DETERMINISTIC.value, None, 0, r_min, features.axis_count,
+                StopReason.EXHAUSTED.value, timings["scan_s"] * 1000.0)
 
     cells = [
         (method, p, rep)

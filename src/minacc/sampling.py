@@ -11,11 +11,12 @@ Every estimator, like the exhaustive scan, is a stopping rule over one
 scoring run (``axiscore._ScoredAxes``): it draws axes from one
 without-replacement stream, scores them a block at a time, and the run keeps
 the first axis to reach the maximum.  Given ``axiscore.ScannedFeatures``,
-the exhaustive scan's output for the same features and labels, a run looks
-up each drawn axis's count instead of sweeping its column; only the winner's
-column is read, for its threshold rule, and every result is the one a plain
-source gives, bit for bit.  Three rules trade prior knowledge for
-adaptivity:
+the record of the exhaustive scan of the same features and labels, a run
+looks up each drawn axis's count instead of sweeping its column; only the
+winner's column is read, for its threshold rule, and every result is the one
+a plain source gives, bit for bit.  On either path the winner's rule must
+reach the count it won with, or the run is a RuntimeError, as the scan's is.
+Three rules trade prior knowledge for adaptivity:
 
 * conservative: one block of fixed size t = ceil(log(1/delta) / p) from an
   assumed lower bound p on the fraction of good axes;
@@ -245,12 +246,9 @@ class EstimateResult:
 
 def _result(run: _ScoredAxes, method, reason, pilot_stats=None) -> EstimateResult:
     """The result of a scoring run: the threshold rule of its winner, from the
-    column kept with it; every other axis stays a count.  A winner whose rule
-    does not reach the count it won with is a RuntimeError, not an estimate."""
-    best = axis_accuracy(run.best_column, run.labels, axis_index=run.best_axis)
-    if best.correct_count != run.best_count:
-        raise RuntimeError(f"axis {run.best_axis} scored {run.best_count} correct but its rule gets "
-                           f"{best.correct_count}")
+    column kept with it and checked by ``run.winner``; every other axis stays
+    a count."""
+    best = run.winner(axis_accuracy(run.best_column, run.labels, axis_index=run.best_axis))
     axes = run.axes
     return EstimateResult(
         r_hat=best.accuracy,

@@ -131,7 +131,8 @@ def _solve_dual(K: np.ndarray, y: np.ndarray, C: float, tol: float, max_iter: in
     once that point has no KKT violator at ``tol``.  Otherwise it stops with
     ``converged`` False after ``max_iter`` iterations, or once rounding pins
     the iterate to a bound: a = C, a so small that C - a == C, or every
-    product a z and (C - a) u rounded to zero (mu = 0).  The
+    product a z and (C - a) u rounded to zero (mu = 0); it then returns the
+    snapped point of smallest duality gap, not the last one.  The
     (N+1) x (N+1) system holds Q from the start, and each step rewrites
     only its diagonal.
 
@@ -148,8 +149,8 @@ def _solve_dual(K: np.ndarray, y: np.ndarray, C: float, tol: float, max_iter: in
 
     a, z, u, b = np.full(n, 0.5 * C), np.ones(n), np.ones(n), 0.0
     snap = 1e-6 * C
-    converged = False
     iterations = 0
+    best_gap, best = np.inf, None
     while True:
         alpha = np.where(a < snap, 0.0, np.where(a > C - snap, C, a))
         free = (alpha > 0.0) & (alpha < C)
@@ -161,8 +162,11 @@ def _solve_dual(K: np.ndarray, y: np.ndarray, C: float, tol: float, max_iter: in
         # violator; the test is negated so that a NaN never passes
         inside = (alpha >= 0.0) & (alpha <= C)
         if np.all(inside & ((r >= -tol) | (alpha == C)) & ((r <= tol) | (alpha == 0.0))):
-            converged = True
-            break
+            return alpha, b, decision, iterations, True
+        # svm_train's duality gap in O(N): a'Qa = (alpha y)'(decision - b)
+        gap = (alpha * y) @ (decision - b) + C * np.maximum(0.0, -r).sum() - alpha.sum()
+        if gap < best_gap:
+            best_gap, best = gap, (alpha, b, decision)
         s = C - a
         mu = (a @ z + s @ u) / (2 * n)
         if iterations >= max_iter or not (np.all((s > 0.0) & (s < C)) and mu > 0.0):
@@ -185,7 +189,9 @@ def _solve_dual(K: np.ndarray, y: np.ndarray, C: float, tol: float, max_iter: in
         da, db, dz, du = direction(sigma_mu - a * z - da * dz, sigma_mu - s * u + da * du)
         t = 0.99 * _max_step(v, np.concatenate([da, -da, dz, du]))
         a, b, z, u = a + t * da, b + t * db, z + t * dz, u + t * du
-    return alpha, b, decision, iterations, converged
+    if best is not None:  # None only if every gap was NaN
+        alpha, b, decision = best
+    return alpha, b, decision, iterations, False
 
 
 def svm_train(

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from minacc import axiscore, cli, harness, svmref
-from minacc.axiscore import FeatureMatrix
+from minacc.axiscore import FeatureMatrix, Orientation, ThresholdClassifier
 from minacc.datagen import (
     CIRCLES,
     DATASET_KINDS,
@@ -29,7 +29,7 @@ from minacc.datagen import (
     generate,
     stratified_split,
 )
-from minacc.featmap import EncodingCircuitSpec, ProjectionSpec, save_feature_matrix
+from minacc.featmap import EncodingCircuitSpec, PauliString, ProjectionSpec, save_feature_matrix
 from minacc.harness import (
     CSV_HEADER,
     ExperimentConfig,
@@ -643,6 +643,29 @@ def test_report_times_every_stage_per_dataset(tmp_path):
     # only the methods that ran are timed
     pilot_only = run_experiment(small_config(tmp_path, methods=("pilot",), datasets=(CIRCLES,)))
     assert set(pilot_only.timings[CIRCLES]) == {"embed_s", "svm_s", "scan_s", "pilot_s"}
+
+
+@pytest.mark.parametrize("embedding", ["pauli", "proxy"])
+def test_the_reported_witness_reaches_r_min(tmp_path, embedding):
+    # the rule report.json names, applied to the embedded train split, gets
+    # exactly its correct_count right, and that count over N is R_min
+    config = small_config(tmp_path, embedding=embedding, methods=("deterministic",))
+    (path,) = emit_report(run_experiment(config), fmt="json")
+    with open(path) as fh:
+        report = json.load(fh)
+    assert report["errors"] == [] and set(report["witness"]) == set(config.datasets)
+    for kind, witness in report["witness"].items():
+        train = harness._training_split(kind, config)
+        seed = derive_seed(config.master_seed, kind, "embed")
+        features = embed_dataset(train, embedding, config.qubit_count, seed)
+        rule = ThresholdClassifier(witness["axis"], witness["threshold"], Orientation(witness["orientation"]))
+        assert int(np.sum(rule.predict(features) == train.labels)) == witness["correct_count"]
+        assert witness["sample_count"] == train.sample_count
+        assert witness["correct_count"] / witness["sample_count"] == report["r_min"][kind]
+        if embedding == "pauli":  # the letters spell the axis, one per qubit
+            assert PauliString(witness["axis"], witness["pauli"]).qubit_count == config.qubit_count
+        else:
+            assert witness["pauli"] is None
 
 
 @pytest.mark.parametrize("cores", [1, 3])

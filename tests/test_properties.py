@@ -268,13 +268,20 @@ def _result_bytes(result):
 def test_estimates_on_the_scanned_source_equal_the_swept_ones(case, seed):
     source, labels = case
     scanned = ScannedFeatures(source, labels, r_min_deterministic(source, labels)[2])
-    d = scanned.axis_count
+    d = scanned.source.axis_count
     estimators = dict(_estimators(d, seed), **{
         f"conservative p={p}": lambda f, y, p=p: conservative_estimate(f, y, p, 0.05, rng_seed=seed)
         for p in (0.05, 0.15, 0.25)
     })
     for name, estimate in estimators.items():
         assert _result_bytes(estimate(scanned, labels)) == _result_bytes(estimate(source, labels)), name
+
+    def scan_bytes(features):
+        r_min, best, accuracies = r_min_deterministic(features, labels)
+        return (np.float64(r_min).tobytes(), best.axis_index, np.float64(best.best_threshold).tobytes(),
+                best.orientation, best.correct_count, accuracies.dtype, accuracies.tobytes())
+
+    assert scan_bytes(scanned) == scan_bytes(source)
 
 
 def test_scanned_source_rejects_other_labels_and_a_wrong_length_vector():

@@ -364,7 +364,7 @@ def test_scanned_source_reads_only_the_winning_columns():
             swept.r_hat, swept.best, swept.sampled_axes)
 
 
-@pytest.mark.parametrize("method", ["deterministic", "conservative", "pilot", "adaptive"])
+@pytest.mark.parametrize("method", ["r_min", "deterministic", "conservative", "pilot", "adaptive"])
 def test_a_count_no_rule_reaches_is_an_error(method):
     # one axis's count raised past the maximum: that axis wins the lookup, but
     # its threshold rule gets its true count, so no estimate may be returned
@@ -376,6 +376,7 @@ def test_a_count_no_rule_reaches_is_an_error(method):
     scanned = ScannedFeatures(features, labels, doctored)
     d = features.axis_count
     estimate = {  # each samples every axis
+        "r_min": lambda: r_min_deterministic(scanned, labels),
         "deterministic": lambda: deterministic_estimate(scanned, labels),
         "conservative": lambda: conservative_estimate(scanned, labels, 0.05, 0.05, rng_seed=0),
         "pilot": lambda: pilot_estimate(scanned, labels, n_pilot=d, rng_seed=0),

@@ -212,13 +212,15 @@ def test_stuck_fit_stops_without_a_floating_point_warning(seed, shape, scale, C)
     # a bound leaves KKT violators, so the snapped point never passes; the
     # iterate then runs down to a bound until the barrier overflows (the
     # first; the parent ran out 10,000 iterations) or mu underflows to 0 (the
-    # second).  Tier-1 makes any RuntimeWarning on the way an error.
+    # second).  Tier-1 makes any RuntimeWarning on the way an error.  The fit
+    # returns the snapped point of smallest gap it passed, not the last one
+    # (gaps 0.18 and 0.16 there, below 1e-4 at the best).
     rng = np.random.default_rng(seed)
     x = rng.standard_normal(shape) * scale
     y = rng.choice([-1, 1], shape[0])
     model = svm_train(x, y, kernel="linear", C=C)
     assert model.n_sweeps < 200
-    assert math.isfinite(model.duality_gap) and model.duality_gap >= 0.0
+    assert math.isfinite(model.duality_gap) and 0.0 <= model.duality_gap <= 1e-4
     # converged only if the returned point passes the KKT check
     alpha, r = full_alpha(model, len(y)), y * decision_function(model, x) - 1.0
     kkt = np.all(((r >= -1e-3) | (alpha == C)) & ((r <= 1e-3) | (alpha == 0.0)))
