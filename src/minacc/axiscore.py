@@ -33,12 +33,14 @@ from enum import Enum
 
 import numpy as np
 
-# Column chunk width of one sweep of the full-matrix scan; keeps the working
-# set of the vectorized sweep under a few MB regardless of d (at N = 100 its
-# float64 and index arrays are 0.4 MB each, its int32 counts 0.2 MB), and
-# each worker thread keeps its own allocation peak.  A pool task sweeps four
-# chunks: fewer round trips through the pool and the GIL.  On both cores of
-# a 2-core Xeon the 65,536-axis scan of the axis-major proxy embedding
+# The exact path's one block width, in axes: one sweep of the scan, one
+# finiteness check of ``FeatureMatrix``, one partial sum of ``linear_predict``,
+# one block of the proxy embedding and one run of X-masks of the Pauli one
+# (``featmap``).  The sweep's working set stays under a few MB whatever d (at
+# N = 100 its float64 and index arrays are 0.4 MB each, its int32 counts
+# 0.2 MB), and each worker thread keeps its own allocation peak.  A pool task
+# sweeps four blocks: fewer round trips through the pool and the GIL.  On both
+# cores of a 2-core Xeon the 65,536-axis scan of the axis-major proxy embedding
 # (N = 100) took a median 0.11 s in 512-axis tasks and 0.105 s in 2048-axis
 # tasks of 512-axis sweeps; one core takes 0.17 s.  With another process
 # spinning on one of the two cores, 512-axis tasks took 0.176 s and
@@ -206,10 +208,10 @@ class LabeledDataset:
 class FeatureMatrix:
     """Embedded dataset: entry [k, i] is the value of feature axis i on sample k.
 
-    Either memory layout is kept as given, with no copy.  The proxy embedding
-    builds it axis-major (F-contiguous, each axis one contiguous run), which
-    the exhaustive scan sorts with no transpose copy; Pauli and file matrices
-    are row-major.
+    Either memory layout is kept as given, with no copy.  Both embeddings,
+    proxy and Pauli, build it axis-major (F-contiguous, each axis one
+    contiguous run), which the exhaustive scan sorts with no transpose copy;
+    file matrices are row-major.
     """
 
     values: np.ndarray
@@ -328,7 +330,7 @@ def _sorted_rows(block: np.ndarray):
     sorted.  NaN sorts last and -inf/+inf to the ends, so the block is finite
     exactly when the first and last sorted value of every row are.
 
-    An axis-major (F-contiguous) block, as the proxy embedding builds,
+    An axis-major (F-contiguous) block, as both embeddings build,
     transposes to those rows as a view; a row-major block is copied once.
     The sorted values come from a sort of their own rather than a gather
     through the sweep's argsort: it yields the same sequence, except that

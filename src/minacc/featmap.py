@@ -20,9 +20,10 @@ expectation values of all 4^n Pauli strings (eigenvalues +-1, so features lie in
 and the squared entries of one sample sum to 2^n for pure states).  The circuit has
 only RY and CZ gates, so its amplitudes are real: all N states are encoded in one
 float64 batch.  A Walsh-Hadamard transform over k of conj(psi[k ^ x]) psi[k] gives
-every Z-mask of X-mask x, O(n 4^n) per state, run on chunks of samples under a fixed
-element budget.  On real states the strings with an odd number of Y are exactly 0.0,
-and every other value within its rounding bound (n + 3) eps/2 of zero becomes 0.0.
+every Z-mask of X-mask x, O(n 4^n) per state; one transform covers all N states and a
+run of X-masks, one exact-path block (``axiscore._SCAN_CHUNK`` axes), written
+axis-major like the proxy's.  On real states the strings with an odd number of Y are
+exactly 0.0, and every other value within (n + 3) eps/2 of zero becomes 0.0.
 The linear kernel of those features is the fidelity kernel of the states, so
 ``pauli_gram`` builds it from the N states without the N x 4^n matrix.
 """
@@ -36,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .axiscore import Checked, FeatureMatrix, LabeledDataset, Rule, _ordered_map, checked_axes
+from .axiscore import _SCAN_CHUNK, Checked, FeatureMatrix, LabeledDataset, Rule, _ordered_map, checked_axes
 from .datagen import read_numeric_csv, write_numeric_csv
 
 _DENSE_QUBIT_LIMIT = 12      # statevector simulation guard
@@ -71,16 +72,13 @@ _PHILOX_KEY_STEPS = np.outer(np.arange(10, dtype=np.uint64),
 # positions of the high and low word of a uint64 in its uint32 view
 _HIGH, _LOW = (1, 0) if sys.byteorder == "little" else (0, 1)
 
-# Columns per block of the proxy embedding: the 512 x N product temporary stays
-# a few hundred KB at N = 100, and no d x N temporary is built beside the output.
-_PROXY_BLOCK = 512
 # Columns per pool task: one projection_block call, then its blocks in turn.
 # The Philox glue holds the GIL, so narrower tasks overlap less.  On both
 # cores of a 2-core Xeon (N = 100, m = 2 and 4, two tasks in flight per
 # worker, one process, interleaved), a 65,536-axis embedding takes a median
 # 87 ms in 2048-wide tasks and 79 ms in 4096- or 8192-wide ones; the narrower
 # of the two fastest keeps less in flight.
-_PROXY_TASK = 8 * _PROXY_BLOCK
+_PROXY_TASK = 8 * _SCAN_CHUNK
 
 
 def _philox4x32(even: np.ndarray, odd: np.ndarray, key) -> tuple[np.ndarray, np.ndarray]:
@@ -135,8 +133,8 @@ def _proxy_block(inputs: np.ndarray, spec: ProjectionSpec, indices) -> np.ndarra
 
     def fill(start):
         task = projection_block(spec, axes[start:start + _PROXY_TASK])
-        for offset in range(0, task.shape[1], _PROXY_BLOCK):
-            w = task[:, offset:offset + _PROXY_BLOCK]
+        for offset in range(0, task.shape[1], _SCAN_CHUNK):
+            w = task[:, offset:offset + _SCAN_CHUNK]
             acc = buffer[start + offset:start + offset + w.shape[1]]
             np.multiply(w[0][:, None], inputs[:, 0], out=acc)
             for j in range(1, spec.input_dim):
@@ -288,13 +286,6 @@ def _pauli_masks(index, n: int):
     return x, z, np.array([1, 1j, -1, -1j])[y_count % 4]
 
 
-# Entries of the product table transformed at once: 16 samples at n = 6 and
-# one at n = 8.  The table, its spare buffer and its gather stay at 512 KB
-# each; transforming all 100 samples of an n = 6 dataset at once raised the peak
-# RSS of a whole experiment by about 7 MB.
-_TRANSFORM_BUDGET = 2 ** 16
-
-
 def _transformed_products(psi: np.ndarray, x_masks: np.ndarray, n: int) -> np.ndarray:
     """[z, r, b] = <psi_b| X^{x_masks[r]} Z^z |psi_b> for the rows psi_b of a
     B x 2^n batch: one Walsh-Hadamard transform along k of the products
@@ -346,23 +337,25 @@ def pauli_expectation(state, sigma: PauliString) -> float:
 
 
 def pauli_feature_matrix(dataset: LabeledDataset, spec: EncodingCircuitSpec) -> FeatureMatrix:
-    """All 4^n Pauli expectations per sample, columns in Pauli index order.
-    The states are encoded in one batch; each chunk of samples then shares
-    one transformed 2^n x 2^n x B product table, gathered with the real sign
-    of i^{#Y} (0 for the odd-#Y strings, whose expectation on a real state is 0)."""
+    """All 4^n Pauli expectations per sample, columns in Pauli index order, as
+    the transpose of a 4^n x N buffer.  Each run of ``_SCAN_CHUNK`` axes' worth
+    of X-masks is one transform of all N states, whose rows, signed by the real
+    part of i^{#Y} (0 for odd #Y: the expectation on a real state is 0), land at
+    their Pauli indices; the first run's (X-mask 0, Z = 0) row is every norm."""
     n = spec.qubit_count
     if n > _MATRIX_QUBIT_LIMIT:
         raise ValueError(f"dense simulation limit: 4^n features need n <= {_MATRIX_QUBIT_LIMIT}")
     x, z, phase = _pauli_masks(np.arange(4 ** n), n)
-    table_rows, sign = z * 2 ** n + x, phase.real[:, None]
+    index_of = np.argsort(z * 2 ** n + x).reshape(2 ** n, 2 ** n)  # [z, x] -> Pauli index
     states = _encode_states(dataset.inputs, spec)
-    chunk = max(1, _TRANSFORM_BUDGET // 4 ** n)
-    out = np.empty((dataset.sample_count, 4 ** n), dtype=np.float64)
-    for start in range(0, dataset.sample_count, chunk):
-        w = _transformed_products(states[start:start + chunk], np.arange(2 ** n), n)
-        table = w.reshape(4 ** n, -1)
-        out[start:start + chunk] = _expectation_values(sign * table[table_rows], table[0], n).T
-    return FeatureMatrix(out)
+    run = max(1, _SCAN_CHUNK // 2 ** n)
+    buffer = np.empty((4 ** n, dataset.sample_count), dtype=np.float64)
+    for start in range(0, 2 ** n, run):
+        w = _transformed_products(states, np.arange(start, min(start + run, 2 ** n)), n)
+        norm_sq = w[0, 0] if start == 0 else norm_sq
+        rows = index_of[:, start:start + run].ravel()
+        buffer[rows] = _expectation_values(phase.real[rows, None] * w.reshape(rows.size, -1), norm_sq, n)
+    return FeatureMatrix(buffer.T)
 
 
 def pauli_gram(dataset: LabeledDataset, spec: EncodingCircuitSpec) -> np.ndarray:

@@ -115,9 +115,10 @@ class SvmModel:
 
 
 def _max_step(v: np.ndarray, dv: np.ndarray) -> float:
-    """Largest t <= 1 keeping v + t * dv >= 0."""
-    shrinking = dv < 0.0
-    return min(1.0, float(np.min(-v[shrinking] / dv[shrinking]))) if shrinking.any() else 1.0
+    """Largest t <= 1 keeping v + t * dv >= 0.  Only entries a full step would
+    push below zero bound it: their ratios lie below 1, so none overflows."""
+    crossing = dv < -v
+    return float(np.min(-v[crossing] / dv[crossing])) if crossing.any() else 1.0
 
 
 def _solve_dual(K: np.ndarray, y: np.ndarray, C: float, tol: float, max_iter: int):

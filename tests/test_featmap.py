@@ -423,14 +423,15 @@ def test_encoded_states_are_real_unit_vectors():
             assert np.linalg.norm(state) == pytest.approx(1.0, abs=1e-14)
 
 
-@pytest.mark.parametrize("per_chunk", [1, 2, 3])
-def test_feature_matrix_does_not_depend_on_its_chunks(monkeypatch, per_chunk):
-    # each sample's row is the same bytes whichever samples share its transform
+@pytest.mark.parametrize("per_run", [1, 2, 3])
+def test_feature_matrix_does_not_depend_on_its_chunks(monkeypatch, per_run):
+    # each entry is the same bytes whichever X-masks share its transform,
+    # and whichever samples share its matrix
     rng = np.random.default_rng(17)
     data = small_dataset(rng, n_samples=10, n_features=3)
     spec = EncodingCircuitSpec(qubit_count=3)
     whole = pauli_feature_matrix(data, spec).values
-    monkeypatch.setattr(featmap, "_TRANSFORM_BUDGET", per_chunk * 4 ** 3)
+    monkeypatch.setattr(featmap, "_SCAN_CHUNK", per_run * 2 ** 3)
     for bounds in ([0, 10], [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10], [0, 1, 4, 9, 10], [0, 5, 7, 10]):
         parts = [pauli_feature_matrix(LabeledDataset(inputs=data.inputs[a:b], labels=data.labels[a:b]),
                                       spec).values for a, b in zip(bounds, bounds[1:])]
@@ -521,6 +522,13 @@ def test_binary_roundtrip_is_bit_exact(tmp_path):
     row_major = tmp_path / "row_major.bin"
     save_feature_matrix(FeatureMatrix(np.ascontiguousarray(feats.values)), row_major)
     assert feats.values.flags.f_contiguous and row_major.read_bytes() == blob
+    # so is a Pauli matrix's, built axis-major
+    pauli = pauli_feature_matrix(data, EncodingCircuitSpec(qubit_count=2))
+    pauli_path = tmp_path / "pauli.bin"
+    save_feature_matrix(pauli, pauli_path)
+    assert pauli.values.flags.f_contiguous
+    assert pauli_path.read_bytes()[24:] == np.ascontiguousarray(pauli.values).tobytes()
+    assert load_feature_matrix(pauli_path).values.tobytes() == np.ascontiguousarray(pauli.values).tobytes()
 
 
 def test_binary_truncation_detected(tmp_path):

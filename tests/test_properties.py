@@ -30,7 +30,6 @@ from minacc.axiscore import (
     r_min_deterministic,
 )
 from minacc.featmap import (
-    _PROXY_BLOCK,
     EncodingCircuitSpec,
     LazyProxyFeatures,
     ProjectionSpec,
@@ -130,6 +129,16 @@ def test_all_equal_columns_count_as_their_single_axis_scans(case):
     assert best_counts(np.asfortranarray(values), labels).tolist() == expected
 
 
+@st.composite
+def pauli_sources(draw):
+    """The n = 2 or 3 Pauli matrix of a few duplicate-prone samples, with labels."""
+    n = draw(st.integers(1, 8))
+    inputs = draw(st.lists(_DUPLICATE_HEAVY, min_size=2 * n, max_size=2 * n))
+    labels = draw(st.lists(st.sampled_from([-1, 1]), min_size=n, max_size=n))
+    dataset = LabeledDataset(np.array(inputs).reshape(n, 2), np.array(labels))
+    return pauli_feature_matrix(dataset, EncodingCircuitSpec(draw(st.integers(2, 3)))), dataset.labels
+
+
 def _run_on_threads(patch, cores):
     """The exact path on ``cores`` threads, pooling every job of two or more items."""
     patch.setattr(axiscore, "_CORES", cores)
@@ -137,11 +146,12 @@ def _run_on_threads(patch, cores):
 
 
 @settings(max_examples=200, deadline=None)
-@given(labeled_matrices(max_n=6, max_d=20, element=st.sampled_from([0.0, 1.0])),
+@given(st.one_of(labeled_matrices(max_n=6, max_d=20, element=st.sampled_from([0.0, 1.0])), pauli_sources()),
        st.sampled_from([1, 2, 3, 7]), st.sampled_from([1, 2, 3]))
 def test_scan_result_does_not_depend_on_its_chunk_width(case, chunk, cores):
     # few rows and two values: most axes tie, within a chunk and across chunks,
-    # so the maximum recurs in later blocks, which may finish first on the pool
+    # so the maximum recurs in later blocks, which may finish first on the pool;
+    # a Pauli matrix is axis-major, and ties on its exact zeros
     values, labels = case
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(axiscore, "_CORES", 1)
@@ -242,16 +252,6 @@ def test_estimators_agree_across_sources_and_best_reproduces_r_hat(case, seed):
         assert classifier_accuracy(witness, matrix, labels) == result.r_hat
 
 
-@st.composite
-def pauli_sources(draw):
-    """The n = 2 or 3 Pauli matrix of a few duplicate-prone samples, with labels."""
-    n = draw(st.integers(1, 8))
-    inputs = draw(st.lists(_DUPLICATE_HEAVY, min_size=2 * n, max_size=2 * n))
-    labels = draw(st.lists(st.sampled_from([-1, 1]), min_size=n, max_size=n))
-    dataset = LabeledDataset(np.array(inputs).reshape(n, 2), np.array(labels))
-    return pauli_feature_matrix(dataset, EncodingCircuitSpec(draw(st.integers(2, 3)))), dataset.labels
-
-
 def _result_bytes(result):
     """Every EstimateResult field, floats and arrays as bytes so that -0.0 and 0.0 differ."""
     best = result.best
@@ -305,20 +305,20 @@ def proxy_index_sets(draw):
     repeats, or a draw with replacement longer than one block."""
     n = draw(st.integers(1, 6))
     m = draw(st.integers(1, 5))
-    d = draw(st.integers(1, 2 * _PROXY_BLOCK + 8))
+    d = draw(st.integers(1, 2 * axiscore._SCAN_CHUNK + 8))
     inputs = draw(st.lists(_ANY_FINITE, min_size=n * m, max_size=n * m))
     dataset = LabeledDataset(np.array(inputs).reshape(n, m) / 100.0, np.ones(n, dtype=np.int64))
     spec = ProjectionSpec(input_dim=m, feature_dim=d, seed=draw(st.integers(0, 2**64 - 1)))
     few = st.lists(st.integers(0, d - 1), min_size=1, max_size=12)
     spanning = st.builds(
         lambda size, seed: np.random.default_rng(seed).integers(0, d, size=size).tolist(),
-        st.integers(_PROXY_BLOCK - 2, _PROXY_BLOCK + 40), st.integers(0, 2**32),
+        st.integers(axiscore._SCAN_CHUNK - 2, axiscore._SCAN_CHUNK + 40), st.integers(0, 2**32),
     )
     return LazyProxyFeatures(dataset, spec), draw(st.one_of(few, spanning))
 
 
 @settings(max_examples=60, deadline=None)
-@given(proxy_index_sets(), st.sampled_from([7, 300, _PROXY_BLOCK + 5]), st.sampled_from([1, 2, 3]))
+@given(proxy_index_sets(), st.sampled_from([7, 300, axiscore._SCAN_CHUNK + 5]), st.sampled_from([1, 2, 3]))
 def test_lazy_proxy_columns_are_the_eager_bytes(case, task, cores):
     # narrow pool tasks: several per call, the last one shorter, and a task
     # wider than a block splits into blocks of its own

@@ -7,6 +7,7 @@ same QP (box constraints plus the equality constraint).
 """
 
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -225,6 +226,31 @@ def test_stuck_fit_stops_without_a_floating_point_warning(seed, shape, scale, C)
     alpha, r = full_alpha(model, len(y)), y * decision_function(model, x) - 1.0
     kkt = np.all(((r >= -1e-3) | (alpha == C)) & ((r <= 1e-3) | (alpha == 0.0)))
     assert not kkt and not model.converged
+
+
+def _random_battery():
+    """The 300 inputs of a random battery of fits: N in [5, 55], q in [1, 39],
+    scales 0.1 to 100, random labels, all from ``default_rng(0)``."""
+    rng = np.random.default_rng(0)
+    cases = []
+    for _ in range(300):
+        n, q = int(rng.integers(5, 56)), int(rng.integers(1, 40))
+        x = rng.standard_normal((n, q)) * rng.choice([0.1, 1.0, 10.0, 100.0])
+        cases.append((x, rng.choice([-1, 1], n)))
+    return cases
+
+
+@pytest.mark.parametrize("case, C", [(157, 100.0), (160, 10.0), (263, 1.0), (263, 10.0)])
+def test_step_bound_does_not_overflow(case, C):
+    # on these fits some entry of the iterate moves by so little against its
+    # value that -v / dv overflowed, though a full step leaves it far above
+    # zero; only entries a full step crosses bound the step now, and their
+    # ratios lie below 1
+    x, y = _random_battery()[case]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        model = svm_train(x, y, kernel="linear", C=C)
+    assert math.isfinite(model.duality_gap) and model.n_sweeps < 10000
 
 
 def test_degenerate_duplicate_points_terminate():
