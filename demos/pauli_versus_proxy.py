@@ -3,7 +3,7 @@
 At n qubits the encoding circuit turns an input x into a statevector, and
 every one of the 4^n Pauli strings contributes one feature: its expectation
 value, a number in [-1, 1].  Dense simulation caps n at 8 (d = 65,536, about
-0.2-0.35 s per 100 samples on one core); the tanh random-projection proxy
+0.15-0.19 s per 100 samples on one core); the tanh random-projection proxy
 has no such cap and is what the benchmark uses at n = 8.  This script builds
 both at n = 3 (d = 64) on a tiny dataset and compares what the axis scan
 sees; set QUBITS to 8 to compare them at the benchmark width.

@@ -12,14 +12,15 @@ All accuracy comparisons are done on integer correct-counts; the floating
 internally, so results are exact multiples of 1/N.
 
 Every batch of axes, the exhaustive scan's or a sampled one, is scored in
-slices of 2,048 axes; a batch of at least four slices sweeps them on a
-private thread pool, one worker per usable core, created on first use, so a
-batch of at most 6,144 axes runs inline.  The calling thread reads every
-slice and folds the counts in slice order, so every result is the one-thread
-result, bit for bit.  At most two slices per core are read ahead of the fold,
-one running and one queued on each worker: from a lazy source that is
-2 x cores slices of 2,048 x N doubles (1.6 MB each at N = 100).  Pool tasks
-run numpy only: no column source, no BLAS and no nested pool call.
+tasks of eight ``_SCAN_CHUNK`` blocks (4,096 axes); a batch of two or more
+tasks sweeps them on a private thread pool, one worker per usable core,
+created on first use, and a batch of one task runs inline.  The calling
+thread reads every task's columns and folds the counts in task order, so
+every result is the one-thread result, bit for bit.  At most two tasks per
+core are read ahead of the fold, one running and one queued on each worker:
+from a lazy source that is 2 x cores tasks of 4,096 x N doubles (3.3 MB
+each at N = 100).  Pool tasks run numpy only: no column source, no BLAS and
+no nested pool call.
 """
 
 from __future__ import annotations
@@ -38,29 +39,20 @@ import numpy as np
 # one block of the proxy embedding and one run of X-masks of the Pauli one
 # (``featmap``).  The sweep's working set stays under a few MB whatever d (at
 # N = 100 its float64 and index arrays are 0.4 MB each, its int32 counts
-# 0.2 MB), and each worker thread keeps its own allocation peak.  A pool task
-# sweeps four blocks: fewer round trips through the pool and the GIL.  On both
-# cores of a 2-core Xeon the 65,536-axis scan of the axis-major proxy embedding
-# (N = 100) took a median 0.11 s in 512-axis tasks and 0.105 s in 2048-axis
-# tasks of 512-axis sweeps; one core takes 0.17 s.  With another process
-# spinning on one of the two cores, 512-axis tasks took 0.176 s and
-# 2048-axis tasks 0.164 s, against 0.163 s on one thread.
+# 0.2 MB), and each worker thread keeps its own allocation peak.
 _SCAN_CHUNK = 512
+# Blocks per task of the exact-path pool, scan or proxy embedding alike: fewer
+# round trips through the pool and the GIL.  On both cores of a 2-core Xeon
+# (65,536 proxy axes, N = 100, one process, 12 interleaved rounds, two runs)
+# the embedding took a median 75.7-77.0 ms in 4,096-axis tasks against
+# 81.1-82.2 ms in 2,048-axis ones, and the scan 78.0-79.4 ms against 78.5-79.0.
+_TASK_BLOCKS = 8
 
 # Workers of the exact-path pool: the cores this process may run on.
 _CORES = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 _POOL = None
 if hasattr(os, "register_at_fork"):  # a forked child has none of the parent's workers
     os.register_at_fork(after_in_child=lambda: globals().update(_POOL=None))
-# Jobs of fewer tasks run inline: at most 6,144 axes of the scan (2048-axis
-# tasks) and 12,288 of the proxy embedding (4096-axis tasks).  On the 2-core
-# Xeon the 4,096-axis scan of the n = 6 Pauli experiment (N = 100), pooled as
-# eight 512-axis tasks, made the whole experiment slower across processes
-# (median 0.378 s against 0.322 s on one thread, 1 of 8 runs faster).  On
-# 65,536 axes (N = 100, one process, two runs of ten interleaved repetitions)
-# the pool with two tasks in flight per worker embeds in 79-90 ms and scans in
-# 89-98 ms, against 111-139 ms and 187-228 ms on one thread.
-_POOL_MIN_ITEMS = 4
 
 
 def _ordered_map(task, items, read=lambda item: item):
@@ -71,10 +63,10 @@ def _ordered_map(task, items, read=lambda item: item):
     are in flight, one running and one queued per worker, so a worker that
     finishes never waits for the calling thread, and a lazy source never
     holds more than a few.  The tasks run on the pool, or inline on one core
-    or for fewer than ``_POOL_MIN_ITEMS`` items.  A task's exception is
-    raised when its turn comes, as inline.
+    or for a single item.  A task's exception is raised when its turn comes,
+    as inline.
     """
-    if _CORES < 2 or len(items) < _POOL_MIN_ITEMS:
+    if _CORES < 2 or len(items) < 2:
         for item in items:
             value = read(item)
             yield value, task(value)
@@ -389,21 +381,24 @@ def _checked(values, labels, ndim: int):
 
 
 def best_counts(block, labels) -> np.ndarray:
-    """Best correct-count of every column of an N x k block, in one sweep.
+    """Best correct-count of every column of an N x k block, swept
+    ``_SCAN_CHUNK`` columns at a time; the labels are checked once.
 
     Entry i equals ``axis_accuracy(block[:, i], labels).correct_count``.  A
     column whose smallest value equals its largest has no cut between values,
     so it scores the majority count max(#pos, #neg) with no label walk; the
-    other columns are swept.
+    other columns are swept.  A row-major block is copied axis-major one
+    sweep at a time, not whole.
     """
     v, y = _checked(block, labels, 2)
-    rows, sv = _sorted_rows(v)
-    varying = sv[:, 0] != sv[:, -1]
-    if varying.all():
-        return _sweep(rows, sv, y)[1].max(axis=1).astype(np.int64)
     positives = int(np.count_nonzero(y == 1))
-    counts = np.full(rows.shape[0], max(positives, y.size - positives), dtype=np.int64)
-    counts[varying] = _sweep(rows[varying], sv[varying], y)[1].max(axis=1)
+    counts = np.full(v.shape[1], max(positives, y.size - positives), dtype=np.int64)
+    for start in range(0, v.shape[1], _SCAN_CHUNK):
+        rows, sv = _sorted_rows(v[:, start:start + _SCAN_CHUNK])
+        varying = sv[:, 0] != sv[:, -1]
+        if not varying.all():
+            rows, sv = rows[varying], sv[varying]
+        counts[start:start + _SCAN_CHUNK][varying] = _sweep(rows, sv, y)[1].max(axis=1)
     return counts
 
 
@@ -470,27 +465,21 @@ class _ScoredAxes:
     def score(self, indices) -> bool:
         """Score the axes ``indices``; True if the best count rose.
 
-        The batch is cut into slices of four ``_SCAN_CHUNK`` sweeps.  The
-        calling thread reads each slice, the pool sweeps it, and the counts
-        fold in slice order.  A row-major slice is copied axis-major one
-        sweep at a time, by the sweep, not whole by the calling thread.
-        On a scan record the batch is one slice, its counts one lookup.
+        The batch is cut into tasks of ``_TASK_BLOCKS`` blocks.  The calling
+        thread reads each task's columns, ``best_counts`` sweeps them, on the
+        pool when there are two or more tasks, and the counts fold in task
+        order.  On a scan record the batch is one slice, its counts one lookup.
         """
         if self._scanned is not None:
             return self._fold([(indices, self._scanned[checked_axes(indices, self.source.axis_count)], None)])
-        width = 4 * _SCAN_CHUNK  # axes per pool task: four sweeps
+        width = _TASK_BLOCKS * _SCAN_CHUNK
 
         def read(start):
             part = indices[start:start + width]
             return part, self.source.columns(part)
 
-        def sweep(item):
-            block = item[1]
-            return np.concatenate([best_counts(block[:, k:k + _SCAN_CHUNK], self.labels)
-                                   for k in range(0, block.shape[1], _SCAN_CHUNK)])
-
-        slices = _ordered_map(sweep, range(0, len(indices), width), read)
-        return self._fold((part, counts, block) for (part, block), counts in slices)
+        tasks = _ordered_map(lambda item: best_counts(item[1], self.labels), range(0, len(indices), width), read)
+        return self._fold((part, counts, block) for (part, block), counts in tasks)
 
     def _fold(self, slices) -> bool:
         """Fold ``(axes, counts, block)`` slices in order; a looked-up slice has no block."""

@@ -36,7 +36,7 @@ from enum import Enum
 
 import numpy as np
 
-from .axiscore import AxisResult, Checked, Rule, _ScoredAxes, axis_accuracy, check
+from .axiscore import AxisResult, Checked, Rule, _ScoredAxes, axis_accuracy, check, r_min_deterministic
 
 # adaptive stops as STABLE once the best value spread over this many batch-ends is small
 _STABILITY_WINDOW = 5
@@ -245,9 +245,9 @@ class EstimateResult:
 
 
 def _result(run: _ScoredAxes, method, reason, pilot_stats=None) -> EstimateResult:
-    """The result of a scoring run: the threshold rule of its winner, from the
-    column kept with it and checked by ``run.winner``; every other axis stays
-    a count."""
+    """The result of a sampled method's scoring run: the threshold rule of its
+    winner, from the column kept with it and checked by ``run.winner``; every
+    other axis stays a count."""
     best = run.winner(axis_accuracy(run.best_column, run.labels, axis_index=run.best_axis))
     axes = run.axes
     return EstimateResult(
@@ -263,10 +263,11 @@ def _result(run: _ScoredAxes, method, reason, pilot_stats=None) -> EstimateResul
 
 
 def deterministic_estimate(features, labels) -> EstimateResult:
-    """Exhaustive scan wrapped in the common estimator result shape."""
-    run = _ScoredAxes(features, labels)
-    run.score(range(run.source.axis_count))
-    return _result(run, EstimatorMethod.DETERMINISTIC, StopReason.EXHAUSTED)
+    """``r_min_deterministic``'s exhaustive scan in the common estimator result shape."""
+    r_min, best, accuracies = r_min_deterministic(features, labels)
+    return EstimateResult(r_hat=r_min, sampled_axes=list(range(accuracies.size)), axis_accuracies=accuracies,
+                          best=best, method=EstimatorMethod.DETERMINISTIC, stopping_reason=StopReason.EXHAUSTED,
+                          axes_evaluated=accuracies.size)
 
 
 def conservative_estimate(features, labels, p_conservative: float, delta: float, rng_seed) -> EstimateResult:

@@ -2,9 +2,9 @@
 
 The first five checks are cheap and self-contained.  The last three share a
 module-scoped fixture that runs the full benchmark pipeline (three datasets,
-N_train = 100, proxy embedding at d = 4^8 = 65,536) exactly as the CLI would;
-expect a couple of minutes for this file, dominated by the linear SVM
-baselines on the embedded features.
+N_train = 100, proxy embedding at d = 4^8 = 65,536) exactly as the CLI would.
+The file runs in about 6 s on a 2-core Xeon, most of it in that pipeline and
+its rerun, about 1.5 s each, of which the SVM baselines take half.
 """
 
 import dataclasses

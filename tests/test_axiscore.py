@@ -356,8 +356,7 @@ def _exit_zero_if_the_scan_matches(values, labels, expected):
 def test_a_forked_child_scans_on_its_own_pool(monkeypatch):
     # the parent's pool threads do not exist in a forked child
     monkeypatch.setattr(axiscore, "_CORES", 2)
-    monkeypatch.setattr(axiscore, "_POOL_MIN_ITEMS", 2)
-    values = np.random.default_rng(14).normal(size=(10, 3000))
+    values = np.random.default_rng(14).normal(size=(10, 6000))
     labels = np.where(np.arange(10) % 3 == 0, 1, -1)
     r_min, _, _ = r_min_deterministic(values, labels)
     child = multiprocessing.get_context("fork").Process(
@@ -373,7 +372,6 @@ def test_a_forked_child_scans_on_its_own_pool(monkeypatch):
 @pytest.mark.parametrize("cores", [1, 2, 3])
 def test_ordered_map_reads_ahead_by_two_tasks_per_core_and_yields_in_order(monkeypatch, cores):
     monkeypatch.setattr(axiscore, "_CORES", cores)
-    monkeypatch.setattr(axiscore, "_POOL_MIN_ITEMS", 2)
     caller = threading.get_ident()
     reads, read_threads, task_threads = [], set(), set()
 
@@ -409,7 +407,7 @@ def test_ordered_map_reads_ahead_by_two_tasks_per_core_and_yields_in_order(monke
     assert got == [0, 10, 20, 30, 40, 50, 60]
     assert len(reads) == min(7 + window, len(items))
 
-    # fewer than _POOL_MIN_ITEMS items run inline
+    # a single item runs inline
     inline_threads = []
     assert list(axiscore._ordered_map(lambda value: inline_threads.append(threading.get_ident()),
                                       items[:1], read)) == [(0, None)]

@@ -216,6 +216,10 @@ def test_minacc_row_count_mismatch(tmp_path, capsys, small_data):
     )
     assert code == 1
     assert "error:" in err
+    # svm --features checks the same
+    code, stdout, err = run_cli(capsys, "svm", "--data", str(other), "--features", str(feats))
+    assert code == 1 and stdout == ""
+    assert "error:" in err and "row counts differ" in err
 
 
 def test_coverage_planning_and_probabilities(capsys):
@@ -385,6 +389,28 @@ def test_experiment_warns_about_unconverged_baselines(tmp_path, capsys):
     warnings = [line for line in err.splitlines() if "did not converge" in line]
     assert len(warnings) == 4
     assert "warning: dataset=circles embedded linear" in warnings[0]
+
+
+def test_experiment_warns_about_report_errors_and_exits_zero(tmp_path, capsys, monkeypatch):
+    # every pilot cell fails: each error is printed as a warning, and the
+    # deterministic row is still written, so the run succeeds
+    def failing_pilot(*args, **kwargs):
+        raise ValueError("pilot broke")
+
+    monkeypatch.setattr(harness, "pilot_estimate", failing_pilot)
+    config = tmp_path / "exp.cfg"
+    config.write_text(
+        "datasets = circles\nn_samples = 60\nqubit_count = 2\nsubsample_train = 30\nrepetitions = 2\n"
+        f"methods = deterministic, pilot\noutput_dir = {tmp_path / 'results'}\n"
+    )
+    code, _, err = run_cli(capsys, "experiment", "--config", str(config), "--format", "json")
+    assert code == 0, err
+    report = json.loads((tmp_path / "results" / "report.json").read_text())
+    assert [row["method"] for row in report["rows"]] == ["deterministic"]
+    assert [line for line in err.splitlines() if line.startswith("warning: {")] == [
+        f"warning: {error}" for error in report["errors"]]
+    assert [(e["stage"], e["rep"], e["message"]) for e in report["errors"]] == [
+        ("pilot", rep, "pilot broke") for rep in range(2)]
 
 
 def test_experiment_reads_a_config_path_containing_equals(tmp_path, capsys):

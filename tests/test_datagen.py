@@ -12,6 +12,7 @@ from minacc.datagen import (
     LINEAR_SEPARABLE,
     MULTI_CLUSTER,
     DatasetSpec,
+    _subsample_quotas,
     dataset_from_csv,
     dataset_to_csv,
     gen_circles,
@@ -220,6 +221,17 @@ def test_split_ratio_preserved_when_unbalanced():
     # 4:1 class ratio carries into the subsample within one sample per class
     assert train.positive_count == 40 and train.negative_count == 10
     assert test.positive_count == 24 and test.negative_count == 6
+
+
+def test_subsample_hands_out_the_remainder_by_largest_share():
+    # 1,001 samples split 501/500, so the train split holds [351, 350]; the
+    # shares of 100 are 50.07 and 49.93, and the leftover sample goes to the
+    # larger remainder, the second class
+    assert _subsample_quotas([351, 350], 100) == [50, 50]
+    ds = generate(DatasetSpec(kind=CIRCLES, n_samples=1001, seed=0))
+    assert class_counts(ds) == (501, 500)
+    train, _ = stratified_split(ds, train_fraction=0.7, subsample_train=100, seed=0)
+    assert class_counts(train) == (50, 50)
 
 
 def test_split_errors():

@@ -511,6 +511,24 @@ def test_scan_failure_keeps_svm_baselines(tmp_path, monkeypatch):
     ]
 
 
+def test_a_failing_embedding_ends_only_its_dataset(tmp_path, monkeypatch):
+    def embed_all_but_circles(train, embedding, qubit_count, seed):
+        if seed == derive_seed(0, CIRCLES, "embed"):
+            raise MemoryError("no room for the embedding")
+        return embed_dataset(train, embedding, qubit_count, seed)
+
+    monkeypatch.setattr(harness, "embed_dataset", embed_all_but_circles)
+    config = small_config(tmp_path, methods=("deterministic",))
+    report = run_experiment(config)
+    assert report.errors == [
+        {"dataset": CIRCLES, "stage": "pipeline", "message": "no room for the embedding", "type": "MemoryError"}]
+    assert report.timings[CIRCLES] == {} and CIRCLES in report.majority_rate
+    others = [kind for kind in config.datasets if kind != CIRCLES]
+    assert sorted(report.r_min) == sorted(report.embedded_svm) == sorted(others)
+    assert [row.dataset for row in report.rows] == others
+    assert all("embed_s" in report.timings[kind] for kind in others)
+
+
 def test_unconverged_baselines_are_reported(tmp_path):
     # one iteration cannot converge on 30 rows; the accuracies and the gap
     # that the returned point leaves are still reported
@@ -602,6 +620,23 @@ def test_a_doctored_scan_count_is_a_cell_error(tmp_path, monkeypatch):
     assert len(report.errors) == 4 * config.repetitions
     assert {(e["stage"], e["type"]) for e in report.errors} == {
         (m, "RuntimeError") for m in ("conservative", "pilot", "adaptive")}
+
+
+def test_an_estimate_above_r_min_is_a_cell_error(tmp_path, monkeypatch):
+    def inflated(method, *args):
+        result = run_estimator(method, *args)
+        return dataclasses.replace(result, r_hat=result.r_hat + 1.0) if method == "adaptive" else result
+
+    monkeypatch.setattr(harness, "run_estimator", inflated)
+    config = small_config(tmp_path, datasets=(CIRCLES,))
+    report = run_experiment(config)
+    assert "adaptive" not in {row.method for row in report.rows}
+    assert len(report.rows) == 1 + 3 * config.repetitions  # deterministic, two conservative p values, pilot
+    r_min = report.r_min[CIRCLES]
+    assert [(e["stage"], e["rep"], e["type"]) for e in report.errors] == [
+        ("adaptive", rep, "RuntimeError") for rep in range(config.repetitions)]
+    assert all(e["message"].endswith(f"exceeds exhaustive value {r_min}") for e in report.errors)
+    assert report.timings[CIRCLES]["adaptive_s"] > 0.0
 
 
 def test_proxy_baselines_read_the_matrix(tmp_path, monkeypatch):
@@ -727,6 +762,9 @@ def test_run_experiment_baselines_only(tmp_path):
         assert row.method == "baseline"
         assert row.r_hat is None and row.axes_evaluated == 0
         assert 0.0 <= row.svm_linear <= 1.0
+    # no r_hat to aggregate: report.csv holds the header and the three rows
+    lines = list(csv.DictReader(io.StringIO(report_to_csv_text(report))))
+    assert [(line["method"], line["rep"], line["r_hat"]) for line in lines] == [("baseline", "0", "")] * 3
 
 
 def test_rerun_with_fewer_training_rows_recomputes_r_min(tmp_path):

@@ -139,12 +139,6 @@ def pauli_sources(draw):
     return pauli_feature_matrix(dataset, EncodingCircuitSpec(draw(st.integers(2, 3)))), dataset.labels
 
 
-def _run_on_threads(patch, cores):
-    """The exact path on ``cores`` threads, pooling every job of two or more items."""
-    patch.setattr(axiscore, "_CORES", cores)
-    patch.setattr(axiscore, "_POOL_MIN_ITEMS", 2)
-
-
 @settings(max_examples=200, deadline=None)
 @given(st.one_of(labeled_matrices(max_n=6, max_d=20, element=st.sampled_from([0.0, 1.0])), pauli_sources()),
        st.sampled_from([1, 2, 3, 7]), st.sampled_from([1, 2, 3]))
@@ -158,7 +152,7 @@ def test_scan_result_does_not_depend_on_its_chunk_width(case, chunk, cores):
         whole = r_min_deterministic(values, labels)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(axiscore, "_SCAN_CHUNK", chunk)
-        _run_on_threads(patch, cores)
+        patch.setattr(axiscore, "_CORES", cores)
         r_min, best, per_axis = r_min_deterministic(values, labels)
     assert (r_min, best) == whole[:2]
     assert per_axis.tolist() == whole[2].tolist()
@@ -318,17 +312,17 @@ def proxy_index_sets(draw):
 
 
 @settings(max_examples=60, deadline=None)
-@given(proxy_index_sets(), st.sampled_from([7, 300, axiscore._SCAN_CHUNK + 5]), st.sampled_from([1, 2, 3]))
-def test_lazy_proxy_columns_are_the_eager_bytes(case, task, cores):
-    # narrow pool tasks: several per call, the last one shorter, and a task
-    # wider than a block splits into blocks of its own
+@given(proxy_index_sets(), st.sampled_from([1, 7, 37]), st.sampled_from([1, 2, 3]))
+def test_lazy_proxy_columns_are_the_eager_bytes(case, chunk, cores):
+    # narrow blocks, so narrow pool tasks: several per call, the last one
+    # shorter, and each task splits into blocks of its own
     lazy, indices = case
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(axiscore, "_CORES", 1)
         eager = lazy.materialize().values
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(featmap, "_PROXY_TASK", task)
-        _run_on_threads(patch, cores)
+        patch.setattr(featmap, "_SCAN_CHUNK", chunk)
+        patch.setattr(axiscore, "_CORES", cores)
         assert lazy.materialize().values.tobytes() == eager.tobytes()
         assert lazy.columns(indices).tobytes() == eager[:, indices].tobytes()
         i = indices[0]
@@ -364,12 +358,12 @@ def test_pooled_scan_reads_columns_on_the_calling_thread_only(cores):
     labels = np.array([1, -1, 1, -1, 1])
     source = _RecordingSource(values)
 
-    def sampled(features):  # t = d = 40: one batch of four slices
+    def sampled(features):  # t = d = 40: one batch of two tasks
         return conservative_estimate(features, labels, p_conservative=0.05, delta=0.05, rng_seed=3)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(axiscore, "_SCAN_CHUNK", 3)
-        _run_on_threads(patch, cores)
+        patch.setattr(axiscore, "_CORES", cores)
         r_min, best, per_axis = r_min_deterministic(source, labels)
         estimate = sampled(source)
     assert source.threads == {threading.get_ident()}
@@ -389,7 +383,7 @@ def test_pooled_scan_rejects_a_non_finite_column_in_a_later_block(cores, bad):
     values[2, 31] = bad
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(axiscore, "_SCAN_CHUNK", 3)
-        _run_on_threads(patch, cores)
+        patch.setattr(axiscore, "_CORES", cores)
         with pytest.raises(ValueError, match="non-finite feature values"):
             r_min_deterministic(_RecordingSource(values), np.array([1, -1, 1, -1, 1]))
 

@@ -420,6 +420,20 @@ def test_json_roundtrip_preserves_predictions(tmp_path):
     assert model_from_json(text).training_accuracy == svm_train(x, y).training_accuracy
 
 
+def test_gram_fit_model_roundtrips_without_support_vectors():
+    # a Gram fit keeps no rows: its empty support vectors come back 0 x 0,
+    # and the loaded model still refuses to predict
+    rng = np.random.default_rng(9)
+    x, y = blobs(rng, n_per=14, gap=1.0)
+    model = svm_train(gram_of(x), y)
+    loaded = model_from_json(model_to_json(model))
+    assert model.support_indices.size > 0
+    assert loaded.support_vectors.shape == model.support_vectors.shape == (0, 0)
+    assert loaded.support_indices.tolist() == model.support_indices.tolist()
+    with pytest.raises(ValueError, match="Gram matrix keeps no support vectors"):
+        decision_function(loaded, x)
+
+
 def test_model_from_json_reads_any_path_as_a_file(tmp_path, monkeypatch):
     # a path is a file to read and a str is JSON text, whatever either begins with
     monkeypatch.chdir(tmp_path)
