@@ -12,15 +12,16 @@ All accuracy comparisons are done on integer correct-counts; the floating
 internally, so results are exact multiples of 1/N.
 
 Every batch of axes, the exhaustive scan's or a sampled one, is scored in
-tasks of eight ``_SCAN_CHUNK`` blocks (4,096 axes); a batch of two or more
-tasks sweeps them on a private thread pool, one worker per usable core,
-created on first use, and a batch of one task runs inline.  The calling
-thread reads every task's columns and folds the counts in task order, so
-every result is the one-thread result, bit for bit.  At most two tasks per
-core are read ahead of the fold, one running and one queued on each worker:
-from a lazy source that is 2 x cores tasks of 4,096 x N doubles (3.3 MB
-each at N = 100).  Pool tasks run numpy only: no column source, no BLAS and
-no nested pool call.
+tasks of eight ``_SCAN_CHUNK`` blocks (4,096 axes); two or more tasks sweep
+on a private thread pool, one worker per usable core, created on first use,
+and one task runs inline.  The calling thread reads every task's columns and
+folds the counts in task order, so every result is the one-thread result,
+bit for bit.  At most two tasks per core are read ahead of the fold, one
+running and one queued per worker: from a lazy source, 2 x cores tasks of
+4,096 x N doubles (3.3 MB each at N = 100).  Pool tasks run numpy only: no
+column source, no BLAS and no nested pool call.  The SVM fits stay off the
+pool: 4,000 ``np.linalg.solve`` calls on 101 x 101 systems took as long on
+two threads as on one, and fits beside the scan doubled it for no gain.
 """
 
 from __future__ import annotations

@@ -38,8 +38,8 @@ defaults:
 
 Every random choice in the pipeline draws its seed from ``master_seed`` XOR a
 hash of the (dataset, stage, p, repetition) tuple, so any single cell can be
-re-run in isolation and full runs are byte-reproducible (wall-clock column
-aside).
+re-run in isolation and full runs are byte-reproducible at one BLAS thread
+count (wall-clock column aside).
 """
 
 from __future__ import annotations
@@ -186,8 +186,8 @@ class ExperimentReport:
     # dataset -> {"embedded"|"raw": {"linear"|"rbf": {"converged", "sweeps", "duality_gap"}}}
     svm_fits: dict = field(default_factory=dict)
     # dataset -> seconds per stage that ran: "embed_s", "svm_s" (all four baselines,
-    # with the Pauli Gram they are fit on), "scan_s", and "<method>_s" summing the
-    # cells of each sampled method
+    # with the two Grams they read, embedded and raw), "scan_s", and "<method>_s"
+    # summing the cells of each sampled method
     timings: dict = field(default_factory=dict)
     # threads of the proxy embedding and the exhaustive scan: one per usable core
     exact_path_threads: int = 1
@@ -331,20 +331,19 @@ def _run_dataset(name: str, config: ExperimentConfig, report: ExperimentReport) 
     def fit_baselines():
         if config.embedding == "pauli":
             # F F' is the fidelity kernel of the states: no fit reads the N x 4^n matrix
-            gram = pauli_gram(train, _pauli_spec(config.qubit_count))
-            embedded = Gram(gram, features.axis_count, float(features.values.mean()))
+            embedded = Gram(pauli_gram(train, _pauli_spec(config.qubit_count)),
+                            features.axis_count, float(features.values.mean()))
         else:
-            # svm_train reads row-major: copy an axis-major embedding once, not per kernel
-            embedded = np.ascontiguousarray(features.values)
+            embedded = Gram.of(features.values)
         return {
             source: {
                 kernel: svm_train(
-                    x, train.labels, kernel=kernel,
+                    gram, train.labels, kernel=kernel,
                     C=config.svm_c, tol=config.svm_tol, max_iter=config.svm_max_iter,
                 )
                 for kernel in KERNELS
             }
-            for source, x in (("embedded", embedded), ("raw", train.inputs))
+            for source, gram in (("embedded", embedded), ("raw", Gram.of(train.inputs)))
         }
 
     try:

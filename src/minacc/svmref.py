@@ -9,18 +9,17 @@ suffice even where the Gram matrix is numerically singular.  Every model
 carries its duality gap, primal minus dual objective at the returned point,
 which bounds its distance from the optimum by weak duality alone.
 
-The solver reads nothing but the kernel matrix, so a fit takes either the
-feature rows or their ``Gram`` matrix F F'.  On Pauli features that is the
-fidelity kernel 2^n <psi_x|psi_x'>^2 (Havlicek et al., Nature 567, 2019;
-Schuld & Killoran, PRL 122, 2019), built from the N statevectors by
-``featmap.pauli_gram`` without the N x 4^n matrix.
+A fit reads only the ``Gram`` of its N x q features F, so one Gram per input
+serves both kernels.  On Pauli features F F' is the fidelity kernel
+2^n <psi_x|psi_x'>^2 (Havlicek et al., Nature 567, 2019; Schuld & Killoran,
+PRL 122, 2019), built from the N statevectors by ``featmap.pauli_gram``
+without the N x 4^n matrix.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields
-from functools import partial
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -31,59 +30,67 @@ KERNEL_RBF = "rbf"
 KERNELS = (KERNEL_LINEAR, KERNEL_RBF)
 
 # a tolerance of zero is never met, a negative cap never reached
-_RULES = dict(C=Rule.POSITIVE, tol=Rule.POSITIVE, max_iter=Rule.integer_at_least(0), gamma=Rule.POSITIVE)
+_RULES = dict(C=Rule.POSITIVE, tol=Rule.POSITIVE, max_iter=Rule.integer_at_least(0), gamma=Rule.POSITIVE,
+              axis_count=Rule.COUNT)
 
 
 @dataclass(frozen=True)
 class Gram:
-    """All a fit reads of an N x q feature matrix F when F is not at hand:
-    its linear kernel F F' (N x N, finite), q, and the mean of the entries of F."""
+    """All a fit reads of an N x q feature matrix F: F F' (N x N, finite), q,
+    mean(F), and the derived squared row norms and var(F), which ``Gram(F F', q, mean(F))``
+    reads off the diagonal and the trace and ``Gram.of(F)`` sums from the rows."""
 
     values: np.ndarray
     axis_count: int
     feature_mean: float
+    squared_norms: np.ndarray = field(init=False, repr=False)
+    feature_variance: float = field(init=False)
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=np.float64)
-        if values.ndim != 2 or values.shape[0] != values.shape[1]:
-            raise ValueError("a Gram matrix must be N x N")
+        if values.ndim != 2 or values.shape[0] != values.shape[1] or values.size == 0:
+            raise ValueError("a Gram matrix must be N x N with N >= 1")
         if not np.isfinite(values).all():
             raise ValueError("non-finite Gram values")
-        object.__setattr__(self, "values", values)
+        check(_RULES, axis_count=self.axis_count)
+        variance = float(np.trace(values)) / (values.shape[0] * self.axis_count) - self.feature_mean ** 2
+        for name, value in (("values", values), ("squared_norms", np.diag(values)), ("feature_variance", variance)):
+            object.__setattr__(self, name, value)
 
-    @property
-    def feature_variance(self) -> float:
-        """var(F) = trace(F F') / (N q) - mean(F)^2."""
-        return float(np.trace(self.values)) / (self.values.shape[0] * self.axis_count) - self.feature_mean ** 2
+    @classmethod
+    def of(cls, features) -> Gram:
+        """The Gram of the N x q ``features``, read row-major: an axis-major
+        (F-ordered) matrix gives the same bits."""
+        rows = np.ascontiguousarray(features, dtype=np.float64)
+        if rows.ndim != 2 or rows.size == 0:
+            raise ValueError("features must be a non-empty N x q matrix with one label per row")
+        if not np.isfinite(rows).all():
+            raise ValueError("non-finite feature values")
+        gram = cls(rows @ rows.T, rows.shape[1], float(rows.mean()))
+        object.__setattr__(gram, "squared_norms", (rows * rows).sum(axis=1))
+        object.__setattr__(gram, "feature_variance", float(rows.var()))
+        return gram
 
     def kernel(self, kernel: str, gamma: float | None) -> np.ndarray:
-        """``kernel_matrix`` of F with itself, from F F' alone."""
-        return _kernel(self.values, lambda: (np.diag(self.values),) * 2, kernel, gamma)
+        """``kernel_matrix`` of F with itself."""
+        return _kernel(self.values, self.squared_norms, self.squared_norms, kernel, gamma)
 
 
-def resolve_gamma(gamma, features) -> float:
-    """Accept a finite positive float or the string 'scale' = 1 / (q * var(F)),
-    read from the N x q features F or from their ``Gram``."""
+def resolve_gamma(gamma, gram: Gram) -> float:
+    """A finite positive float, or 'scale' = 1 / (q * var(F)) from the ``Gram`` of F."""
     if gamma == "scale":
-        if isinstance(features, Gram):
-            q, var = features.axis_count, features.feature_variance
-        else:
-            x = np.asarray(features, dtype=np.float64)
-            q, var = x.shape[1], float(x.var())
-        return 1.0 if var <= 0.0 else 1.0 / (q * var)
+        var = gram.feature_variance
+        return 1.0 if var <= 0.0 else 1.0 / (gram.axis_count * var)
     value = float(gamma)
     check(_RULES, gamma=value)
     return value
 
 
-def _kernel(cross: np.ndarray, squared_norms, kernel: str, gamma: float | None) -> np.ndarray:
-    """``kernel`` between two sets of rows, from their inner products A B'.
-    ``squared_norms()`` returns the squared row norms of A and of B; only the
-    RBF kernel calls it."""
+def _kernel(cross: np.ndarray, sq_a: np.ndarray, sq_b: np.ndarray, kernel: str, gamma: float | None) -> np.ndarray:
+    """``kernel`` between rows A and B, from A B' and their squared row norms."""
     if kernel == KERNEL_LINEAR:
         return cross
     if kernel == KERNEL_RBF:
-        sq_a, sq_b = squared_norms()
         sq = sq_a[:, None] + sq_b[None, :] - 2.0 * cross
         np.maximum(sq, 0.0, out=sq)
         return np.exp(-gamma * sq)
@@ -93,7 +100,7 @@ def _kernel(cross: np.ndarray, squared_norms, kernel: str, gamma: float | None) 
 def kernel_matrix(a: np.ndarray, b: np.ndarray, kernel: str, gamma: float | None) -> np.ndarray:
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
-    return _kernel(a @ b.T, lambda: ((a * a).sum(axis=1), (b * b).sum(axis=1)), kernel, gamma)
+    return _kernel(a @ b.T, (a * a).sum(axis=1), (b * b).sum(axis=1), kernel, gamma)
 
 
 @dataclass
@@ -204,26 +211,18 @@ def svm_train(
     max_iter: int = 10000,
     gamma="scale",
 ) -> SvmModel:
-    """Solve the dual soft-margin QP on the kernel matrix of ``features``.
-
-    ``features`` is an N x q matrix, or the ``Gram`` of one: a fit on a Gram
-    reads no feature row, and its model keeps no support vectors, so it
-    reports its fit but cannot predict.  Features are read row-major, so the
-    fit does not depend on the memory layout of the input: an axis-major
-    (F-ordered) matrix gives the same bits.
+    """Solve the dual soft-margin QP on the kernel matrix of ``features``: a
+    ``Gram``, or an N x q matrix fit as its ``Gram.of``.  A fit on a matrix
+    keeps its support rows to predict with; a fit on a Gram reads no feature
+    row, so its model reports its fit but cannot predict.
     """
     y = _as_label_array(labels).astype(np.float64)
-    if isinstance(features, Gram):   # checked when built; a fit on it keeps no rows
-        source, rows, kernel_of = features, None, features.kernel
-        n = features.values.shape[0]
-    else:
-        source = rows = np.ascontiguousarray(features, dtype=np.float64)
-        if rows.ndim != 2:
-            raise ValueError("features must be N x q with one label per row")
-        if not np.isfinite(rows).all():
-            raise ValueError("non-finite feature values")
-        n, kernel_of = rows.shape[0], partial(kernel_matrix, rows, rows)
-    if n != y.shape[0]:
+    if not isinstance(features, Gram):
+        rows = np.ascontiguousarray(features, dtype=np.float64)
+        model = svm_train(Gram.of(rows), y, kernel, C, tol, max_iter, gamma)
+        model.support_vectors = rows[model.support_indices]
+        return model
+    if features.values.shape[0] != y.shape[0]:
         raise ValueError("features must be N x q, or their Gram, with one label per row")
     if y.size < 2:
         raise ValueError("need at least two training samples")
@@ -231,8 +230,8 @@ def svm_train(
         raise ValueError("single-class input: both labels must be present")
     check(_RULES, C=C, tol=tol, max_iter=max_iter)
 
-    gamma_val = resolve_gamma(gamma, source) if kernel == KERNEL_RBF else None
-    K = kernel_of(kernel, gamma_val)
+    gamma_val = resolve_gamma(gamma, features) if kernel == KERNEL_RBF else None
+    K = features.kernel(kernel, gamma_val)
     alpha, b, decision, iterations, converged = _solve_dual(K, y, C, tol, max_iter)
 
     ay = alpha * y
@@ -248,7 +247,7 @@ def svm_train(
         dual_coef=ay[support],
         bias=float(b),
         support_indices=support,
-        support_vectors=np.empty((0, 0)) if rows is None else rows[support],
+        support_vectors=np.empty((0, 0)),
         training_accuracy=float(np.mean(predictions == y)),
         converged=converged,
         n_sweeps=iterations,

@@ -157,6 +157,24 @@ def test_empty_dataset_error():
         axis_accuracy([], [])
 
 
+_RULE = ThresholdClassifier(axis_index=1, threshold=0.0, orientation=Orientation.BELOW_IS_MINUS)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: axis_accuracy([0.1, 0.2], [[1, -1]]), "^empty dataset: need a non-empty 1-D label vector$"),
+    (lambda: LabeledDataset(np.zeros((0, 2)), []), "^empty dataset: inputs must be a non-empty N x m matrix$"),
+    (lambda: LabeledDataset(np.zeros((3, 2)), [1, -1]), "^inputs and labels disagree on N$"),
+    (lambda: FeatureMatrix(values=np.zeros((0, 3))), "^empty dataset: feature matrix must be non-empty N x d$"),
+    (lambda: axis_accuracy([0.1, 0.2, 0.3], [1, -1]), "^features and labels disagree on N$"),
+    (lambda: classifier_accuracy(_RULE, np.zeros((3, 2)), [1, -1]), "^features and labels disagree on N$"),
+    (lambda: as_linear_classifier(_RULE, 1), r"^axis 1 out of range \[0, 1\)$"),
+], ids=["labels 2-D", "no inputs", "inputs vs labels", "no features", "values vs labels",
+        "classifier vs labels", "axis out of range"])
+def test_shape_errors_name_their_fault(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_non_finite_feature_error():
     with pytest.raises(ValueError, match="non-finite feature"):
         axis_accuracy([0.1, np.nan], [1, -1])

@@ -572,3 +572,15 @@ def test_malformed_feature_csv_names_file_and_line(tmp_path, text, line):
     path.write_text(text)
     with pytest.raises(ValueError, match=rf"bad\.csv, line {line}:"):
         feature_matrix_from_csv(path)
+
+
+def test_expectation_errors_name_their_fault(tmp_path):
+    with pytest.raises(ValueError, match="^empty dataset: statevector has zero norm$"):
+        pauli_expectation(np.zeros(2), pauli_string(3, 1))
+    # a Hermitian Pauli has a real expectation; only a broken phase leaves an imaginary part
+    with pytest.raises(ValueError, match="^Pauli expectation has a non-negligible imaginary part$"):
+        featmap._expectation_values(np.array([0.5 + 0.5j]), np.array([1.0]), 1)
+    header_only = tmp_path / "features.csv"
+    header_only.write_text("axis_0,axis_1\n")
+    with pytest.raises(ValueError, match="^empty dataset: no feature rows in CSV$"):
+        feature_matrix_from_csv(header_only)

@@ -542,16 +542,16 @@ def test_unconverged_baselines_are_reported(tmp_path):
 
 
 def _refuse_pauli_matrices(monkeypatch, axis_count):
-    """Make every kernel or gamma read of an N x ``axis_count`` matrix raise."""
-    for name in ("kernel_matrix", "resolve_gamma"):
-        original = getattr(svmref, name)
+    """Make every Gram, kernel or gamma read of an N x ``axis_count`` matrix raise."""
+    for owner, name in ((svmref.Gram, "of"), (svmref, "kernel_matrix"), (svmref, "resolve_gamma")):
+        original = getattr(owner, name)
 
         def guarded(*args, _original=original, _name=name):
             if any(np.ndim(a) == 2 and np.shape(a)[1] == axis_count for a in args):
                 raise AssertionError(f"{_name} read the N x {axis_count} feature matrix")
             return _original(*args)
 
-        monkeypatch.setattr(svmref, name, guarded)
+        monkeypatch.setattr(owner, name, staticmethod(guarded) if owner is svmref.Gram else guarded)
 
 
 @pytest.mark.parametrize("qubits", [6, 8])

@@ -529,3 +529,9 @@ def test_estimators_are_deterministic_given_seed():
         assert a.r_hat == b.r_hat
         assert a.sampled_axes == b.sampled_axes
         assert a.stopping_reason == b.stopping_reason
+
+
+@pytest.mark.parametrize("accuracies", [[], [[0.5, 0.75]]], ids=["empty", "2-D"])
+def test_survival_function_needs_an_accuracy_vector(accuracies):
+    with pytest.raises(ValueError, match="^need a non-empty accuracy vector$"):
+        survival_function(accuracies)

@@ -14,8 +14,8 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
-from minacc.datagen import CIRCLES, generate, standardize, stratified_split
-from minacc.harness import ExperimentConfig, default_datasets, derive_seed, embed_dataset
+from minacc.datagen import CIRCLES, DATASET_KINDS, generate, standardize, stratified_split
+from minacc.harness import ExperimentConfig, _training_split, default_datasets, derive_seed, embed_dataset
 from minacc.svmref import (
     Gram,
     SvmModel,
@@ -297,7 +297,9 @@ def test_svm_train_rejects_inputs_it_cannot_fit():
                 svm_train(np.array([[bad], [1.0], [-1.0], [2.0]]), [1, -1, 1, -1], kernel=kernel)
 
 
-def gram_of(x):
+def trace_gram(x):
+    """The Pauli path's Gram: F F' given, the norms and var(F) read off its
+    diagonal and trace."""
     return Gram(x @ x.T, x.shape[1], float(x.mean()))
 
 
@@ -307,7 +309,7 @@ def test_fit_on_the_gram_is_the_fit_on_the_features(kernel):
     rng = np.random.default_rng(10)
     x, y = blobs(rng, n_per=20, gap=1.0, dim=3)
     x = np.tanh(x @ rng.standard_normal((3, 50)))
-    rows, gram = svm_train(x, y, kernel=kernel), svm_train(gram_of(x), y, kernel=kernel)
+    rows, gram = svm_train(x, y, kernel=kernel), svm_train(trace_gram(x), y, kernel=kernel)
     if kernel == "rbf":
         assert gram.gamma == pytest.approx(rows.gamma, rel=1e-12)
     assert (gram.training_accuracy, gram.n_sweeps, gram.converged) == (
@@ -320,6 +322,53 @@ def test_fit_on_the_gram_is_the_fit_on_the_features(kernel):
         decision_function(gram, x)
 
 
+def _one_path_inputs():
+    """Raw train splits and their proxy blocks (axis-major, as the embedding
+    writes them), each in both memory layouts."""
+    config = ExperimentConfig(qubit_count=3)
+    for kind in DATASET_KINDS:
+        train = _training_split(kind, config)
+        block = embed_dataset(train, "proxy", config.qubit_count, derive_seed(0, kind, "embed")).values
+        assert block.flags.f_contiguous and not block.flags.c_contiguous
+        for name, rows in (("raw", train.inputs), ("proxy", block)):
+            for order in "CF":
+                yield f"{kind} {name} {order}", np.asarray(rows, order=order), train.labels
+
+
+def _bytes(value):
+    return np.asarray(value).tobytes()
+
+
+@pytest.mark.parametrize("kernel, gamma", [("linear", "scale"), ("rbf", "scale"), ("rbf", 0.37)])
+def test_a_fit_on_rows_is_the_fit_on_their_gram(kernel, gamma):
+    # one kernel path: a fit on rows is a fit on Gram.of(rows) plus its support
+    # rows, and Gram.of's kernel is kernel_matrix of the row-major rows, bit for bit
+    for case, rows, y in _one_path_inputs():
+        gram = Gram.of(rows)
+        contiguous = np.ascontiguousarray(rows)
+        gamma_value = resolve_gamma(gamma, gram) if kernel == "rbf" else None
+        assert _bytes(gram.kernel(kernel, gamma_value)) == _bytes(
+            kernel_matrix(contiguous, contiguous, kernel, gamma_value)), case
+        on_rows = svm_train(rows, y, kernel=kernel, gamma=gamma)
+        on_gram = svm_train(gram, y, kernel=kernel, gamma=gamma)
+        for name in ("dual_coef", "bias", "gamma", "duality_gap", "n_sweeps", "support_indices"):
+            assert _bytes(getattr(on_rows, name)) == _bytes(getattr(on_gram, name)), (case, name)
+        assert _bytes(on_rows.support_vectors) == _bytes(contiguous[on_rows.support_indices]), case
+        assert on_gram.support_vectors.size == 0
+
+
+def test_gram_of_rejects_what_it_cannot_read():
+    with pytest.raises(ValueError, match="^features must be a non-empty N x q matrix with one label per row$"):
+        Gram.of(np.ones(4))
+    with pytest.raises(ValueError, match="^features must be a non-empty N x q matrix with one label per row$"):
+        svm_train(np.ones((4, 0)), [1, -1, 1, -1])
+    with pytest.raises(ValueError, match="^non-finite feature values$"):
+        Gram.of(np.array([[1.0], [math.nan]]))
+    # finite rows whose products overflow (numpy's own warning aside)
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="^non-finite Gram values$"):
+        Gram.of(np.array([[1e200], [1.0]]))
+
+
 def test_gram_input_validation():
     x = np.linspace(-1.0, 1.0, 6)[:, None]
     y = np.where(x[:, 0] > 0.0, 1, -1)
@@ -330,20 +379,24 @@ def test_gram_input_validation():
             svm_train(Gram(values, 1, 0.0), y, kernel="rbf")
     with pytest.raises(ValueError, match="Gram matrix must be N x N"):
         svm_train(Gram((x @ x.T)[:, :5], 1, 0.0), y)
+    with pytest.raises(ValueError, match="^a Gram matrix must be N x N with N >= 1$"):
+        Gram(np.zeros((0, 0)), 1, 0.0)
+    with pytest.raises(ValueError, match="^axis_count must be an integer >= 1: 0$"):
+        Gram(x @ x.T, 0, 0.0)
     with pytest.raises(ValueError, match="one label per row"):
-        svm_train(gram_of(x), y[:5])
+        svm_train(trace_gram(x), y[:5])
     with pytest.raises(ValueError, match="unknown kernel"):
-        svm_train(gram_of(x), y, kernel="poly")
-    assert resolve_gamma("scale", gram_of(x)) == pytest.approx(resolve_gamma("scale", x), rel=1e-12)
+        svm_train(trace_gram(x), y, kernel="poly")
+    assert resolve_gamma("scale", trace_gram(x)) == pytest.approx(resolve_gamma("scale", Gram.of(x)), rel=1e-12)
     assert resolve_gamma("scale", Gram(np.zeros((3, 3)), 4, 0.0)) == 1.0
 
 
 def test_gamma_scale_convention():
     rng = np.random.default_rng(7)
     x = rng.uniform(-2, 5, size=(30, 4))
-    assert resolve_gamma("scale", x) == pytest.approx(1.0 / (4 * x.var()), rel=1e-12)
-    assert resolve_gamma("scale", np.zeros((5, 3))) == 1.0
-    assert resolve_gamma(0.3, x) == 0.3
+    assert resolve_gamma("scale", Gram.of(x)) == 1.0 / (4 * x.var())
+    assert resolve_gamma("scale", Gram.of(np.zeros((5, 3)))) == 1.0
+    assert resolve_gamma(0.3, Gram.of(x)) == 0.3
 
 
 def test_exact_zero_decision_predicts_plus_one():
@@ -425,7 +478,7 @@ def test_gram_fit_model_roundtrips_without_support_vectors():
     # and the loaded model still refuses to predict
     rng = np.random.default_rng(9)
     x, y = blobs(rng, n_per=14, gap=1.0)
-    model = svm_train(gram_of(x), y)
+    model = svm_train(trace_gram(x), y)
     loaded = model_from_json(model_to_json(model))
     assert model.support_indices.size > 0
     assert loaded.support_vectors.shape == model.support_vectors.shape == (0, 0)
