@@ -228,9 +228,7 @@ class FeatureMatrix:
         return self.values.shape[1]
 
     def column(self, axis_index: int) -> np.ndarray:
-        if not 0 <= axis_index < self.axis_count:
-            raise ValueError(f"axis {axis_index} out of range [0, {self.axis_count})")
-        return self.values[:, axis_index]
+        return self.values[:, int(checked_axes(axis_index, self.axis_count))]
 
     def columns(self, indices) -> np.ndarray:
         """N x k block of the given axes; an in-range range is a view, not a copy."""
@@ -258,12 +256,14 @@ class ScannedFeatures:
 
 
 def checked_axes(indices, axis_count: int) -> np.ndarray:
-    """Axis indices as an int64 array; any index outside [0, axis_count) is a ValueError."""
-    axes = np.asarray(indices, dtype=np.int64)
+    """Axis indices as an int64 array; a non-integer, boolean or out-of-range index is a ValueError."""
+    axes = np.arange(indices.start, indices.stop, indices.step) if isinstance(indices, range) else np.asarray(indices)
+    if axes.size and axes.dtype.kind not in "iu":
+        raise ValueError(f"axis indices must be integers, not {axes.dtype}")
     outside = axes[(axes < 0) | (axes >= axis_count)]
     if outside.size:
         raise ValueError(f"axis {outside[0]} out of range [0, {axis_count})")
-    return axes
+    return axes.astype(np.int64, copy=False)
 
 
 def as_feature_source(features):

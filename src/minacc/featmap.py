@@ -15,21 +15,21 @@ written, with no transpose copy.  Blocks of rows are filled on the exact-path
 thread pool of ``axiscore``; each value is a function of (seed, axis, inputs)
 alone, so the bytes do not depend on the number of threads.
 
-For n <= 8 there is also the real thing: an angle-encoding statevector simulator and
-expectation values of all 4^n Pauli strings (eigenvalues +-1, so features lie in [-1, 1]
-and the squared entries of one sample sum to 2^n for pure states).  The circuit has
-only RY and CZ gates, so its amplitudes are real: all N states are encoded in one
-float64 batch.  A Walsh-Hadamard transform over k of conj(psi[k ^ x]) psi[k] gives
-every Z-mask of X-mask x, O(n 4^n) per state; one transform covers all N states and a
-run of X-masks, one exact-path block (``axiscore._SCAN_CHUNK`` axes), written
-axis-major like the proxy's.  The runs are built in turn on the calling thread, not on
-the pool: in an n = 6 experiment nothing else starts the pool, and as the first call
-of a fresh process a pooled build of 100 samples (same bytes) took a median 27.6 ms
-against 18.1 ms serial on a 2-core Xeon.  On real states the strings with an odd
-number of Y are exactly 0.0, and every other value within (n + 3) eps/2 of zero
-becomes 0.0.
-The linear kernel of those features is the fidelity kernel of the states, so
-``pauli_gram`` builds it from the N states without the N x 4^n matrix.
+There is also the real thing: an angle-encoding statevector simulator and expectation
+values of the 4^n Pauli strings (eigenvalues +-1, so features lie in [-1, 1] and the
+squared entries of one sample sum to 2^n for pure states).  The circuit has only RY and
+CZ gates, so its amplitudes are real: all N states are encoded in one float64 batch.
+``PauliFeatures`` is the one path from states to expectations: a Walsh-Hadamard
+transform over k of conj(psi[k ^ x]) psi[k] gives every Z-mask of X-mask x; one
+transform covers all N states and a run of the requested X-masks, one exact-path block
+(``axiscore._SCAN_CHUNK`` axes) worth, from which each requested axis is gathered into
+an axis-major buffer like the proxy's.  Columns reach n = 12, the matrix n = 8.  Runs
+are built in turn on the calling thread: as the first call of a fresh process, a pooled
+n = 6 build of 100 samples (same bytes) took a median 27.6 ms against 18.1 ms serial on
+a 2-core Xeon.  On real states the strings with an odd number of Y are exactly 0.0, and
+every other value within (n + 3) eps/2 of zero becomes 0.0.  The linear kernel of those
+features is the fidelity kernel of the states, so ``pauli_gram`` builds it from the N
+states without the N x 4^n matrix.
 """
 
 from __future__ import annotations
@@ -223,18 +223,13 @@ class EncodingCircuitSpec(Checked):
             raise ValueError(f"unknown entangler {self.entangler!r}")
 
 
-def _ring_pairs(n: int):
-    # a ring of n > 2 qubits; one pair for n = 2, none for n = 1
-    return [(j, (j + 1) % n) for j in range(n if n > 2 else n - 1)]
-
-
 def _ring_signs(n: int) -> np.ndarray:
     """The CZ ring as one diagonal: (-1)^(number of ring pairs with both bits
     set) per basis state.  Multiplying by -1.0 is an exact negation, so this
     equals negating the state once per pair."""
     idx = np.arange(2 ** n)
     signs = np.ones(2 ** n)
-    for a, b in _ring_pairs(n):
+    for a, b in [(j, (j + 1) % n) for j in range(n if n > 2 else n - 1)]:  # a ring; one pair at n = 2, none at 1
         signs[(idx >> (n - 1 - a)) & (idx >> (n - 1 - b)) & 1 == 1] *= -1.0
     return signs
 
@@ -307,54 +302,77 @@ def _transformed_products(psi: np.ndarray, x_masks: np.ndarray, n: int) -> np.nd
 
 
 def _expectation_values(raw, norm_sq, n: int):
-    """Raw <psi|sigma|psi> / <psi|psi>, imaginary part checked, clipped, and 0.0 within
-    (n + 3) eps/2: the rounding of the products (3) and of the n butterfly stages."""
+    """Raw <psi|sigma|psi> / <psi|psi> in the memory of ``raw``, imaginary part checked, clipped,
+    and 0.0 within (n + 3) eps/2: the rounding of the products (3) and of the n butterfly stages."""
     if np.any(norm_sq == 0.0):
         raise ValueError("empty dataset: statevector has zero norm")
     if np.iscomplexobj(raw):
         if np.any(np.abs(np.imag(raw)) > 1e-10 * norm_sq):
             raise ValueError("Pauli expectation has a non-negligible imaginary part")
         raw = np.real(raw)
-    values = raw / norm_sq
+    values = np.divide(raw, norm_sq, out=raw)
     np.clip(values, -1.0, 1.0, out=values)
     values[np.abs(values) <= (n + 3) * np.finfo(np.float64).eps / 2] = 0.0
     return values
 
 
+class PauliFeatures:
+    """Column-on-demand Pauli expectations of B states, real or complex: entry
+    [b, i] is <psi_b|sigma_i|psi_b> / <psi_b|psi_b> for Pauli index i."""
+
+    def __init__(self, states):
+        self._states = psi = np.asarray(states, dtype=np.complex128 if np.iscomplexobj(states) else np.float64)
+        n = psi.shape[1].bit_length() - 1 if psi.ndim == 2 else 0
+        if n < 1 or psi.shape[1] != 2 ** n:
+            raise ValueError(f"states must be B x 2^n, not {psi.shape}")
+        self.qubit_count, self.sample_count, self.axis_count = n, psi.shape[0], 4 ** n
+
+    @classmethod
+    def of(cls, dataset: LabeledDataset, spec: EncodingCircuitSpec) -> "PauliFeatures":
+        return cls(_encode_states(dataset.inputs, spec))
+
+    def column(self, axis_index: int) -> np.ndarray:
+        return self.columns([axis_index])[:, 0]
+
+    def columns(self, indices) -> np.ndarray:
+        """N x k block, the transpose of a k x N buffer: each axis's row of its
+        X-mask's run, times i^{#Y} (its real part on real states), over the
+        squared norms, the (x = 0, z = 0) row of run 0."""
+        n = self.qubit_count
+        axes = checked_axes(indices, self.axis_count)
+        x, z, phase = _pauli_masks(axes, n)
+        present = np.bincount(np.append(0, x), minlength=2 ** n) > 0  # X-mask 0 for the norms
+        masks, slot = np.flatnonzero(present), (np.cumsum(present) - 1)[x]  # slot: index in masks
+        run = max(1, _SCAN_CHUNK // 2 ** n)
+        group = (slot // run).astype(np.min_scalar_type(masks.size))  # each axis's run number
+        order = np.argsort(group, kind="stable")  # a radix sort when the keys fit 16 bits (n <= 16)
+        cuts = np.searchsorted(group[order], np.arange(-(-masks.size // run) + 1))
+        buffer = np.empty((axes.size, self.sample_count))
+        for start, lo, hi in zip(range(0, masks.size, run), cuts, cuts[1:]):
+            w = _transformed_products(self._states, masks[start:start + run], n)
+            norm_sq = w[0, 0].real if start == 0 else norm_sq
+            at = order[lo:hi]
+            raw = np.take(w.reshape(-1, self.sample_count), z[at] * w.shape[1] + slot[at] - start, axis=0)
+            raw *= (phase if np.iscomplexobj(raw) else phase.real)[at, None]  # in place: no fresh buffer
+            buffer[at] = _expectation_values(raw, norm_sq, n)
+        return buffer.T
+
+    def materialize(self) -> FeatureMatrix:
+        if self.qubit_count > _MATRIX_QUBIT_LIMIT:
+            raise ValueError(f"dense simulation limit: 4^n features need n <= {_MATRIX_QUBIT_LIMIT}")
+        return FeatureMatrix(self.columns(range(self.axis_count)))
+
+
 def pauli_expectation(state, sigma: PauliString) -> float:
-    """<psi| sigma |psi> / <psi|psi>, bit-identical to its ``pauli_feature_matrix`` entry.
-    A complex state keeps its phase i^{#Y} and has its imaginary part checked."""
-    n = sigma.qubit_count
-    is_complex = np.iscomplexobj(state)
-    psi = np.asarray(state, dtype=np.complex128 if is_complex else np.float64).reshape(1, -1)
-    if psi.size != 2 ** n:
+    """<psi| sigma |psi> / <psi|psi>: one state's ``PauliFeatures`` column."""
+    if np.size(state) != 2 ** sigma.qubit_count:
         raise ValueError("statevector length does not match Pauli string")
-    x, z, phase = _pauli_masks(sigma.index, n)
-    w = _transformed_products(psi, np.array([0, x]), n)
-    phase = phase if is_complex else phase.real
-    return float(_expectation_values(phase * w[z, 1], w[0, 0].real, n)[0])
+    return float(PauliFeatures(np.reshape(state, (1, -1))).column(sigma.index)[0])
 
 
 def pauli_feature_matrix(dataset: LabeledDataset, spec: EncodingCircuitSpec) -> FeatureMatrix:
-    """All 4^n Pauli expectations per sample, columns in Pauli index order, as
-    the transpose of a 4^n x N buffer.  Each run of ``_SCAN_CHUNK`` axes' worth
-    of X-masks is one transform of all N states, whose rows, signed by the real
-    part of i^{#Y} (0 for odd #Y: the expectation on a real state is 0), land at
-    their Pauli indices; the first run's (X-mask 0, Z = 0) row is every norm."""
-    n = spec.qubit_count
-    if n > _MATRIX_QUBIT_LIMIT:
-        raise ValueError(f"dense simulation limit: 4^n features need n <= {_MATRIX_QUBIT_LIMIT}")
-    x, z, phase = _pauli_masks(np.arange(4 ** n), n)
-    index_of = np.argsort(z * 2 ** n + x).reshape(2 ** n, 2 ** n)  # [z, x] -> Pauli index
-    states = _encode_states(dataset.inputs, spec)
-    run = max(1, _SCAN_CHUNK // 2 ** n)
-    buffer = np.empty((4 ** n, dataset.sample_count), dtype=np.float64)
-    for start in range(0, 2 ** n, run):
-        w = _transformed_products(states, np.arange(start, min(start + run, 2 ** n)), n)
-        norm_sq = w[0, 0] if start == 0 else norm_sq
-        rows = index_of[:, start:start + run].ravel()
-        buffer[rows] = _expectation_values(phase.real[rows, None] * w.reshape(rows.size, -1), norm_sq, n)
-    return FeatureMatrix(buffer.T)
+    """All 4^n Pauli expectations per sample, columns in Pauli index order."""
+    return PauliFeatures.of(dataset, spec).materialize()
 
 
 def pauli_gram(dataset: LabeledDataset, spec: EncodingCircuitSpec) -> np.ndarray:

@@ -6,6 +6,7 @@ Kronecker-product matrix and evaluates psi^dagger M psi directly; the batched
 flip-mask implementation under test never materializes those matrices.
 """
 
+import hashlib
 import math
 
 import numpy as np
@@ -14,11 +15,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from minacc import featmap
-from minacc.axiscore import FeatureMatrix, LabeledDataset, best_counts
+from minacc.axiscore import FeatureMatrix, LabeledDataset, ThresholdClassifier, best_counts
+from minacc.datagen import CIRCLES
 from minacc.featmap import (
     _philox4x32,
     EncodingCircuitSpec,
     LazyProxyFeatures,
+    PauliFeatures,
     PauliString,
     ProjectionSpec,
     encode_state,
@@ -32,6 +35,8 @@ from minacc.featmap import (
     projection_block,
     save_feature_matrix,
 )
+from minacc.harness import ExperimentConfig, _training_split
+from minacc.sampling import conservative_estimate
 
 _PAULI_MATS = {
     "I": np.eye(2, dtype=np.complex128),
@@ -216,20 +221,47 @@ def test_projection_seed_must_fit_the_philox_key():
         assert projection_block(ProjectionSpec(input_dim=3, feature_dim=4, seed=seed), [3])[:, 0].shape == (3,)
 
 
-@pytest.mark.parametrize("source", ["matrix", "lazy"])
+def four_axis_source(source: str):
+    """A column source of 4 axes over 3 samples: a proxy matrix, a lazy proxy
+    source or a one-qubit Pauli source."""
+    data = LabeledDataset(inputs=np.arange(6.0).reshape(3, 2), labels=[1, -1, 1])
+    if source == "pauli":
+        return PauliFeatures.of(data, EncodingCircuitSpec(qubit_count=1))
+    lazy = LazyProxyFeatures(data, ProjectionSpec(input_dim=2, feature_dim=4, seed=0))
+    return lazy.materialize() if source == "matrix" else lazy
+
+
+@pytest.mark.parametrize("source", ["matrix", "lazy", "pauli"])
 @pytest.mark.parametrize(
     "indices", [[-1], [4], [0, -3], [2, 4, 1], [-(2 ** 63)], range(0, 6), range(-1, 4)]
 )
 def test_column_sources_reject_axes_out_of_range(source, indices):
-    data = LabeledDataset(inputs=np.arange(6.0).reshape(3, 2), labels=[1, -1, 1])
-    spec = ProjectionSpec(input_dim=2, feature_dim=4, seed=0)
-    lazy = LazyProxyFeatures(data, spec)
-    features = lazy.materialize() if source == "matrix" else lazy
+    features = four_axis_source(source)
     bad = next(i for i in indices if not 0 <= i < 4)
     with pytest.raises(ValueError, match=rf"axis {bad} out of range \[0, 4\)"):
         features.columns(indices)
     with pytest.raises(ValueError, match=rf"axis {bad} out of range \[0, 4\)"):
         features.column(bad)
+
+
+@pytest.mark.parametrize("source", ["matrix", "lazy", "pauli"])
+def test_column_sources_reject_non_integer_axes(source):
+    # a float index was once truncated to the axis below it, and a boolean
+    # mask read as the axes 1 and 0
+    features = four_axis_source(source)
+    for bad, dtype in ((1.5, "float64"), (True, "bool"), (np.float32(2.0), "float32")):
+        with pytest.raises(ValueError, match=f"^axis indices must be integers, not {dtype}$"):
+            features.column(bad)
+    for bad, dtype in (([2.9], "float64"), ([True, False, True, False], "bool"), (np.array([1.0, 3.0]), "float64"),
+                       ([1, 2.5], "float64")):
+        with pytest.raises(ValueError, match=f"^axis indices must be integers, not {dtype}$"):
+            features.columns(bad)
+    # an empty selection, ranges, numpy integers and lists of Python ints stay valid
+    whole = features.columns([0, 1, 2, 3])
+    assert features.columns([]).shape == features.columns(np.array([])).shape == (3, 0)
+    assert features.columns(range(1, 4)).tobytes() == whole[:, 1:].tobytes()
+    assert features.columns(np.array([3, 0], dtype=np.uint8)).tobytes() == whole[:, [3, 0]].tobytes()
+    assert features.column(np.int64(2)).tobytes() == features.column(2).tobytes() == whole[:, 2].tobytes()
 
 
 def test_projection_validation_errors():
@@ -499,6 +531,75 @@ def test_feature_matrix_matches_the_circuit_oracle(case):
         psi = dense_circuit_state(x, spec)
         assert encode_state(x, spec) == pytest.approx(psi.real, abs=1e-12)
         assert row == pytest.approx(dense_expectations(psi), abs=1e-10)
+
+
+# sha256 prefixes of pauli_feature_matrix(_PIN_DATA, circuit).values.tobytes() at
+# n = 1..8, and of the 4^n pauli_expectation values of one seeded complex state at
+# n = 1..4, as the transform loop of the matrix and the two-mask transform of single
+# expectations computed them before both became PauliFeatures columns
+_PIN_DATA = LabeledDataset(
+    inputs=[[0.3, -1.2, 2.0], [-0.7, 0.5, 1.1], [1.9, -2.2, -0.4], [0.0, 0.8, -1.5], [0.3, -1.2, 2.0]],
+    labels=[1, -1, 1, -1, -1],
+)
+_PINNED_MATRICES = {
+    (): ["c39aa3ccaa83d9b7", "e14f73a070be5ef9", "aab8482fe8383853", "be9cecfe304b4ffd",
+         "aaf4a6b2736512ea", "5edf4ead55307a5f", "8390577e286796ae", "d2ebc47ac4867ce8"],
+    (("layers", 1), ("entangler", "none"), ("rotation_scale", 0.7)):
+        ["b21c360fa526a565", "98854586ba50e7ce", "171b588798b4e910", "f772fb2bf912afde",
+         "4b7bbc09a65ee775", "df86942717297c60", "d7f693815c4ddb6c", "32be127be7f46d07"],
+    (("layers", 3), ("entangler", "ring_cz"), ("rotation_scale", 2.3)):
+        ["e3ff05170230de71", "debff4e2e7182715", "691cb9f3fa223aa5", "3f46b2c74b292824",
+         "4739890da4c84a6b", "88a007729a7731c4", "5b63ac231d5cbe9a", "530bbc10c1d1a480"],
+}
+_PINNED_COMPLEX = ["33959e4dd75939de", "1d49946c531a5f1d", "4bf2101a5173fb03", "3365fa1999fdf333"]
+
+
+def _sha(values) -> str:
+    return hashlib.sha256(np.asarray(values).tobytes()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("circuit", list(_PINNED_MATRICES))
+def test_pauli_feature_matrix_bytes_are_pinned(circuit):
+    for n, expected in enumerate(_PINNED_MATRICES[circuit], start=1):
+        assert _sha(pauli_feature_matrix(_PIN_DATA, EncodingCircuitSpec(n, **dict(circuit))).values) == expected, n
+
+
+def test_complex_expectation_bytes_are_pinned():
+    for n, expected in enumerate(_PINNED_COMPLEX, start=1):
+        rng = np.random.default_rng(40 + n)
+        psi = rng.standard_normal(2 ** n) + 1j * rng.standard_normal(2 ** n)
+        psi /= np.linalg.norm(psi)
+        values = [pauli_expectation(psi, pauli_string(i, n)) for i in range(4 ** n)]
+        assert _sha(values) == expected, n
+        # the same bytes as a row of the columns of a batch holding the state twice
+        assert _sha(PauliFeatures(np.stack([psi, psi])).columns(range(4 ** n))[1]) == expected, n
+
+
+def test_pauli_columns_beyond_the_matrix_limit(monkeypatch):
+    # n = 10: a source serves any columns of its 4^10 axes; only the whole matrix is refused
+    train = _training_split(CIRCLES, ExperimentConfig(n_samples=60, subsample_train=20))
+    spec = EncodingCircuitSpec(qubit_count=10)
+    source = PauliFeatures.of(train, spec)
+    assert (source.sample_count, source.axis_count) == (20, 4 ** 10)
+    axes = np.random.default_rng(21).integers(0, 4 ** 10, size=60)
+    block = source.columns(axes)
+    assert block.tolist() == [[pauli_expectation(encode_state(x, spec), pauli_string(int(i), 10)) for i in axes]
+                              for x in train.inputs]
+
+    def refuse():
+        raise AssertionError("the estimate materialized the 4^10 matrix")
+
+    monkeypatch.setattr(source, "materialize", refuse)
+    estimate = conservative_estimate(source, train.labels, 0.05, 0.05, rng_seed=4)
+    assert estimate.axes_evaluated == 60
+    best = estimate.best
+    witness = ThresholdClassifier(best.axis_index, best.best_threshold, best.orientation)
+    assert np.sum(witness.predict_values(source.column(best.axis_index)) == train.labels) == best.correct_count
+    nine = small_dataset(np.random.default_rng(22), n_samples=2, n_features=2)
+    for build in (lambda: PauliFeatures.of(nine, EncodingCircuitSpec(9)).materialize(),
+                  lambda: pauli_feature_matrix(nine, EncodingCircuitSpec(9))):
+        with pytest.raises(ValueError, match="dense simulation limit"):
+            build()
 
 
 # ---------------------------------------------------------------------------

@@ -4,12 +4,14 @@ Every R_min and every estimate goes through one column protocol and one
 sweep, so the properties here hold for any feature source: the batched
 per-column counts equal the single-axis scan, an ndarray, a FeatureMatrix
 and a lazy proxy source give identical estimates, and the reported best
-axis reproduces the reported value.  Lazy proxy columns are byte-identical
-to the eager matrix for any index set, whichever columns share a block, and
-no scan result depends on the order of tied rows, on the memory layout of
-the matrix or on the number of threads.  An estimate that looks up the
-exhaustive scan's counts is the estimate that sweeps, byte for byte.  Shapes
-include N = 1, single-class labels and duplicate-heavy columns.
+axis reproduces the reported value.  A lazy source, proxy or Pauli, gives
+its materialized matrix's scan and estimates bit for bit.  Lazy proxy
+columns are byte-identical to the eager matrix for any index set,
+whichever columns share a block, and no scan result depends on the order
+of tied rows, on the memory layout of the matrix or on the number of
+threads.  An estimate that looks up the exhaustive scan's counts is the
+estimate that sweeps, byte for byte.  Shapes include N = 1, single-class
+labels and duplicate-heavy columns.
 """
 
 import threading
@@ -32,6 +34,7 @@ from minacc.axiscore import (
 from minacc.featmap import (
     EncodingCircuitSpec,
     LazyProxyFeatures,
+    PauliFeatures,
     ProjectionSpec,
     pauli_feature_matrix,
 )
@@ -74,6 +77,19 @@ def lazy_sources(draw):
     dataset = LabeledDataset(np.array(inputs).reshape(n, m), np.array(labels))
     spec = ProjectionSpec(input_dim=m, feature_dim=d, seed=draw(st.integers(0, 2**32)))
     return LazyProxyFeatures(dataset, spec), dataset.labels
+
+
+@st.composite
+def pauli_lazy_sources(draw):
+    """A lazy 2- or 3-qubit Pauli source over duplicate-prone inputs, plus its labels."""
+    n = draw(st.integers(1, 10))
+    m = draw(st.integers(1, 3))
+    inputs = draw(st.lists(_DUPLICATE_HEAVY, min_size=n * m, max_size=n * m))
+    labels = draw(st.lists(st.sampled_from([-1, 1]), min_size=n, max_size=n))
+    dataset = LabeledDataset(np.array(inputs).reshape(n, m), np.array(labels))
+    spec = EncodingCircuitSpec(draw(st.integers(2, 3)), layers=draw(st.integers(1, 2)),
+                               entangler=draw(st.sampled_from(["ring_cz", "none"])))
+    return PauliFeatures.of(dataset, spec), dataset.labels
 
 
 def _estimators(d, seed):
@@ -231,19 +247,33 @@ def test_scan_results_do_not_depend_on_row_order(case):
 
 
 @settings(max_examples=80, deadline=None)
-@given(lazy_sources(), st.integers(0, 2**32))
+@given(st.one_of(lazy_sources(), pauli_lazy_sources()), st.integers(0, 2**32))
 def test_estimators_agree_across_sources_and_best_reproduces_r_hat(case, seed):
+    # the lazy source and its matrix: the same scan, and the same estimates,
+    # swept or looked up in either one's scan record, bit for bit
     lazy, labels = case
     matrix = lazy.materialize()
+    assert _scan_bytes(lazy, labels) == _scan_bytes(matrix, labels)
     r_min = r_min_deterministic(lazy, labels)[0]
+    scanned = [ScannedFeatures(source, labels, r_min_deterministic(source, labels)[2]) for source in (lazy, matrix)]
     for name, estimate in _estimators(lazy.axis_count, seed).items():
         results = [estimate(source, labels) for source in (matrix.values, matrix, lazy)]
         assert _as_tuple(results[0]) == _as_tuple(results[1]) == _as_tuple(results[2]), name
+        expected = _result_bytes(results[1])
+        assert _result_bytes(results[2]) == expected, name
+        assert all(_result_bytes(estimate(record, labels)) == expected for record in scanned), name
         result = results[0]
         assert result.r_hat == max(result.axis_accuracies) <= r_min
         best = result.best
         witness = ThresholdClassifier(best.axis_index, best.best_threshold, best.orientation)
         assert classifier_accuracy(witness, matrix, labels) == result.r_hat
+
+
+def _scan_bytes(features, labels):
+    """R_min, the winning rule and the per-axis vector, floats as bytes."""
+    r_min, best, accuracies = r_min_deterministic(features, labels)
+    return (np.float64(r_min).tobytes(), best.axis_index, np.float64(best.best_threshold).tobytes(),
+            best.orientation, best.correct_count, accuracies.dtype, accuracies.tobytes())
 
 
 def _result_bytes(result):
@@ -257,7 +287,7 @@ def _result_bytes(result):
 
 @settings(max_examples=80, deadline=None)
 @given(st.one_of(labeled_matrices(max_d=40), labeled_matrices(max_d=40, element=_TIE_HEAVY),
-                 blocks_with_all_equal_columns(), lazy_sources(), pauli_sources()),
+                 blocks_with_all_equal_columns(), lazy_sources(), pauli_sources(), pauli_lazy_sources()),
        st.integers(0, 2**32))
 def test_estimates_on_the_scanned_source_equal_the_swept_ones(case, seed):
     source, labels = case
@@ -269,13 +299,7 @@ def test_estimates_on_the_scanned_source_equal_the_swept_ones(case, seed):
     })
     for name, estimate in estimators.items():
         assert _result_bytes(estimate(scanned, labels)) == _result_bytes(estimate(source, labels)), name
-
-    def scan_bytes(features):
-        r_min, best, accuracies = r_min_deterministic(features, labels)
-        return (np.float64(r_min).tobytes(), best.axis_index, np.float64(best.best_threshold).tobytes(),
-                best.orientation, best.correct_count, accuracies.dtype, accuracies.tobytes())
-
-    assert scan_bytes(scanned) == scan_bytes(source)
+    assert _scan_bytes(scanned, labels) == _scan_bytes(source, labels)
 
 
 def test_scanned_source_rejects_other_labels_and_a_wrong_length_vector():
