@@ -42,7 +42,7 @@ import numpy as np
 # N = 100 its float64 and index arrays are 0.4 MB each, its int32 counts
 # 0.2 MB), and each worker thread keeps its own allocation peak.
 _SCAN_CHUNK = 512
-# Blocks per task of the exact-path pool, scan or proxy embedding alike: fewer
+# Blocks per task of the exact-path pool, scan or embedding build alike: fewer
 # round trips through the pool and the GIL.  On both cores of a 2-core Xeon
 # (65,536 proxy axes, N = 100, one process, 12 interleaved rounds, two runs)
 # the embedding took a median 75.7-77.0 ms in 4,096-axis tasks against

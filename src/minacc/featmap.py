@@ -23,13 +23,13 @@ CZ gates, so its amplitudes are real: all N states are encoded in one float64 ba
 transform over k of conj(psi[k ^ x]) psi[k] gives every Z-mask of X-mask x; one
 transform covers all N states and a run of the requested X-masks, one exact-path block
 (``axiscore._SCAN_CHUNK`` axes) worth, from which each requested axis is gathered into
-an axis-major buffer like the proxy's.  Columns reach n = 12, the matrix n = 8.  Runs
-are built in turn on the calling thread: as the first call of a fresh process, a pooled
-n = 6 build of 100 samples (same bytes) took a median 27.6 ms against 18.1 ms serial on
-a 2-core Xeon.  On real states the strings with an odd number of Y are exactly 0.0, and
-every other value within (n + 3) eps/2 of zero becomes 0.0.  The linear kernel of those
-features is the fidelity kernel of the states, so ``pauli_gram`` builds it from the N
-states without the N x 4^n matrix.
+an axis-major buffer like the proxy's.  A source computes its squared norms once, so its
+runs are independent and are built like proxy blocks: at n = 6 the matrix is one inline
+task, from n = 7 it is pooled.  Columns reach n = 12, the matrix n = 8.  On real states
+the strings with an odd number of Y are exactly 0.0, and every other value within
+(n + 3) eps/2 of zero becomes 0.0.  The linear kernel of those features is the fidelity
+kernel of the states, so ``pauli_gram`` builds it from the N states without the N x 4^n
+matrix.
 """
 
 from __future__ import annotations
@@ -117,21 +117,19 @@ def projection_block(spec: ProjectionSpec, indices) -> np.ndarray:
 
 
 def _proxy_block(inputs: np.ndarray, spec: ProjectionSpec, indices) -> np.ndarray:
-    """tanh(sum_j x_j w_j) for the given columns: the one path of every proxy
-    value.  Each block of columns is summed over j in order by elementwise
-    ufuncs (a BLAS matmul may order its sums by the block's width), so a value
-    does not depend on the columns beside it.  The sums and the tanh run in
-    place in one k x N axis-major buffer, one axis per row; the N x k result
-    is its transpose, an F-contiguous view whose columns the scan sorts
-    where they lie.  A task of ``_TASK_BLOCKS`` blocks, one ``projection_block``
-    call and then its blocks in turn, fills disjoint rows, on the pool when
-    there are two or more tasks."""
-    axes = checked_axes(indices, spec.feature_dim)
-    buffer = np.empty((axes.size, inputs.shape[0]), dtype=np.float64)
+    """tanh(sum_j x_j w_j) for the given columns: the one path of every proxy value.
+    Each block of columns is summed over j in order by elementwise ufuncs (a BLAS
+    matmul may order its sums by the block's width), so a value does not depend on the
+    columns beside it.  The sums and the tanh run in place in one k x N axis-major
+    buffer, one axis per row; the N x k result is its transpose, an F-contiguous view
+    whose columns the scan sorts where they lie.  A task of ``_TASK_BLOCKS`` blocks, one
+    ``projection_block`` call (which checks the task's axes) and its blocks in turn,
+    fills disjoint rows, on the pool when there are two or more tasks."""
+    buffer = np.empty((len(indices), inputs.shape[0]), dtype=np.float64)
     width = _TASK_BLOCKS * _SCAN_CHUNK
 
     def fill(start):
-        task = projection_block(spec, axes[start:start + width])
+        task = projection_block(spec, indices[start:start + width])
         for offset in range(0, task.shape[1], _SCAN_CHUNK):
             w = task[:, offset:offset + _SCAN_CHUNK]
             acc = buffer[start + offset:start + offset + w.shape[1]]
@@ -140,7 +138,7 @@ def _proxy_block(inputs: np.ndarray, spec: ProjectionSpec, indices) -> np.ndarra
                 acc += w[j][:, None] * inputs[:, j]
             np.tanh(acc, out=acc)
 
-    for _ in _ordered_map(fill, range(0, axes.size, width)):
+    for _ in _ordered_map(fill, range(0, len(indices), width)):
         pass
     return buffer.T
 
@@ -304,8 +302,6 @@ def _transformed_products(psi: np.ndarray, x_masks: np.ndarray, n: int) -> np.nd
 def _expectation_values(raw, norm_sq, n: int):
     """Raw <psi|sigma|psi> / <psi|psi> in the memory of ``raw``, imaginary part checked, clipped,
     and 0.0 within (n + 3) eps/2: the rounding of the products (3) and of the n butterfly stages."""
-    if np.any(norm_sq == 0.0):
-        raise ValueError("empty dataset: statevector has zero norm")
     if np.iscomplexobj(raw):
         if np.any(np.abs(np.imag(raw)) > 1e-10 * norm_sq):
             raise ValueError("Pauli expectation has a non-negligible imaginary part")
@@ -326,6 +322,11 @@ class PauliFeatures:
         if n < 1 or psi.shape[1] != 2 ** n:
             raise ValueError(f"states must be B x 2^n, not {psi.shape}")
         self.qubit_count, self.sample_count, self.axis_count = n, psi.shape[0], 4 ** n
+        self._norm_sq = (np.conj(psi) * psi).T.real  # X-mask 0's products, transform axis first
+        for bit in reversed(range(n)):  # the transform's own additions for z = 0; 1 x B at the end
+            self._norm_sq = self._norm_sq[:2 ** bit] + self._norm_sq[2 ** bit:]
+        if np.any(self._norm_sq == 0.0):
+            raise ValueError("empty dataset: statevector has zero norm")
 
     @classmethod
     def of(cls, dataset: LabeledDataset, spec: EncodingCircuitSpec) -> "PauliFeatures":
@@ -336,25 +337,29 @@ class PauliFeatures:
 
     def columns(self, indices) -> np.ndarray:
         """N x k block, the transpose of a k x N buffer: each axis's row of its
-        X-mask's run, times i^{#Y} (its real part on real states), over the
-        squared norms, the (x = 0, z = 0) row of run 0."""
+        X-mask's run, times i^{#Y} (its real part on real states), over the squared
+        norms.  Tasks of ``_TASK_BLOCKS`` runs fill disjoint rows, pooled like proxy blocks."""
         n = self.qubit_count
         axes = checked_axes(indices, self.axis_count)
         x, z, phase = _pauli_masks(axes, n)
-        present = np.bincount(np.append(0, x), minlength=2 ** n) > 0  # X-mask 0 for the norms
+        present = np.bincount(x, minlength=2 ** n) > 0  # only the requested X-masks are transformed
         masks, slot = np.flatnonzero(present), (np.cumsum(present) - 1)[x]  # slot: index in masks
         run = max(1, _SCAN_CHUNK // 2 ** n)
         group = (slot // run).astype(np.min_scalar_type(masks.size))  # each axis's run number
         order = np.argsort(group, kind="stable")  # a radix sort when the keys fit 16 bits (n <= 16)
         cuts = np.searchsorted(group[order], np.arange(-(-masks.size // run) + 1))
         buffer = np.empty((axes.size, self.sample_count))
-        for start, lo, hi in zip(range(0, masks.size, run), cuts, cuts[1:]):
-            w = _transformed_products(self._states, masks[start:start + run], n)
-            norm_sq = w[0, 0].real if start == 0 else norm_sq
-            at = order[lo:hi]
-            raw = np.take(w.reshape(-1, self.sample_count), z[at] * w.shape[1] + slot[at] - start, axis=0)
-            raw *= (phase if np.iscomplexobj(raw) else phase.real)[at, None]  # in place: no fresh buffer
-            buffer[at] = _expectation_values(raw, norm_sq, n)
+
+        def fill(first):  # runs first, ..., first + _TASK_BLOCKS - 1
+            for r in range(first, min(first + _TASK_BLOCKS, cuts.size - 1)):
+                w = _transformed_products(self._states, masks[r * run:(r + 1) * run], n)
+                at = order[cuts[r]:cuts[r + 1]]  # run r's axes
+                raw = np.take(w.reshape(-1, self.sample_count), z[at] * w.shape[1] + slot[at] - r * run, axis=0)
+                raw *= (phase if np.iscomplexobj(raw) else phase.real)[at, None]  # in place: no fresh buffer
+                buffer[at] = _expectation_values(raw, self._norm_sq, n)
+
+        for _ in _ordered_map(fill, range(0, cuts.size - 1, _TASK_BLOCKS)):
+            pass
         return buffer.T
 
     def materialize(self) -> FeatureMatrix:

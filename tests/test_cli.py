@@ -7,10 +7,15 @@ are cross-checked with the library functions they wrap.
 import dataclasses
 import inspect
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import minacc
 from minacc import cli, harness
 from minacc.axiscore import (
     Orientation,
@@ -479,3 +484,15 @@ def test_cli_error_paths(tmp_path, capsys):
         main(["coverage", "--nope", "1"])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+def test_importing_the_package_loads_no_pool_parser_or_scipy():
+    # every command pays the package's import time; the thread pool, the parser and
+    # scipy load on first use only
+    code = ("import sys, minacc; print(minacc.__file__); "
+            "print(*[m for m in ('concurrent.futures', 'argparse', 'scipy') if m in sys.modules])")
+    src = str(Path(minacc.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    path, loaded = out.stdout.split("\n")[:2]
+    assert Path(path) == Path(minacc.__file__) and loaded == ""

@@ -8,14 +8,15 @@ flip-mask implementation under test never materializes those matrices.
 
 import hashlib
 import math
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from minacc import featmap
-from minacc.axiscore import FeatureMatrix, LabeledDataset, ThresholdClassifier, best_counts
+from minacc import axiscore, featmap
+from minacc.axiscore import FeatureMatrix, LabeledDataset, ThresholdClassifier, best_counts, r_min_deterministic
 from minacc.datagen import CIRCLES
 from minacc.featmap import (
     _philox4x32,
@@ -142,6 +143,23 @@ def test_proxy_blocks_are_axis_major():
                   lazy.columns(range(300, 1100))):
         assert block.flags.f_contiguous
         assert np.shares_memory(block, np.ascontiguousarray(block.T))
+
+
+def test_lazy_proxy_columns_check_each_axis_once(monkeypatch):
+    # the task's projection_block checks its slice; nothing checks the batch before it
+    lazy = LazyProxyFeatures(small_dataset(np.random.default_rng(23)),
+                             ProjectionSpec(input_dim=3, feature_dim=4 ** 8, seed=6))
+    axes = np.random.default_rng(24).integers(0, 4 ** 8, size=60)
+    expected = lazy.columns(axes)
+    checked, check = [], featmap.checked_axes
+
+    def spy(indices, axis_count):
+        checked.append(len(indices))
+        return check(indices, axis_count)
+
+    monkeypatch.setattr(featmap, "checked_axes", spy)
+    assert lazy.columns(axes).tobytes() == expected.tobytes()
+    assert checked == [60]
 
 
 def test_projection_columns_stable_when_feature_dim_grows():
@@ -600,6 +618,56 @@ def test_pauli_columns_beyond_the_matrix_limit(monkeypatch):
                   lambda: pauli_feature_matrix(nine, EncodingCircuitSpec(9))):
         with pytest.raises(ValueError, match="dense simulation limit"):
             build()
+
+
+@pytest.mark.parametrize("n", [7, 8])
+def test_pooled_pauli_build_bytes_do_not_depend_on_the_cores(monkeypatch, n):
+    # from n = 7 the matrix is two or more tasks of _TASK_BLOCKS runs, pooled on two or more
+    # cores; a fresh pool of three workers and a short switch interval interleave their row writes
+    source = PauliFeatures.of(small_dataset(np.random.default_rng(25), n_samples=12), EncodingCircuitSpec(n))
+    monkeypatch.setattr(axiscore, "_POOL", None)
+    interval, builds = sys.getswitchinterval(), []
+    try:
+        sys.setswitchinterval(1e-5)
+        for cores in (1, 3, 2):
+            monkeypatch.setattr(axiscore, "_CORES", cores)
+            builds.append(source.materialize().values.tobytes())
+    finally:
+        sys.setswitchinterval(interval)
+        if axiscore._POOL is not None:
+            axiscore._POOL.shutdown()
+    assert builds[1] == builds[0] and builds[2] == builds[0]
+
+
+def test_pooled_scan_of_lazy_pauli_columns_equals_the_scan_of_the_matrix(monkeypatch):
+    # each 4,096-axis scan task reads its columns on the calling thread, which
+    # pools their runs while earlier scan tasks are in flight
+    monkeypatch.setattr(axiscore, "_CORES", 2)
+    data = small_dataset(np.random.default_rng(26), n_samples=20)
+    source = PauliFeatures.of(data, EncodingCircuitSpec(7))
+    r_lazy, best_lazy, per_axis_lazy = r_min_deterministic(source, data.labels)
+    r_matrix, best_matrix, per_axis_matrix = r_min_deterministic(source.materialize(), data.labels)
+    assert (r_lazy, best_lazy) == (r_matrix, best_matrix)
+    assert per_axis_lazy.tobytes() == per_axis_matrix.tobytes()
+
+
+def test_pauli_norms_are_computed_once_when_the_source_is_built(monkeypatch):
+    source = PauliFeatures(encode_state(np.array([0.3, -1.2, 0.8]), EncodingCircuitSpec(3)).reshape(1, -1))
+    expected = source.column(16)  # XII: X-mask 0b100
+    transformed, transform = [], featmap._transformed_products
+
+    def spy(psi, x_masks, n):
+        transformed.append(x_masks.tolist())
+        return transform(psi, x_masks, n)
+
+    monkeypatch.setattr(featmap, "_transformed_products", spy)
+    assert source.column(16).tobytes() == expected.tobytes()
+    assert transformed == [[0b100]]
+    transformed.clear()
+    assert source.columns([]).shape == (1, 0) and transformed == []
+    for states in (np.zeros((1, 4)), np.array([[0.6, 0.8], [0.0, 0.0]])):
+        with pytest.raises(ValueError, match="^empty dataset: statevector has zero norm$"):
+            PauliFeatures(states)
 
 
 # ---------------------------------------------------------------------------

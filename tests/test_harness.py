@@ -712,6 +712,14 @@ def test_report_records_the_threads_of_the_exact_path(tmp_path, monkeypatch, cor
         assert json.load(fh)["exact_path_threads"] == cores
 
 
+def test_a_six_qubit_pauli_experiment_never_starts_the_pool(tmp_path, monkeypatch):
+    # at n = 6 the Pauli build, the scan and every sampled batch are one task each, run inline
+    monkeypatch.setattr(axiscore, "_CORES", 2)
+    monkeypatch.setattr(axiscore, "_POOL", None)
+    report = run_experiment(small_config(tmp_path, embedding="pauli", qubit_count=6, repetitions=1))
+    assert report.errors == [] and axiscore._POOL is None
+
+
 def test_run_experiment_seed_changes_results(tmp_path):
     a = run_experiment(small_config(tmp_path / "a"))
     b = run_experiment(small_config(tmp_path / "b", master_seed=1))
