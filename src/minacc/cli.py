@@ -148,13 +148,17 @@ def _cmd_embed(args) -> int:
     return 0
 
 
+def _feature_file(path, dataset):
+    """The feature matrix at ``path``, one row per row of ``dataset``."""
+    features = load_feature_matrix(path)
+    if features.sample_count != dataset.sample_count:
+        raise ValueError(f"feature file has {features.sample_count} rows but dataset has {dataset.sample_count}")
+    return features
+
+
 def _cmd_minacc(args) -> int:
-    features = load_feature_matrix(args.features)
-    labels = dataset_from_csv(args.data).labels
-    if labels.shape[0] != features.sample_count:
-        raise ValueError(
-            f"feature file has {features.sample_count} rows but dataset has {labels.shape[0]}"
-        )
+    dataset = dataset_from_csv(args.data)
+    features, labels = _feature_file(args.features, dataset), dataset.labels
     method = _METHOD_ALIASES[args.method]
     settings = EstimatorSettings(**{f.name: getattr(args, f.name)
                                     for f in dataclasses.fields(EstimatorSettings)})
@@ -185,13 +189,7 @@ def _cmd_coverage(args) -> int:
 
 def _cmd_svm(args) -> int:
     dataset = dataset_from_csv(args.data)
-    if args.features:
-        matrix = load_feature_matrix(args.features)
-        if matrix.sample_count != dataset.sample_count:
-            raise ValueError("feature file and dataset row counts differ")
-        x = matrix.values
-    else:
-        x = dataset.inputs
+    x = _feature_file(args.features, dataset).values if args.features else dataset.inputs
     gamma = args.gamma if args.gamma == "scale" else float(args.gamma)
     model = svm_train(
         x, dataset.labels, kernel=args.kernel, C=args.c,

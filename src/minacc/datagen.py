@@ -8,8 +8,10 @@ Three generators with qualitatively different geometry:
   vertices, partially axis-aligned;
 * ``circles``: two concentric noisy circles, intrinsically non-linear.
 
-Everything is deterministic per seed, and any dataset can be rebuilt from
-its JSON spec alone.
+A generator writes only ``draw(label, count)``, the rows of one class; one class
+assembly sizes the classes by ``balanced_counts``, draws them in the generator's order,
+then labels, stacks and shuffles them.  Everything is deterministic per seed, and any
+dataset can be rebuilt from its JSON spec alone.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ class DatasetSpec(Checked):
     n_samples: int = 1000
     seed: int = 0
     informative_features: int | None = None  # default: 2 (circles, the only value), 4 (the others)
-    clusters_per_class: int | None = None  # read by multi_cluster alone; default 3
+    clusters_per_class: int | None = None  # read by multi_cluster alone, whose default is 3
     noise_sigma: float = 0.1
     radius_factor: float = 0.5
     center_magnitude: float = 2.0
@@ -53,9 +55,13 @@ class DatasetSpec(Checked):
             raise ValueError(f"unknown dataset kind {self.kind!r}; choose from {DATASET_KINDS}")
         if self.informative_features is None:
             object.__setattr__(self, "informative_features", 2 if self.kind == CIRCLES else 4)
+        if self.kind == MULTI_CLUSTER and self.clusters_per_class is None:
+            object.__setattr__(self, "clusters_per_class", 3)
         super().__post_init__()
         if self.kind == CIRCLES and self.informative_features != 2:
             raise ValueError("circles have 2 informative features, the plane's coordinates")
+        if self.kind == MULTI_CLUSTER and 2 * self.clusters_per_class > 2 ** self.informative_features:
+            raise ValueError(f"not enough hypercube vertices for {2 * self.clusters_per_class} distinct centers")
 
 
 def balanced_counts(n: int) -> tuple[int, int]:
@@ -63,7 +69,12 @@ def balanced_counts(n: int) -> tuple[int, int]:
     return n - n // 2, n // 2
 
 
-def _shuffled(inputs: np.ndarray, labels: np.ndarray, rng: np.random.Generator) -> LabeledDataset:
+def _assembled(rng: np.random.Generator, n: int, draw, order=(1, -1)) -> LabeledDataset:
+    """The classes of ``balanced_counts(n)``, each drawn by ``draw(label, count)``
+    in ``order``, then labelled, stacked and shuffled by ``rng``."""
+    count = dict(zip((1, -1), balanced_counts(n)))
+    inputs = np.vstack([draw(label, count[label]) for label in order])
+    labels = np.concatenate([np.full(count[label], label, dtype=np.int64) for label in order])
     perm = rng.permutation(inputs.shape[0])
     return LabeledDataset(inputs=inputs[perm], labels=labels[perm])
 
@@ -73,54 +84,39 @@ def gen_linear_separable(spec: DatasetSpec) -> LabeledDataset:
     (+-center_magnitude per coordinate), balanced classes, no label noise."""
     rng = np.random.default_rng(spec.seed)
     m = spec.informative_features
-    n_plus, n_minus = balanced_counts(spec.n_samples)
     center = np.full(m, spec.center_magnitude)
-    x_plus = rng.standard_normal((n_plus, m)) + center
-    x_minus = rng.standard_normal((n_minus, m)) - center
-    inputs = np.vstack([x_plus, x_minus])
-    labels = np.concatenate([np.ones(n_plus, dtype=np.int64), -np.ones(n_minus, dtype=np.int64)])
-    return _shuffled(inputs, labels, rng)
+    return _assembled(rng, spec.n_samples, lambda label, count: rng.standard_normal((count, m)) + label * center)
 
 
 def gen_multi_cluster(spec: DatasetSpec) -> LabeledDataset:
     """Three unit-covariance Gaussian clusters per class, centers drawn without
-    replacement from the hypercube vertices {-c, +c}^m; points go round-robin
-    to their class's clusters."""
+    replacement from the hypercube vertices {-c, +c}^m before either class;
+    points go round-robin to their class's clusters."""
     rng = np.random.default_rng(spec.seed)
-    m = spec.informative_features
-    per_class = spec.clusters_per_class if spec.clusters_per_class is not None else 3
-    n_vertices = 2 ** m
-    if 2 * per_class > n_vertices:
-        raise ValueError(f"not enough hypercube vertices for {2 * per_class} distinct centers")
-
-    vertex_ids = rng.choice(n_vertices, size=2 * per_class, replace=False)
+    m, per_class = spec.informative_features, spec.clusters_per_class
+    vertex_ids = rng.choice(2 ** m, size=2 * per_class, replace=False)
     signs = ((vertex_ids[:, None] >> np.arange(m)) & 1) * 2 - 1
     centers = signs * spec.center_magnitude
-    plus_centers, minus_centers = centers[:per_class], centers[per_class:]
+    class_centers = {1: centers[:per_class], -1: centers[per_class:]}
 
-    n_plus, n_minus = balanced_counts(spec.n_samples)
-    rows, labels = [], []
-    for count, cls_centers, label in ((n_plus, plus_centers, 1), (n_minus, minus_centers, -1)):
-        assignment = np.arange(count) % per_class
+    def draw(label, count):
         noise = rng.standard_normal((count, m)) * spec.cluster_std
-        rows.append(cls_centers[assignment] + noise)
-        labels.append(np.full(count, label, dtype=np.int64))
-    return _shuffled(np.vstack(rows), np.concatenate(labels), rng)
+        return class_centers[label][np.arange(count) % per_class] + noise
+
+    return _assembled(rng, spec.n_samples, draw)
 
 
 def gen_circles(spec: DatasetSpec) -> LabeledDataset:
-    """Concentric circles in the plane: outer radius 1 (label -1), inner radius
-    ``radius_factor`` (label +1), uniform angles, additive Gaussian noise."""
+    """Concentric circles in the plane: outer radius 1 (label -1, drawn first), inner
+    radius ``radius_factor`` (label +1), uniform angles, additive Gaussian noise."""
     rng = np.random.default_rng(spec.seed)
-    n_inner, n_outer = balanced_counts(spec.n_samples)
-    rows, labels = [], []
-    for count, radius, label in ((n_outer, 1.0, -1), (n_inner, spec.radius_factor, 1)):
+
+    def draw(label, count):
         theta = rng.uniform(0.0, 2.0 * math.pi, count)
-        pts = radius * np.column_stack([np.cos(theta), np.sin(theta)])
-        pts = pts + rng.standard_normal((count, 2)) * spec.noise_sigma
-        rows.append(pts)
-        labels.append(np.full(count, label, dtype=np.int64))
-    return _shuffled(np.vstack(rows), np.concatenate(labels), rng)
+        pts = (spec.radius_factor if label == 1 else 1.0) * np.column_stack([np.cos(theta), np.sin(theta)])
+        return pts + rng.standard_normal((count, 2)) * spec.noise_sigma
+
+    return _assembled(rng, spec.n_samples, draw, order=(-1, 1))
 
 
 _GENERATORS = {

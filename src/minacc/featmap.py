@@ -5,15 +5,10 @@ imitates the bounded, high-dimensional geometry of Pauli expectation values
 at d = 4^n scale without simulating circuits.  Column i of W is a function
 of (seed, i) alone: Philox4x32-10, a counter-based generator keyed by the
 seed and counting (i, draw pair), feeds Box-Muller.  Any set of columns is
-therefore produced on demand, in one vectorized block: estimators that touch
+therefore produced on demand, in vectorized blocks: estimators that touch
 t << d axes never build the N x d matrix, growing d extends rather than
 reshuffles earlier columns, and the lazy and eager paths are bit-identical
-because every value goes through the same elementwise block code.  The block
-code fills a d x N axis-major buffer, one axis per contiguous row, and hands
-out its N x d transpose: the exhaustive scan sorts each axis where it was
-written, with no transpose copy.  Blocks of rows are filled on the exact-path
-thread pool of ``axiscore``; each value is a function of (seed, axis, inputs)
-alone, so the bytes do not depend on the number of threads.
+because every value goes through the same elementwise block code.
 
 There is also the real thing: an angle-encoding statevector simulator and expectation
 values of the 4^n Pauli strings (eigenvalues +-1, so features lie in [-1, 1] and the
@@ -22,14 +17,19 @@ CZ gates, so its amplitudes are real: all N states are encoded in one float64 ba
 ``PauliFeatures`` is the one path from states to expectations: a Walsh-Hadamard
 transform over k of conj(psi[k ^ x]) psi[k] gives every Z-mask of X-mask x; one
 transform covers all N states and a run of the requested X-masks, one exact-path block
-(``axiscore._SCAN_CHUNK`` axes) worth, from which each requested axis is gathered into
-an axis-major buffer like the proxy's.  A source computes its squared norms once, so its
-runs are independent and are built like proxy blocks: at n = 6 the matrix is one inline
-task, from n = 7 it is pooled.  Columns reach n = 12, the matrix n = 8.  On real states
-the strings with an odd number of Y are exactly 0.0, and every other value within
-(n + 3) eps/2 of zero becomes 0.0.  The linear kernel of those features is the fidelity
-kernel of the states, so ``pauli_gram`` builds it from the N states without the N x 4^n
-matrix.
+(``axiscore._SCAN_CHUNK`` axes) worth; the squared norms are computed once per source.
+Columns reach n = 12, the matrix n = 8.  On real states the strings with an odd number
+of Y are exactly 0.0, and every other value within (n + 3) eps/2 of zero becomes 0.0.
+The linear kernel of those features is the fidelity kernel of the states, so
+``pauli_gram`` builds it from the N states without the N x 4^n matrix.
+
+Both embeddings write only their math, a ``_plan`` of tasks, each filling rows of a
+k x N axis-major buffer (a proxy task: ``_TASK_BLOCKS`` blocks of columns; a Pauli task:
+``_TASK_BLOCKS`` X-mask runs).  One column builder, ``_ColumnSource``, checks the axes
+once, allocates the buffer, runs the tasks on the exact-path pool of ``axiscore`` (the
+n = 6 Pauli matrix is one inline task) and hands out the N x k transpose, which the scan
+sorts axis by axis where it was written.  Each value depends on its axis and the
+source's inputs alone, so the bytes do not depend on the thread count.
 """
 
 from __future__ import annotations
@@ -102,7 +102,11 @@ def projection_block(spec: ProjectionSpec, indices) -> np.ndarray:
     i a function of (seed, i) alone.  Counter (i lo32, i hi32, j, 0) under key
     seed gives draw pair j of column i; its 53-bit uniforms from words (0, 1)
     and (2, 3) become entries 2j and 2j + 1 by Box-Muller."""
-    axes = checked_axes(indices, spec.feature_dim)
+    return _projection_block(spec, checked_axes(indices, spec.feature_dim))
+
+
+def _projection_block(spec: ProjectionSpec, axes: np.ndarray) -> np.ndarray:
+    """``projection_block`` of int64 ``axes`` already checked."""
     m = spec.input_dim
     even = np.empty((2, (m + 1) // 2, axes.size), dtype=np.uint32)
     odd = np.zeros_like(even)
@@ -116,34 +120,30 @@ def projection_block(spec: ProjectionSpec, indices) -> np.ndarray:
     return normals.reshape(-1, axes.size)[:m] * (m ** -0.5)
 
 
-def _proxy_block(inputs: np.ndarray, spec: ProjectionSpec, indices) -> np.ndarray:
-    """tanh(sum_j x_j w_j) for the given columns: the one path of every proxy value.
-    Each block of columns is summed over j in order by elementwise ufuncs (a BLAS
-    matmul may order its sums by the block's width), so a value does not depend on the
-    columns beside it.  The sums and the tanh run in place in one k x N axis-major
-    buffer, one axis per row; the N x k result is its transpose, an F-contiguous view
-    whose columns the scan sorts where they lie.  A task of ``_TASK_BLOCKS`` blocks, one
-    ``projection_block`` call (which checks the task's axes) and its blocks in turn,
-    fills disjoint rows, on the pool when there are two or more tasks."""
-    buffer = np.empty((len(indices), inputs.shape[0]), dtype=np.float64)
-    width = _TASK_BLOCKS * _SCAN_CHUNK
+class _ColumnSource:
+    """The column protocol over a subclass's ``sample_count``, ``axis_count`` and
+    ``_plan(axes, buffer)``, which returns ``(task, items)``: ``task(item)`` for every
+    item fills disjoint rows of ``buffer``, row r with the column of ``axes[r]``."""
 
-    def fill(start):
-        task = projection_block(spec, indices[start:start + width])
-        for offset in range(0, task.shape[1], _SCAN_CHUNK):
-            w = task[:, offset:offset + _SCAN_CHUNK]
-            acc = buffer[start + offset:start + offset + w.shape[1]]
-            np.multiply(w[0][:, None], inputs[:, 0], out=acc)
-            for j in range(1, spec.input_dim):
-                acc += w[j][:, None] * inputs[:, j]
-            np.tanh(acc, out=acc)
+    def column(self, axis_index: int) -> np.ndarray:
+        return self._build([axis_index])[:, 0]
 
-    for _ in _ordered_map(fill, range(0, len(indices), width)):
-        pass
-    return buffer.T
+    def columns(self, indices) -> np.ndarray:
+        return self._build(indices)
+
+    def materialize(self) -> FeatureMatrix:
+        return FeatureMatrix(self.columns(range(self.axis_count)))
+
+    def _build(self, indices) -> np.ndarray:
+        """N x k block, the transpose of the k x N buffer the tasks fill, pooled when two or more."""
+        axes = checked_axes(indices, self.axis_count)
+        buffer = np.empty((axes.size, self.sample_count), dtype=np.float64)
+        for _ in _ordered_map(*self._plan(axes, buffer)):
+            pass
+        return buffer.T
 
 
-class LazyProxyFeatures:
+class LazyProxyFeatures(_ColumnSource):
     """Column-on-demand view of the proxy embedding of a fixed dataset."""
 
     def __init__(self, dataset: LabeledDataset, spec: ProjectionSpec):
@@ -153,23 +153,26 @@ class LazyProxyFeatures:
             )
         self._inputs = dataset.inputs
         self.spec = spec
+        self.sample_count, self.axis_count = dataset.sample_count, spec.feature_dim
 
-    @property
-    def sample_count(self) -> int:
-        return self._inputs.shape[0]
+    def _plan(self, axes, buffer):
+        """tanh(sum_j x_j w_j) in place, a task of ``_TASK_BLOCKS`` blocks of columns
+        at a time: one W block, then its blocks summed over j in order by elementwise
+        ufuncs (a BLAS matmul may order its sums by the block's width), so a value does
+        not depend on the columns beside it."""
+        inputs, width = self._inputs, _TASK_BLOCKS * _SCAN_CHUNK
 
-    @property
-    def axis_count(self) -> int:
-        return self.spec.feature_dim
+        def fill(start):
+            task = _projection_block(self.spec, axes[start:start + width])
+            for offset in range(0, task.shape[1], _SCAN_CHUNK):
+                w = task[:, offset:offset + _SCAN_CHUNK]
+                acc = buffer[start + offset:start + offset + w.shape[1]]
+                np.multiply(w[0][:, None], inputs[:, 0], out=acc)
+                for j in range(1, self.spec.input_dim):
+                    acc += w[j][:, None] * inputs[:, j]
+                np.tanh(acc, out=acc)
 
-    def column(self, axis_index: int) -> np.ndarray:
-        return _proxy_block(self._inputs, self.spec, [axis_index])[:, 0]
-
-    def columns(self, indices) -> np.ndarray:
-        return _proxy_block(self._inputs, self.spec, indices)
-
-    def materialize(self) -> FeatureMatrix:
-        return FeatureMatrix(self.columns(range(self.axis_count)))
+        return fill, range(0, axes.size, width)
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +315,7 @@ def _expectation_values(raw, norm_sq, n: int):
     return values
 
 
-class PauliFeatures:
+class PauliFeatures(_ColumnSource):
     """Column-on-demand Pauli expectations of B states, real or complex: entry
     [b, i] is <psi_b|sigma_i|psi_b> / <psi_b|psi_b> for Pauli index i."""
 
@@ -332,15 +335,10 @@ class PauliFeatures:
     def of(cls, dataset: LabeledDataset, spec: EncodingCircuitSpec) -> "PauliFeatures":
         return cls(_encode_states(dataset.inputs, spec))
 
-    def column(self, axis_index: int) -> np.ndarray:
-        return self.columns([axis_index])[:, 0]
-
-    def columns(self, indices) -> np.ndarray:
-        """N x k block, the transpose of a k x N buffer: each axis's row of its
-        X-mask's run, times i^{#Y} (its real part on real states), over the squared
-        norms.  Tasks of ``_TASK_BLOCKS`` runs fill disjoint rows, pooled like proxy blocks."""
+    def _plan(self, axes, buffer):
+        """Tasks of ``_TASK_BLOCKS`` X-mask runs: each axis's row of its run's transform,
+        times i^{#Y} (its real part on real states), over the squared norms."""
         n = self.qubit_count
-        axes = checked_axes(indices, self.axis_count)
         x, z, phase = _pauli_masks(axes, n)
         present = np.bincount(x, minlength=2 ** n) > 0  # only the requested X-masks are transformed
         masks, slot = np.flatnonzero(present), (np.cumsum(present) - 1)[x]  # slot: index in masks
@@ -348,7 +346,6 @@ class PauliFeatures:
         group = (slot // run).astype(np.min_scalar_type(masks.size))  # each axis's run number
         order = np.argsort(group, kind="stable")  # a radix sort when the keys fit 16 bits (n <= 16)
         cuts = np.searchsorted(group[order], np.arange(-(-masks.size // run) + 1))
-        buffer = np.empty((axes.size, self.sample_count))
 
         def fill(first):  # runs first, ..., first + _TASK_BLOCKS - 1
             for r in range(first, min(first + _TASK_BLOCKS, cuts.size - 1)):
@@ -358,14 +355,12 @@ class PauliFeatures:
                 raw *= (phase if np.iscomplexobj(raw) else phase.real)[at, None]  # in place: no fresh buffer
                 buffer[at] = _expectation_values(raw, self._norm_sq, n)
 
-        for _ in _ordered_map(fill, range(0, cuts.size - 1, _TASK_BLOCKS)):
-            pass
-        return buffer.T
+        return fill, range(0, cuts.size - 1, _TASK_BLOCKS)
 
     def materialize(self) -> FeatureMatrix:
         if self.qubit_count > _MATRIX_QUBIT_LIMIT:
             raise ValueError(f"dense simulation limit: 4^n features need n <= {_MATRIX_QUBIT_LIMIT}")
-        return FeatureMatrix(self.columns(range(self.axis_count)))
+        return super().materialize()
 
 
 def pauli_expectation(state, sigma: PauliString) -> float:

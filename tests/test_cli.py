@@ -220,11 +220,11 @@ def test_minacc_row_count_mismatch(tmp_path, capsys, small_data):
         "--method", "det",
     )
     assert code == 1
-    assert "error:" in err
-    # svm --features checks the same
+    assert "error: feature file has 40 rows but dataset has 30" in err
+    # svm --features checks the same, with the same message
     code, stdout, err = run_cli(capsys, "svm", "--data", str(other), "--features", str(feats))
     assert code == 1 and stdout == ""
-    assert "error:" in err and "row counts differ" in err
+    assert "error: feature file has 40 rows but dataset has 30" in err
 
 
 def test_coverage_planning_and_probabilities(capsys):

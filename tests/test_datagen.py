@@ -1,5 +1,6 @@
 """Tests for the synthetic dataset generators, standardization, and splitting."""
 
+import hashlib
 from pathlib import Path
 
 import numpy as np
@@ -137,9 +138,47 @@ def test_spec_validation():
         DatasetSpec(kind=LINEAR_SEPARABLE, informative_features=0)
     with pytest.raises(ValueError, match="circles have 2 informative features"):
         DatasetSpec(kind=CIRCLES, informative_features=4)
-    with pytest.raises(ValueError, match="not enough hypercube vertices"):
-        gen_multi_cluster(DatasetSpec(kind=MULTI_CLUSTER, informative_features=2,
-                                      clusters_per_class=3))
+    # checked when the spec is built, not when it is generated
+    with pytest.raises(ValueError, match="not enough hypercube vertices for 6 distinct centers"):
+        DatasetSpec(kind=MULTI_CLUSTER, informative_features=2, clusters_per_class=3)
+
+
+def test_multi_cluster_spec_records_its_cluster_count():
+    assert DatasetSpec(kind=MULTI_CLUSTER).clusters_per_class == 3
+    assert DatasetSpec(kind=MULTI_CLUSTER, informative_features=2, clusters_per_class=2).clusters_per_class == 2
+    assert '"clusters_per_class": 3' in spec_to_json(DatasetSpec(kind=MULTI_CLUSTER))
+    for kind in (LINEAR_SEPARABLE, CIRCLES):  # read by multi_cluster alone
+        assert DatasetSpec(kind=kind).clusters_per_class is None
+
+
+# sha256 prefixes of inputs + labels bytes, pinned before the generators shared one
+# class assembly: (kind, seed, n_samples, spec overrides) -> digest
+_PINNED_DATASETS = {
+    (LINEAR_SEPARABLE, 0, 100, ()): "b587189e0254e028",
+    (LINEAR_SEPARABLE, 0, 37, ()): "e5e6667becb4791b",
+    (LINEAR_SEPARABLE, 7, 100, ()): "4fb3a8e6f0db4ab0",
+    (LINEAR_SEPARABLE, 7, 37, ()): "9edf29e4539d2639",
+    (MULTI_CLUSTER, 0, 100, ()): "9b2f7a3c06aa1ff8",
+    (MULTI_CLUSTER, 0, 37, ()): "24ba2b918e50f9ba",
+    (MULTI_CLUSTER, 7, 100, ()): "3207b2358946ede2",
+    (MULTI_CLUSTER, 7, 37, ()): "b092490f28e30b0c",
+    (CIRCLES, 0, 100, ()): "0d39cca53d84449c",
+    (CIRCLES, 0, 37, ()): "b88a60c843c8431f",
+    (CIRCLES, 7, 100, ()): "3be801c38564e344",
+    (CIRCLES, 7, 37, ()): "9dbcba11e59d6e85",
+    (LINEAR_SEPARABLE, 3, 21, (("informative_features", 3), ("center_magnitude", 1.5))): "40763296ece713a5",
+    (MULTI_CLUSTER, 3, 50, (("informative_features", 5), ("clusters_per_class", 4), ("cluster_std", 0.5),
+                            ("center_magnitude", 3.0))): "845da756b617dc08",
+    (CIRCLES, 3, 33, (("radius_factor", 0.3), ("noise_sigma", 0.05))): "393e5fae202328f5",
+}
+
+
+@pytest.mark.parametrize("case", list(_PINNED_DATASETS))
+def test_generated_bytes_are_pinned(case):
+    kind, seed, n, overrides = case
+    ds = generate(DatasetSpec(kind, n, seed, **dict(overrides)))
+    digest = hashlib.sha256(ds.inputs.tobytes() + ds.labels.tobytes()).hexdigest()[:16]
+    assert digest == _PINNED_DATASETS[case]
 
 
 # ---------------------------------------------------------------------------
