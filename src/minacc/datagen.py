@@ -60,6 +60,8 @@ class DatasetSpec(Checked):
         super().__post_init__()
         if self.kind == CIRCLES and self.informative_features != 2:
             raise ValueError("circles have 2 informative features, the plane's coordinates")
+        if self.kind == MULTI_CLUSTER and self.informative_features > 62:  # a vertex is drawn by its int64 index
+            raise ValueError(f"multi_cluster needs informative_features <= 62: {self.informative_features}")
         if self.kind == MULTI_CLUSTER and 2 * self.clusters_per_class > 2 ** self.informative_features:
             raise ValueError(f"not enough hypercube vertices for {2 * self.clusters_per_class} distinct centers")
 

@@ -132,6 +132,8 @@ class _ColumnSource:
         return self._build(indices)
 
     def materialize(self) -> FeatureMatrix:
+        if self.axis_count > 4 ** _MATRIX_QUBIT_LIMIT:  # before the N x d buffer is allocated
+            raise ValueError(f"dense simulation limit: a matrix of 4^n features needs n <= {_MATRIX_QUBIT_LIMIT}")
         return FeatureMatrix(self.columns(range(self.axis_count)))
 
     def _build(self, indices) -> np.ndarray:
@@ -356,11 +358,6 @@ class PauliFeatures(_ColumnSource):
                 buffer[at] = _expectation_values(raw, self._norm_sq, n)
 
         return fill, range(0, cuts.size - 1, _TASK_BLOCKS)
-
-    def materialize(self) -> FeatureMatrix:
-        if self.qubit_count > _MATRIX_QUBIT_LIMIT:
-            raise ValueError(f"dense simulation limit: 4^n features need n <= {_MATRIX_QUBIT_LIMIT}")
-        return super().materialize()
 
 
 def pauli_expectation(state, sigma: PauliString) -> float:

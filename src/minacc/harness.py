@@ -138,8 +138,8 @@ class ExperimentConfig(EstimatorSettings):
             raise ValueError(f"subsample_train must be none or an integer in [2, {split}]: {rows}")
         if self.embedding not in _EMBEDDINGS:
             raise ValueError(f"embedding must be one of {_EMBEDDINGS}")
-        if self.embedding == "pauli" and self.qubit_count > _MATRIX_QUBIT_LIMIT:
-            raise ValueError(f"dense pauli embedding needs qubit_count <= {_MATRIX_QUBIT_LIMIT}")
+        if self.qubit_count > _MATRIX_QUBIT_LIMIT:  # either embedding builds the N x 4^n matrix
+            raise ValueError(f"dense simulation limit: qubit_count must be <= {_MATRIX_QUBIT_LIMIT}")
         for m in self.methods:
             if m not in _METHOD_NAMES:
                 raise ValueError(f"unknown method {m!r}; choose from {_METHOD_NAMES}")
@@ -330,9 +330,9 @@ def _run_dataset(name: str, config: ExperimentConfig, report: ExperimentReport) 
 
     def fit_baselines():
         if config.embedding == "pauli":
-            # F F' is the fidelity kernel of the states: no fit reads the N x 4^n matrix
-            embedded = Gram(pauli_gram(train, _pauli_spec(config.qubit_count)),
-                            features.axis_count, float(features.values.mean()))
+            # F F' is the states' fidelity kernel, not read off the N x 4^n matrix; mean(F) is summed axis-major
+            embedded = Gram.of_kernel(pauli_gram(train, _pauli_spec(config.qubit_count)), features.axis_count,
+                                      float(np.ascontiguousarray(features.values.T).mean()))
         else:
             embedded = Gram.of(features.values)
         return {

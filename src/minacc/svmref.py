@@ -9,11 +9,13 @@ suffice even where the Gram matrix is numerically singular.  Every model
 carries its duality gap, primal minus dual objective at the returned point,
 which bounds its distance from the optimum by weak duality alone.
 
-A fit reads only the ``Gram`` of its N x q features F, so one Gram per input
-serves both kernels.  On Pauli features F F' is the fidelity kernel
-2^n <psi_x|psi_x'>^2 (Havlicek et al., Nature 567, 2019; Schuld & Killoran,
-PRL 122, 2019), built from the N statevectors by ``featmap.pauli_gram``
-without the N x 4^n matrix.
+A fit reads only the ``Gram`` of its N x q features F: F F', the squared row
+norms and the 'scale' gamma 1 / (q var(F)), each computed once, so one Gram per
+input serves both kernels.  ``Gram.of`` sums them from the rows; ``Gram.of_kernel``
+reads them off the diagonal and the trace of F F', given q and mean(F).  On Pauli
+features F F' is the fidelity kernel 2^n <psi_x|psi_x'>^2 (Havlicek et al., Nature
+567, 2019; Schuld & Killoran, PRL 122, 2019), built from the N statevectors by
+``featmap.pauli_gram`` without the N x 4^n matrix.
 """
 
 from __future__ import annotations
@@ -34,28 +36,30 @@ _RULES = dict(C=Rule.POSITIVE, tol=Rule.POSITIVE, max_iter=Rule.integer_at_least
               axis_count=Rule.COUNT)
 
 
+def _n_by_n(values) -> np.ndarray:
+    values = np.asarray(values, dtype=np.float64)
+    if values.ndim != 2 or values.shape[0] != values.shape[1] or values.size == 0:
+        raise ValueError("a Gram matrix must be N x N with N >= 1")
+    return values
+
+
+def _scale_gamma(axis_count: int, variance: float) -> float:
+    return 1.0 if variance <= 0.0 else 1.0 / (axis_count * variance)
+
+
 @dataclass(frozen=True)
 class Gram:
-    """All a fit reads of an N x q feature matrix F: F F' (N x N, finite), q,
-    mean(F), and the derived squared row norms and var(F), which ``Gram(F F', q, mean(F))``
-    reads off the diagonal and the trace and ``Gram.of(F)`` sums from the rows."""
+    """All a fit reads of an N x q feature matrix F, each computed once by a named
+    constructor: ``values`` = F F' (N x N, finite), the ``squared_norms`` of the rows,
+    and ``scale_gamma`` = 1 / (q var(F)), or 1.0 when var(F) <= 0."""
 
     values: np.ndarray
-    axis_count: int
-    feature_mean: float
-    squared_norms: np.ndarray = field(init=False, repr=False)
-    feature_variance: float = field(init=False)
+    squared_norms: np.ndarray = field(repr=False)
+    scale_gamma: float
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.float64)
-        if values.ndim != 2 or values.shape[0] != values.shape[1] or values.size == 0:
-            raise ValueError("a Gram matrix must be N x N with N >= 1")
-        if not np.isfinite(values).all():
+        if not np.isfinite(_n_by_n(self.values)).all():
             raise ValueError("non-finite Gram values")
-        check(_RULES, axis_count=self.axis_count)
-        variance = float(np.trace(values)) / (values.shape[0] * self.axis_count) - self.feature_mean ** 2
-        for name, value in (("values", values), ("squared_norms", np.diag(values)), ("feature_variance", variance)):
-            object.__setattr__(self, name, value)
 
     @classmethod
     def of(cls, features) -> Gram:
@@ -66,10 +70,16 @@ class Gram:
             raise ValueError("features must be a non-empty N x q matrix with one label per row")
         if not np.isfinite(rows).all():
             raise ValueError("non-finite feature values")
-        gram = cls(rows @ rows.T, rows.shape[1], float(rows.mean()))
-        object.__setattr__(gram, "squared_norms", (rows * rows).sum(axis=1))
-        object.__setattr__(gram, "feature_variance", float(rows.var()))
-        return gram
+        return cls(rows @ rows.T, (rows * rows).sum(axis=1), _scale_gamma(rows.shape[1], float(rows.var())))
+
+    @classmethod
+    def of_kernel(cls, values, axis_count: int, feature_mean: float) -> Gram:
+        """The Gram of F from ``values`` = F F', q and mean(F): the norms are the
+        diagonal, and var(F) = trace / (N q) - mean(F)^2."""
+        values = _n_by_n(values)
+        check(_RULES, axis_count=axis_count)
+        variance = float(np.trace(values)) / (values.shape[0] * axis_count) - feature_mean ** 2
+        return cls(values, np.diag(values), _scale_gamma(axis_count, variance))
 
     def kernel(self, kernel: str, gamma: float | None) -> np.ndarray:
         """``kernel_matrix`` of F with itself."""
@@ -77,10 +87,9 @@ class Gram:
 
 
 def resolve_gamma(gamma, gram: Gram) -> float:
-    """A finite positive float, or 'scale' = 1 / (q * var(F)) from the ``Gram`` of F."""
+    """A finite positive float, or 'scale': the ``Gram``'s ``scale_gamma``."""
     if gamma == "scale":
-        var = gram.feature_variance
-        return 1.0 if var <= 0.0 else 1.0 / (gram.axis_count * var)
+        return gram.scale_gamma
     value = float(gamma)
     check(_RULES, gamma=value)
     return value
@@ -98,8 +107,7 @@ def _kernel(cross: np.ndarray, sq_a: np.ndarray, sq_b: np.ndarray, kernel: str, 
 
 
 def kernel_matrix(a: np.ndarray, b: np.ndarray, kernel: str, gamma: float | None) -> np.ndarray:
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
     return _kernel(a @ b.T, (a * a).sum(axis=1), (b * b).sum(axis=1), kernel, gamma)
 
 
@@ -240,19 +248,10 @@ def svm_train(
     support = np.flatnonzero(alpha > 0.0)
     predictions = np.where(decision >= 0.0, 1.0, -1.0)
 
-    return SvmModel(
-        kernel=kernel,
-        gamma=gamma_val,
-        C=float(C),
-        dual_coef=ay[support],
-        bias=float(b),
-        support_indices=support,
-        support_vectors=np.empty((0, 0)),
-        training_accuracy=float(np.mean(predictions == y)),
-        converged=converged,
-        n_sweeps=iterations,
-        duality_gap=float(duality_gap),
-    )
+    return SvmModel(kernel=kernel, gamma=gamma_val, C=float(C), dual_coef=ay[support], bias=float(b),
+                    support_indices=support, support_vectors=np.empty((0, 0)),
+                    training_accuracy=float(np.mean(predictions == y)), converged=converged,
+                    n_sweeps=iterations, duality_gap=float(duality_gap))
 
 
 def decision_function(model: SvmModel, features: np.ndarray) -> np.ndarray:

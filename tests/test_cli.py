@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import minacc
-from minacc import cli, harness
+from minacc import cli, featmap, harness
 from minacc.axiscore import (
     Orientation,
     ThresholdClassifier,
@@ -126,6 +126,19 @@ def test_embed_pauli(tmp_path, capsys, small_data):
     assert code == 0
     features = load_feature_matrix(out)
     assert np.all(features.values[:, 0] == 1.0)  # identity-string column
+
+
+@pytest.mark.parametrize("embedding", ["proxy", "pauli"])
+def test_embed_refuses_a_matrix_beyond_eight_qubits(tmp_path, capsys, monkeypatch, small_data, embedding):
+    # either embedding refuses the N x 4^9 matrix before it builds a column of it
+    def refuse(self, indices):
+        raise AssertionError("the N x 4^9 matrix was built")
+
+    monkeypatch.setattr(featmap._ColumnSource, "_build", refuse)
+    out = tmp_path / "wide.bin"
+    code, _, err = run_cli(capsys, "embed", "--data", str(small_data), "--embedding", embedding,
+                           "--qubits", "9", "--out", str(out))
+    assert code == 1 and "dense simulation limit" in err and not out.exists()
 
 
 def test_minacc_deterministic_matches_library(tmp_path, capsys, small_data):

@@ -141,6 +141,12 @@ def test_spec_validation():
     # checked when the spec is built, not when it is generated
     with pytest.raises(ValueError, match="not enough hypercube vertices for 6 distinct centers"):
         DatasetSpec(kind=MULTI_CLUSTER, informative_features=2, clusters_per_class=3)
+    # its centres are drawn by int64 vertex index, so 2^m must fit one
+    for m in (63, 64, 70):
+        with pytest.raises(ValueError, match=f"^multi_cluster needs informative_features <= 62: {m}$"):
+            DatasetSpec(kind=MULTI_CLUSTER, n_samples=10, informative_features=m)
+    widest = generate(DatasetSpec(kind=MULTI_CLUSTER, n_samples=10, informative_features=62))
+    assert widest.inputs.shape == (10, 62) and sorted(widest.labels.tolist()) == [-1] * 5 + [1] * 5
 
 
 def test_multi_cluster_spec_records_its_cluster_count():

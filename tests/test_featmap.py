@@ -620,6 +620,24 @@ def test_pauli_columns_beyond_the_matrix_limit(monkeypatch):
             build()
 
 
+def test_neither_embedding_builds_a_matrix_beyond_four_to_the_eight(monkeypatch):
+    # one matrix-size rule in the column builder, checked before the N x d buffer is allocated
+    data = small_dataset(np.random.default_rng(26), n_samples=4, n_features=2)
+    wide = (LazyProxyFeatures(data, ProjectionSpec(input_dim=2, feature_dim=4 ** 9, seed=0)),
+            PauliFeatures.of(data, EncodingCircuitSpec(9)))
+
+    def refuse(self, indices):
+        raise AssertionError(f"built {len(indices)} columns")
+
+    monkeypatch.setattr(featmap._ColumnSource, "_build", refuse)
+    for source in wide:
+        with pytest.raises(ValueError, match=r"^dense simulation limit: a matrix of 4\^n features needs n <= 8$"):
+            source.materialize()
+    at_limit = LazyProxyFeatures(data, ProjectionSpec(input_dim=2, feature_dim=4 ** 8, seed=0))
+    with pytest.raises(AssertionError, match="^built 65536 columns$"):  # the rule lets 4^8 through
+        at_limit.materialize()
+
+
 @pytest.mark.parametrize("n", [7, 8])
 def test_pooled_pauli_build_bytes_do_not_depend_on_the_cores(monkeypatch, n):
     # from n = 7 the matrix is two or more tasks of _TASK_BLOCKS runs, pooled on two or more

@@ -116,6 +116,12 @@ def test_config_validation():
         ExperimentConfig(qubit_count=0)
     with pytest.raises(ValueError, match="<= 8"):
         ExperimentConfig(embedding="pauli", qubit_count=9)
+    # either embedding builds the N x 4^n matrix: 100 x 4^12 float64 would be 13.4 GB
+    for embedding in ("proxy", "pauli"):
+        for qubits in (9, 12):
+            with pytest.raises(ValueError, match="^dense simulation limit: qubit_count must be <= 8$"):
+                ExperimentConfig(embedding=embedding, qubit_count=qubits)
+    assert ExperimentConfig(qubit_count=8).qubit_count == 8
     with pytest.raises(ValueError, match="unknown method"):
         ExperimentConfig(methods=("deterministic", "oracle"))
     with pytest.raises(ValueError, match="repetitions"):
@@ -571,6 +577,29 @@ def test_pauli_baselines_read_the_states_not_the_matrix(tmp_path, monkeypatch, q
             assert report.embedded_svm[kind][kernel] == model.training_accuracy
             assert (fit["sweeps"], fit["converged"]) == (model.n_sweeps, model.converged)
             assert fit["duality_gap"] == pytest.approx(model.duality_gap, rel=1e-4, abs=1e-9)
+
+
+def test_pauli_baselines_do_not_depend_on_the_matrix_layout(tmp_path, monkeypatch):
+    # mean(F) is summed axis-major whatever the layout, so a row-major copy of the
+    # Pauli matrix gives the axis-major matrix's Grams and fits, bit for bit
+    config = ExperimentConfig(embedding="pauli", qubit_count=2, methods=(), output_dir=str(tmp_path))
+
+    def baselines(layout):
+        grams = []
+
+        def spy(gram, *args, **kwargs):
+            grams.append((gram.values.tobytes(), gram.squared_norms.tobytes(), gram.scale_gamma))
+            return svm_train(gram, *args, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(harness, "svm_train", spy)
+            patch.setattr(harness, "embed_dataset", lambda *args: FeatureMatrix(layout(embed_dataset(*args).values)))
+            report = run_experiment(config)
+        assert report.errors == [] and len(grams) == 4 * len(DATASET_KINDS)
+        return grams, report.svm_fits
+
+    assert embed_dataset(harness._training_split(MULTI_CLUSTER, config), "pauli", 2, 0).values.flags.f_contiguous
+    assert baselines(np.ascontiguousarray) == baselines(np.asfortranarray)
 
 
 def test_estimator_cells_look_up_the_scan_counts(tmp_path, monkeypatch):

@@ -300,7 +300,7 @@ def test_svm_train_rejects_inputs_it_cannot_fit():
 def trace_gram(x):
     """The Pauli path's Gram: F F' given, the norms and var(F) read off its
     diagonal and trace."""
-    return Gram(x @ x.T, x.shape[1], float(x.mean()))
+    return Gram.of_kernel(x @ x.T, x.shape[1], float(x.mean()))
 
 
 @pytest.mark.parametrize("kernel", ["linear", "rbf"])
@@ -376,19 +376,19 @@ def test_gram_input_validation():
         values = x @ x.T
         values[2, 3] = values[3, 2] = bad
         with pytest.raises(ValueError, match="^non-finite Gram values$"):
-            svm_train(Gram(values, 1, 0.0), y, kernel="rbf")
+            svm_train(Gram.of_kernel(values, 1, 0.0), y, kernel="rbf")
     with pytest.raises(ValueError, match="Gram matrix must be N x N"):
-        svm_train(Gram((x @ x.T)[:, :5], 1, 0.0), y)
+        svm_train(Gram.of_kernel((x @ x.T)[:, :5], 1, 0.0), y)
     with pytest.raises(ValueError, match="^a Gram matrix must be N x N with N >= 1$"):
-        Gram(np.zeros((0, 0)), 1, 0.0)
+        Gram.of_kernel(np.zeros((0, 0)), 1, 0.0)
     with pytest.raises(ValueError, match="^axis_count must be an integer >= 1: 0$"):
-        Gram(x @ x.T, 0, 0.0)
+        Gram.of_kernel(x @ x.T, 0, 0.0)
     with pytest.raises(ValueError, match="one label per row"):
         svm_train(trace_gram(x), y[:5])
     with pytest.raises(ValueError, match="unknown kernel"):
         svm_train(trace_gram(x), y, kernel="poly")
     assert resolve_gamma("scale", trace_gram(x)) == pytest.approx(resolve_gamma("scale", Gram.of(x)), rel=1e-12)
-    assert resolve_gamma("scale", Gram(np.zeros((3, 3)), 4, 0.0)) == 1.0
+    assert resolve_gamma("scale", Gram.of_kernel(np.zeros((3, 3)), 4, 0.0)) == 1.0
 
 
 def test_gamma_scale_convention():
