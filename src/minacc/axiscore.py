@@ -9,7 +9,8 @@ same feature space can reach on the training set.
 
 All accuracy comparisons are done on integer correct-counts; the floating
 ``accuracy`` values are derived from them and never compared with tolerances
-internally, so results are exact multiples of 1/N.
+internally, so results are exact multiples of 1/N.  The exhaustive scan's
+record, ``ScannedFeatures``, keeps its int64 counts as swept, never divided.
 
 Every batch of axes, the exhaustive scan's or a sampled one, is scored in
 tasks of eight ``_SCAN_CHUNK`` blocks (4,096 axes); two or more tasks sweep
@@ -239,20 +240,19 @@ class FeatureMatrix:
 
 
 class ScannedFeatures:
-    """The record of one exhaustive scan: its column ``source``, its
-    ``labels``, and each axis's best count, from the per-axis vector
-    ``r_min_deterministic(features, labels)`` returned.  Not a column source:
-    the scan and every estimator take it in place of ``features`` and look
-    its counts up instead of sweeping; on other labels that is a ValueError.
+    """The record of one exhaustive scan, made by running it over every axis:
+    the ``source`` it read, its ``labels``, its int64 best ``counts`` as swept,
+    in axis order, and ``best``, the winning rule (lowest axis of the ties),
+    checked to reach its count.  Not a column source: the scan and every
+    estimator take it in place of ``features`` and look its counts up instead
+    of sweeping; on other labels that is a ValueError.
     """
 
-    def __init__(self, features, labels, axis_accuracies):
-        self.source, self.labels = as_feature_source(features), _as_label_array(labels)
-        accuracies = np.asarray(axis_accuracies, dtype=np.float64)
-        if accuracies.shape != (self.source.axis_count,):
-            raise ValueError(f"{accuracies.shape} axis accuracies for {self.source.axis_count} axes")
-        # each accuracy is count / N; rounding recovers the count exactly for N < 2^51
-        self.counts = np.rint(accuracies * self.source.sample_count).astype(np.int64)
+    def __init__(self, features, labels):
+        run = _ScoredAxes(features, labels)
+        run.score(range(run.source.axis_count))
+        self.source, self.labels, self.counts = run.source, _as_label_array(labels), run.counts
+        self.best = run.winner(axis_accuracy(run.best_column, labels, axis_index=run.best_axis))
 
 
 def checked_axes(indices, axis_count: int) -> np.ndarray:
@@ -454,7 +454,7 @@ class _ScoredAxes:
         self.labels, self._scanned = labels, None
         if isinstance(features, ScannedFeatures):
             if not np.array_equal(features.labels, labels):
-                raise ValueError("labels differ from the labels the axis accuracies were scanned with")
+                raise ValueError("labels differ from the labels the record was scanned with")
             features, self._scanned = features.source, features.counts
         self.source = as_feature_source(features)
         self._blocks: list = []               # index slices as given: ranges stay ranges
@@ -509,9 +509,9 @@ class _ScoredAxes:
         return [i for block in self._blocks for i in block]
 
     @property
-    def accuracies(self) -> np.ndarray:
-        """Per-axis optima of the scored axes, in scoring order."""
-        return np.concatenate(self._counts) / self.source.sample_count
+    def counts(self) -> np.ndarray:
+        """Per-axis best counts of the scored axes, in scoring order."""
+        return np.concatenate(self._counts)
 
 
 def r_min_deterministic(features, labels):
@@ -528,13 +528,11 @@ def r_min_deterministic(features, labels):
     (r_min, best, axis_accuracies)
         ``r_min`` is the max over axes of the per-axis optimum, ``best`` the
         winning AxisResult (ties broken by lowest axis index), and
-        ``axis_accuracies`` the full length-d vector of per-axis optima
-        for survival-function analysis.
+        ``axis_accuracies`` the per-axis optima: the counts of the record
+        ``ScannedFeatures(features, labels)``, divided by N.
     """
-    run = _ScoredAxes(features, labels)
-    run.score(range(run.source.axis_count))
-    best = run.winner(axis_accuracy(run.best_column, labels, axis_index=run.best_axis))
-    return best.accuracy, best, run.accuracies
+    scanned = ScannedFeatures(features, labels)
+    return scanned.best.accuracy, scanned.best, scanned.counts / scanned.source.sample_count
 
 
 def classifier_accuracy(classifier: ThresholdClassifier, features, labels) -> float:

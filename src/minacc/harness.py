@@ -60,7 +60,8 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from . import axiscore, datagen
-from .axiscore import Rule, ScannedFeatures, r_min_deterministic, read_text, write_text
+from .axiscore import Rule, ScannedFeatures, read_text, write_text
+from .axiscore import r_min_deterministic  # not called here: perfbench/spans.py rebinds this name
 from .datagen import DATASET_KINDS, DatasetSpec, generate, standardize, stratified_split
 from .featmap import (
     _MATRIX_QUBIT_LIMIT,
@@ -368,19 +369,19 @@ def _run_dataset(name: str, config: ExperimentConfig, report: ExperimentReport) 
         add_row("baseline", None, 0, None, 0, "", 0.0)
         return
 
-    try:
-        r_min, best, accuracies = timed("scan_s", r_min_deterministic, features, train.labels)
+    try:  # the one record of the dataset's scan: R_min, the witness, S and every estimator cell read it
+        scanned = timed("scan_s", ScannedFeatures, features, train.labels)
     except Exception as exc:
         return fail(EstimatorMethod.DETERMINISTIC.value, exc)
-    report.r_min[name] = r_min
+    best = scanned.best
+    r_min = report.r_min[name] = best.accuracy
     report.witness[name] = dict(
         axis=best.axis_index,
         pauli=pauli_string(best.axis_index, config.qubit_count).letters if config.embedding == "pauli" else None,
         threshold=best.best_threshold, orientation=best.orientation.value,
         correct_count=best.correct_count, sample_count=train.sample_count,
     )
-    scanned = ScannedFeatures(features, train.labels, accuracies)  # the estimators look up its counts
-    surv = survival_function(accuracies)
+    surv = survival_function(scanned)
     report.survival[name] = {"thresholds": surv.thresholds.tolist(), "values": surv.values.tolist()}
     # the exhaustive row leads the dataset's rows wherever `methods` lists it
     if EstimatorMethod.DETERMINISTIC.value in config.methods:

@@ -11,11 +11,12 @@ Every estimator, like the exhaustive scan, is a stopping rule over one
 scoring run (``axiscore._ScoredAxes``): it draws axes from one
 without-replacement stream, scores them a block at a time, and the run keeps
 the first axis to reach the maximum.  Given ``axiscore.ScannedFeatures``,
-the record of the exhaustive scan of the same features and labels, a run
+the record the exhaustive scan of the same features and labels made, a run
 looks up each drawn axis's count instead of sweeping its column; only the
 winner's column is read, for its threshold rule, and every result is the one
 a plain source gives, bit for bit.  On either path the winner's rule must
 reach the count it won with, or the run is a RuntimeError, as the scan's is.
+The survival function, too, is read off the record's counts.
 Three rules trade prior knowledge for adaptivity:
 
 * conservative: one block of fixed size t = ceil(log(1/delta) / p) from an
@@ -162,15 +163,14 @@ class SurvivalFunction:
         return float(self.values[idx])
 
 
-def survival_function(axis_accuracies) -> SurvivalFunction:
-    acc = np.asarray(axis_accuracies, dtype=np.float64)
-    if acc.ndim != 1 or acc.size == 0:
-        raise ValueError("need a non-empty accuracy vector")
-    srt = np.sort(acc)
-    thresholds = np.unique(srt)
-    d = acc.size
-    values = (d - np.searchsorted(srt, thresholds, side="left")) / d
-    return SurvivalFunction(thresholds=thresholds, values=values)
+def survival_function(scanned) -> SurvivalFunction:
+    """S at every accuracy some axis of the scan record ``scanned`` reaches,
+    read off the histogram of its integer counts: one suffix sum, no sort."""
+    n, d = scanned.source.sample_count, scanned.counts.size
+    histogram = np.bincount(scanned.counts, minlength=n + 1)
+    at_least = np.cumsum(histogram[::-1])[::-1]   # axes whose count is >= c, at index c
+    levels = np.flatnonzero(histogram)
+    return SurvivalFunction(thresholds=levels / n, values=at_least[levels] / d)
 
 
 class _AxisSampler:
@@ -253,7 +253,7 @@ def _result(run: _ScoredAxes, method, reason, pilot_stats=None) -> EstimateResul
     return EstimateResult(
         r_hat=best.accuracy,
         sampled_axes=axes,
-        axis_accuracies=run.accuracies,
+        axis_accuracies=run.counts / run.source.sample_count,
         best=best,
         method=method,
         stopping_reason=reason,
@@ -297,7 +297,7 @@ def pilot_estimate(features, labels, n_pilot: int = EstimatorSettings.n_pilot,
 
     sampler = _AxisSampler(d, rng_seed)
     run.score(sampler.draw(n_pilot))
-    ranked = np.sort(run.accuracies)
+    ranked = np.sort(run.counts) / run.source.sample_count
     eta = float(ranked[math.ceil(0.75 * n_pilot) - 1])
     p_hat = float(np.sum(ranked >= eta)) / n_pilot
     t_required = sample_size(p_hat, delta)

@@ -7,6 +7,7 @@ d = 16 (qubit_count 2) so the whole pipeline executes in well under a second.
 import csv
 import dataclasses
 import functools
+import hashlib
 import inspect
 import io
 import json
@@ -504,7 +505,7 @@ def test_scan_failure_keeps_svm_baselines(tmp_path, monkeypatch):
     def broken_scan(features, labels):
         raise FloatingPointError("scan exploded")
 
-    monkeypatch.setattr(harness, "r_min_deterministic", broken_scan)
+    monkeypatch.setattr(harness, "ScannedFeatures", broken_scan)
     config = small_config(tmp_path)
     report = run_experiment(config)
     assert report.rows == [] and report.r_min == {}
@@ -639,8 +640,9 @@ def test_estimator_cells_look_up_the_scan_counts(tmp_path, monkeypatch):
 def test_a_doctored_scan_count_is_a_cell_error(tmp_path, monkeypatch):
     # every count raised by one: each estimator's winner misses its count
     class Doctored(harness.ScannedFeatures):
-        def __init__(self, features, labels, axis_accuracies):
-            super().__init__(features, labels, axis_accuracies + 1.0 / features.sample_count)
+        def __init__(self, features, labels):
+            super().__init__(features, labels)
+            self.counts += 1
 
     monkeypatch.setattr(harness, "ScannedFeatures", Doctored)
     config = small_config(tmp_path, datasets=(CIRCLES,))
@@ -673,6 +675,30 @@ def test_proxy_baselines_read_the_matrix(tmp_path, monkeypatch):
     _refuse_pauli_matrices(monkeypatch, 16)
     report = run_experiment(small_config(tmp_path, methods=()))
     assert [(e["stage"], e["type"]) for e in report.errors] == [("svm", "AssertionError")] * 3
+
+
+# sha256 of the n = 4 Pauli report.json below (default config, repetitions 2,
+# master seed 0), computed before the scan record kept integer counts, less
+# what a run or machine may vary: timings, svm_fits (their duality gaps move
+# with the BLAS thread count), config.output_dir, exact_path_threads and each
+# row's wall_ms
+_PINNED_PAULI_REPORT = "fca6e109c20e5aa93dc670c2abf4da841490e5a860badfddbde41adeb0fcbdd5"
+
+
+def test_pauli_report_is_pinned(tmp_path):
+    # any R_min, witness, survival value, estimate or SVM accuracy that moves fails this
+    config = ExperimentConfig(embedding="pauli", qubit_count=4, repetitions=2, master_seed=0,
+                              output_dir=str(tmp_path / "results"))
+    [path] = emit_report(run_experiment(config), fmt="json")
+    with open(path) as fh:
+        report = json.load(fh)
+    assert report["errors"] == []
+    for key in ("timings", "svm_fits", "exact_path_threads"):
+        del report[key]
+    del report["config"]["output_dir"]
+    for row in report["rows"]:
+        del row["wall_ms"]
+    assert hashlib.sha256(json.dumps(report, indent=2).encode()).hexdigest() == _PINNED_PAULI_REPORT
 
 
 def test_run_experiment_is_deterministic(tmp_path):

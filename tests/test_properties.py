@@ -255,7 +255,7 @@ def test_estimators_agree_across_sources_and_best_reproduces_r_hat(case, seed):
     matrix = lazy.materialize()
     assert _scan_bytes(lazy, labels) == _scan_bytes(matrix, labels)
     r_min = r_min_deterministic(lazy, labels)[0]
-    scanned = [ScannedFeatures(source, labels, r_min_deterministic(source, labels)[2]) for source in (lazy, matrix)]
+    scanned = [ScannedFeatures(source, labels) for source in (lazy, matrix)]
     for name, estimate in _estimators(lazy.axis_count, seed).items():
         results = [estimate(source, labels) for source in (matrix.values, matrix, lazy)]
         assert _as_tuple(results[0]) == _as_tuple(results[1]) == _as_tuple(results[2]), name
@@ -291,7 +291,7 @@ def _result_bytes(result):
        st.integers(0, 2**32))
 def test_estimates_on_the_scanned_source_equal_the_swept_ones(case, seed):
     source, labels = case
-    scanned = ScannedFeatures(source, labels, r_min_deterministic(source, labels)[2])
+    scanned = ScannedFeatures(source, labels)
     d = scanned.source.axis_count
     estimators = dict(_estimators(d, seed), **{
         f"conservative p={p}": lambda f, y, p=p: conservative_estimate(f, y, p, 0.05, rng_seed=seed)
@@ -302,19 +302,15 @@ def test_estimates_on_the_scanned_source_equal_the_swept_ones(case, seed):
     assert _scan_bytes(scanned, labels) == _scan_bytes(source, labels)
 
 
-def test_scanned_source_rejects_other_labels_and_a_wrong_length_vector():
+def test_scanned_source_rejects_other_labels():
     values = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 2.0], [2.0, 1.0, 0.0]])
     labels = np.array([1, -1, 1])
-    accuracies = r_min_deterministic(values, labels)[2]
-    scanned = ScannedFeatures(values, labels, accuracies)
+    scanned = ScannedFeatures(values, labels)
     for other in (np.array([1, 1, -1]), np.array([-1, 1, -1])):
         with pytest.raises(ValueError, match="labels differ"):
             conservative_estimate(scanned, other, 0.25, 0.05, rng_seed=0)
         with pytest.raises(ValueError, match="labels differ"):
             r_min_deterministic(scanned, other)
-    for vector in (accuracies[:-1], np.append(accuracies, 1.0), accuracies[None, :]):
-        with pytest.raises(ValueError, match="axis accuracies for 3 axes"):
-            ScannedFeatures(values, labels, vector)
 
 
 @st.composite

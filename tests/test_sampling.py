@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from minacc.axiscore import FeatureMatrix, ScannedFeatures, r_min_deterministic
+from minacc.axiscore import FeatureMatrix, ScannedFeatures, axis_accuracy, best_counts, r_min_deterministic
 from minacc.sampling import (
     CoverageQuery,
     EstimatorMethod,
@@ -134,8 +134,30 @@ def test_sub_unit_prior_mass_warns():
 # survival function
 # ---------------------------------------------------------------------------
 
+def record_with_counts(counts, n):
+    """The scan record of n samples, the first n // 2 positive, whose axis i
+    reaches counts[i], for n - n // 2 <= counts[i] <= n: a 0/1 indicator of
+    the positives with the first n - counts[i] of them set to 0."""
+    labels = np.where(np.arange(n) < n // 2, 1, -1)
+    values = np.tile((labels == 1).astype(float)[:, None], (1, len(counts)))
+    for i, count in enumerate(counts):
+        values[:n - count, i] = 0.0
+    return ScannedFeatures(values, labels)
+
+
+def sorted_survival(counts, n):
+    """The survival function as defined before it read counts: thresholds
+    and values from a sort of the accuracies counts / N."""
+    accuracies = counts / n
+    srt = np.sort(accuracies)
+    thresholds = np.unique(srt)
+    return thresholds, (accuracies.size - np.searchsorted(srt, thresholds, side="left")) / accuracies.size
+
+
 def test_survival_function_values():
-    surv = survival_function([0.5, 0.7, 0.9])
+    record = record_with_counts([5, 7, 9], 10)
+    assert record.counts.tolist() == [5, 7, 9]
+    surv = survival_function(record)
     assert surv(0.7) == pytest.approx(2 / 3)
     assert surv(0.4) == 1.0
     assert surv(0.91) == 0.0
@@ -143,13 +165,44 @@ def test_survival_function_values():
 
 def test_survival_function_matches_direct_count():
     rng = np.random.default_rng(13)
-    accs = rng.uniform(0.4, 1.0, size=37)
-    surv = survival_function(accs)
-    for eta in np.linspace(0.3, 1.1, 40):
-        assert surv(float(eta)) == pytest.approx(np.mean(accs >= eta))
-    grid = surv.values
-    assert np.all(np.diff(grid) <= 0)  # non-increasing along thresholds
-    assert np.allclose(grid * accs.size, np.round(grid * accs.size))
+    for _ in range(20):
+        features, labels = random_matrix(rng, d_max=60)
+        record = ScannedFeatures(features, labels)
+        accuracies = record.counts / features.sample_count
+        surv = survival_function(record)
+        for eta in np.linspace(0.3, 1.1, 40):
+            assert surv(float(eta)) == pytest.approx(np.mean(accuracies >= eta))
+        grid = surv.values
+        assert np.all(np.diff(grid) < 0)  # strictly falling along the thresholds
+        assert np.allclose(grid * accuracies.size, np.round(grid * accuracies.size))
+        assert surv.thresholds[0] == accuracies.min()
+        assert surv.thresholds[-1] == r_min_deterministic(record, labels)[0]
+
+
+def _count_vectors():
+    """Count vectors of every shape the survival function must read: N = 1,
+    d = 1, all counts equal, every level 0..N present, and random ones."""
+    yield 1, np.array([1])
+    yield 1, np.array([0, 1, 1, 0])
+    yield 5, np.array([3])
+    yield 7, np.full(9, 4)
+    yield 6, np.arange(7)
+    yield 6, np.arange(7)[::-1].repeat(3)
+    rng = np.random.default_rng(31)
+    for _ in range(300):
+        n, d = int(rng.integers(1, 120)), int(rng.integers(1, 200))
+        levels = rng.choice(n + 1, size=int(rng.integers(1, n + 2)), replace=False)
+        yield n, rng.choice(levels, size=d)
+
+
+def test_survival_function_from_counts_equals_the_sorted_one_byte_for_byte():
+    for n, counts in _count_vectors():
+        record = ScannedFeatures(np.zeros((n, counts.size)), np.ones(n, dtype=np.int64))
+        record.counts[:] = counts  # any count vector, 0 and N included, not only ones a scan reaches
+        surv = survival_function(record)
+        thresholds, values = sorted_survival(record.counts, n)
+        assert (surv.thresholds.dtype, surv.thresholds.tobytes()) == (thresholds.dtype, thresholds.tobytes())
+        assert (surv.values.dtype, surv.values.tobytes()) == (values.dtype, values.tobytes())
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +409,8 @@ def test_scanned_source_reads_only_the_winning_columns():
     for trial in range(10):
         features, labels = random_matrix(rng, d_max=60)
         source = CountingSource(features)
-        scanned = ScannedFeatures(source, labels, r_min_deterministic(features, labels)[2])
+        scanned = ScannedFeatures(source, labels)
+        source.served = 0  # the record's own scan read every column
         looked_up = conservative_estimate(scanned, labels, 0.15, 0.05, rng_seed=trial)
         swept = conservative_estimate(features, labels, 0.15, 0.05, rng_seed=trial)
         assert source.served == 1
@@ -370,10 +424,8 @@ def test_a_count_no_rule_reaches_is_an_error(method):
     # its threshold rule gets its true count, so no estimate may be returned
     rng = np.random.default_rng(22)
     features, labels = random_matrix(rng, n_max=20, d_max=12)
-    accuracies = r_min_deterministic(features, labels)[2]
-    doctored = accuracies.copy()
-    doctored[-1] = accuracies.max() + 1.0 / features.sample_count
-    scanned = ScannedFeatures(features, labels, doctored)
+    scanned = ScannedFeatures(features, labels)
+    scanned.counts[-1] = scanned.counts.max() + 1
     d = features.axis_count
     estimate = {  # each samples every axis
         "r_min": lambda: r_min_deterministic(scanned, labels),
@@ -387,13 +439,26 @@ def test_a_count_no_rule_reaches_is_an_error(method):
         estimate()
 
 
+def test_the_record_holds_the_scan_it_ran():
+    # a record used to take any per-axis vector of the right length: built
+    # with [0.5, 1/3] on these features it made R_min 0.5, where it is 1.0
+    values = np.array([[0, 0], [0, 1], [1, 0], [1, 1], [2, 0], [2, 1]], dtype=float)
+    labels = np.array([1, -1, 1, -1, 1, -1])
+    record = ScannedFeatures(values, labels)
+    plain = [axis_accuracy(values[:, i], labels, axis_index=i) for i in range(2)]
+    assert record.counts.dtype == np.int64
+    assert record.counts.tolist() == best_counts(values, labels).tolist() == [3, 6]
+    assert [a.correct_count for a in plain] == [3, 6]
+    assert record.best == plain[1]
+    assert r_min_deterministic(record, labels)[:2] == r_min_deterministic(values, labels)[:2] == (1.0, plain[1])
+
+
 def test_subset_monotonicity():
     rng = np.random.default_rng(18)
     features, labels = random_matrix(rng, n_max=40, d_max=25)
     d = features.axis_count
     t_small = max(1, d // 3)
     axes = sample_axes(d, d, rng_seed=77)
-    from minacc.axiscore import axis_accuracy
 
     def subset_max(subset):
         return max(axis_accuracy(features.column(i), labels, axis_index=i).accuracy
@@ -531,7 +596,9 @@ def test_estimators_are_deterministic_given_seed():
         assert a.stopping_reason == b.stopping_reason
 
 
-@pytest.mark.parametrize("accuracies", [[], [[0.5, 0.75]]], ids=["empty", "2-D"])
-def test_survival_function_needs_an_accuracy_vector(accuracies):
-    with pytest.raises(ValueError, match="^need a non-empty accuracy vector$"):
-        survival_function(accuracies)
+@pytest.mark.parametrize("values", [np.empty((3, 0)), np.array([0.5, 0.75, 0.25])], ids=["empty", "2-D"])
+def test_survival_function_needs_an_accuracy_vector(values):
+    # S is read off a scan record's counts, and features with no axes, or not
+    # 2-D, have no record to read
+    with pytest.raises(ValueError, match="^empty dataset: feature matrix must be non-empty N x d$"):
+        survival_function(ScannedFeatures(values, np.array([1, -1, 1])))
