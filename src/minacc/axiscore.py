@@ -13,16 +13,17 @@ internally, so results are exact multiples of 1/N.  The exhaustive scan's
 record, ``ScannedFeatures``, keeps its int64 counts as swept, never divided.
 
 Every batch of axes, the exhaustive scan's or a sampled one, is scored in
-tasks of eight ``_SCAN_CHUNK`` blocks (4,096 axes); two or more tasks sweep
-on a private thread pool, one worker per usable core, created on first use,
-and one task runs inline.  The calling thread reads every task's columns and
-folds the counts in task order, so every result is the one-thread result,
-bit for bit.  At most two tasks per core are read ahead of the fold, one
-running and one queued per worker: from a lazy source, 2 x cores tasks of
-4,096 x N doubles (3.3 MB each at N = 100).  Pool tasks run numpy only: no
-column source, no BLAS and no nested pool call.  The SVM fits stay off the
-pool: 4,000 ``np.linalg.solve`` calls on 101 x 101 systems took as long on
-two threads as on one, and fits beside the scan doubled it for no gain.
+tasks of eight ``_SCAN_CHUNK`` blocks (4,096 axes); two or more tasks run on
+a private thread pool, one worker per usable core, created on first use, and
+one task runs inline.  A task reads its own columns, sweeps them and returns
+its counts and one column, never its block, so at most one block is alive
+per worker: from a lazy source, 4,096 x N doubles (3.3 MB at N = 100).  The
+counts fold in task order, so every result is the one-thread result, bit for
+bit.  A job started inside a pool task, such as the column build of a lazy
+source, runs inline on that worker and never waits on the pool.  The SVM
+fits stay off the pool: 4,000 ``np.linalg.solve`` calls on 101 x 101 systems
+took as long on two threads as on one, and fits beside the scan doubled it
+for no gain.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from __future__ import annotations
 import math
 import numbers
 import os
-from collections import deque
+import threading
 from dataclasses import dataclass
 from enum import Enum
 
@@ -53,41 +54,27 @@ _TASK_BLOCKS = 8
 # Workers of the exact-path pool: the cores this process may run on.
 _CORES = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 _POOL = None
+_WORKER = threading.local()  # ``inside`` is set on the pool's own threads
 if hasattr(os, "register_at_fork"):  # a forked child has none of the parent's workers
     os.register_at_fork(after_in_child=lambda: globals().update(_POOL=None))
 
 
-def _ordered_map(task, items, read=lambda item: item):
-    """Yield ``(value, task(value))`` with ``value = read(item)`` for every
-    item of the sequence ``items``, in order.
+def _ordered_map(task, items):
+    """``task(item)`` for every item of the sequence ``items``, yielded in order.
 
-    ``read`` runs on the calling thread, and at most ``2 * _CORES`` values
-    are in flight, one running and one queued per worker, so a worker that
-    finishes never waits for the calling thread, and a lazy source never
-    holds more than a few.  The tasks run on the pool, or inline on one core
-    or for a single item.  A task's exception is raised when its turn comes,
-    as inline.
+    The tasks run on the pool through ``Executor.map``, which raises a task's
+    exception when its turn comes and cancels the tasks not yet started; they
+    run inline, through ``map``, on one core, for a single item, or when the
+    caller is itself a pool task, so that no worker ever waits on the pool.
     """
-    if _CORES < 2 or len(items) < 2:
-        for item in items:
-            value = read(item)
-            yield value, task(value)
-        return
+    if _CORES < 2 or len(items) < 2 or getattr(_WORKER, "inside", False):
+        return map(task, items)
     global _POOL
     if _POOL is None:
         from concurrent.futures import ThreadPoolExecutor  # costs import time; load on first use
-        _POOL = ThreadPoolExecutor(max_workers=_CORES, thread_name_prefix="minacc")
-    pending = deque()
-    try:
-        for item in items:
-            pending.append(_POOL.submit(lambda value: (value, task(value)), read(item)))
-            if len(pending) >= 2 * _CORES:  # one queued task behind each running one
-                yield pending.popleft().result()
-        while pending:
-            yield pending.popleft().result()
-    finally:
-        for future in pending:
-            future.cancel()
+        _POOL = ThreadPoolExecutor(max_workers=_CORES, thread_name_prefix="minacc",
+                                   initializer=lambda: setattr(_WORKER, "inside", True))
+    return _POOL.map(task, items)
 
 
 class Orientation(Enum):
@@ -105,8 +92,13 @@ class Rule:
     states it, and its test; a NaN or an infinity breaks every rule."""
 
     @staticmethod
+    def is_integer(v) -> bool:
+        """An integer, numpy's too, but not a bool, though ``numbers.Integral`` takes one."""
+        return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+    @staticmethod
     def integer_at_least(low: int) -> tuple:
-        return f"be an integer >= {low}", lambda v: isinstance(v, numbers.Integral) and v >= low
+        return f"be an integer >= {low}", lambda v: Rule.is_integer(v) and v >= low
     COUNT = integer_at_least(1)
     OPEN_UNIT = ("lie in (0, 1)", lambda v: 0.0 < v < 1.0)
     FRACTION = ("lie in (0, 1]", lambda v: 0.0 < v <= 1.0)
@@ -466,33 +458,36 @@ class _ScoredAxes:
     def score(self, indices) -> bool:
         """Score the axes ``indices``; True if the best count rose.
 
-        The batch is cut into tasks of ``_TASK_BLOCKS`` blocks.  The calling
-        thread reads each task's columns, ``best_counts`` sweeps them, on the
-        pool when there are two or more tasks, and the counts fold in task
-        order.  On a scan record the batch is one slice, its counts one lookup.
+        The batch is cut into tasks of ``_TASK_BLOCKS`` blocks, on the pool
+        when there are two or more.  A task reads its own columns, sweeps them
+        with ``best_counts`` and returns its counts and the column of their
+        first maximum, not its block; the counts fold in task order.  On a
+        scan record the batch is one slice, its counts one lookup.
         """
         if self._scanned is not None:
             return self._fold([(indices, self._scanned[checked_axes(indices, self.source.axis_count)], None)])
         width = _TASK_BLOCKS * _SCAN_CHUNK
 
-        def read(start):
+        def sweep(start):
             part = indices[start:start + width]
-            return part, self.source.columns(part)
+            block = self.source.columns(part)
+            counts = best_counts(block, self.labels)
+            return part, counts, block[:, int(np.argmax(counts))].copy()
 
-        tasks = _ordered_map(lambda item: best_counts(item[1], self.labels), range(0, len(indices), width), read)
-        return self._fold((part, counts, block) for (part, block), counts in tasks)
+        return self._fold(_ordered_map(sweep, range(0, len(indices), width)))
 
     def _fold(self, slices) -> bool:
-        """Fold ``(axes, counts, block)`` slices in order; a looked-up slice has no block."""
+        """Fold ``(axes, counts, column)`` slices in order, ``column`` the one of
+        the slice's first maximum; a looked-up slice has none, and its winner
+        is read from the source."""
         rose = False
-        for axes, counts, block in slices:
+        for axes, counts, column in slices:
             self._blocks.append(axes)
             self._counts.append(counts)
             j = int(np.argmax(counts))  # first max: the earliest axis wins ties, here and across slices
             if counts[j] > self.best_count:
                 self.best_count, self.best_axis = int(counts[j]), int(axes[j])
-                # a swept winner keeps one column of its slice; a looked-up one reads it
-                self.best_column = self.source.column(self.best_axis) if block is None else block[:, j].copy()
+                self.best_column = self.source.column(self.best_axis) if column is None else column
                 rose = True
         return rose
 

@@ -27,14 +27,14 @@ Both embeddings write only their math, a ``_plan`` of tasks, each filling rows o
 k x N axis-major buffer (a proxy task: ``_TASK_BLOCKS`` blocks of columns; a Pauli task:
 ``_TASK_BLOCKS`` X-mask runs).  One column builder, ``_ColumnSource``, checks the axes
 once, allocates the buffer, runs the tasks on the exact-path pool of ``axiscore`` (the
-n = 6 Pauli matrix is one inline task) and hands out the N x k transpose, which the scan
-sorts axis by axis where it was written.  Each value depends on its axis and the
-source's inputs alone, so the bytes do not depend on the thread count.
+n = 6 Pauli matrix is one inline task, and so is a build inside a scan task, on its
+worker) and hands out the N x k transpose, which the scan sorts axis by axis where it was
+written.  Each value depends on its axis and the source's inputs alone, so the bytes do
+not depend on the thread count.
 """
 
 from __future__ import annotations
 
-import numbers
 import struct
 import sys
 from dataclasses import dataclass
@@ -66,7 +66,7 @@ class ProjectionSpec(Checked):
     seed: int
 
     _RULES = dict(input_dim=Rule.COUNT, feature_dim=Rule.COUNT,
-                  seed=("be an integer in [0, 2^64)", lambda v: isinstance(v, numbers.Integral) and 0 <= v < 2 ** 64))
+                  seed=("be an integer in [0, 2^64)", lambda v: Rule.is_integer(v) and 0 <= v < 2 ** 64))
 
 
 _LOW32 = 0xFFFFFFFF

@@ -50,7 +50,6 @@ import inspect
 import io
 import json
 import math
-import numbers
 import operator
 import os
 import time
@@ -128,14 +127,15 @@ class ExperimentConfig(EstimatorSettings):
             listed = getattr(self, name)
             if len(set(listed)) < len(listed):  # a repeat would run, and write, its rows twice
                 raise ValueError(f"{name} lists a {noun} twice: {listed}")
-        if not all(0.0 < p <= 1.0 for p in self.p_values):
-            raise ValueError(f"p_values must lie in (0, 1]: {self.p_values}")
+        text, holds = Rule.FRACTION
+        if not all(holds(p) for p in self.p_values):
+            raise ValueError(f"p_values must {text}: {self.p_values}")
         if EstimatorMethod.CONSERVATIVE.value in self.methods and not self.p_values:
             raise ValueError("the conservative method needs at least one value in p_values")
         super().__post_init__()
         rows = self.subsample_train
         split = sum(datagen.train_counts(datagen.balanced_counts(self.n_samples), self.train_fraction))
-        if rows is not None and not (isinstance(rows, numbers.Integral) and 2 <= rows <= split):
+        if rows is not None and not (Rule.is_integer(rows) and 2 <= rows <= split):
             raise ValueError(f"subsample_train must be none or an integer in [2, {split}]: {rows}")
         if self.embedding not in _EMBEDDINGS:
             raise ValueError(f"embedding must be one of {_EMBEDDINGS}")

@@ -37,7 +37,7 @@ from enum import Enum
 
 import numpy as np
 
-from .axiscore import AxisResult, Checked, Rule, _ScoredAxes, axis_accuracy, check, r_min_deterministic
+from .axiscore import AxisResult, Checked, Rule, ScannedFeatures, _ScoredAxes, axis_accuracy, check
 
 # adaptive stops as STABLE once the best value spread over this many batch-ends is small
 _STABILITY_WINDOW = 5
@@ -263,11 +263,13 @@ def _result(run: _ScoredAxes, method, reason, pilot_stats=None) -> EstimateResul
 
 
 def deterministic_estimate(features, labels) -> EstimateResult:
-    """``r_min_deterministic``'s exhaustive scan in the common estimator result shape."""
-    r_min, best, accuracies = r_min_deterministic(features, labels)
-    return EstimateResult(r_hat=r_min, sampled_axes=list(range(accuracies.size)), axis_accuracies=accuracies,
-                          best=best, method=EstimatorMethod.DETERMINISTIC, stopping_reason=StopReason.EXHAUSTED,
-                          axes_evaluated=accuracies.size)
+    """The exhaustive scan's record, ``ScannedFeatures``, in the common estimator result shape."""
+    scanned = ScannedFeatures(features, labels)
+    d = scanned.counts.size
+    return EstimateResult(r_hat=scanned.best.accuracy, sampled_axes=list(range(d)),
+                          axis_accuracies=scanned.counts / scanned.source.sample_count, best=scanned.best,
+                          method=EstimatorMethod.DETERMINISTIC, stopping_reason=StopReason.EXHAUSTED,
+                          axes_evaluated=d)
 
 
 def conservative_estimate(features, labels, p_conservative: float, delta: float, rng_seed) -> EstimateResult:

@@ -388,45 +388,82 @@ def test_a_forked_child_scans_on_its_own_pool(monkeypatch):
 
 
 @pytest.mark.parametrize("cores", [1, 2, 3])
-def test_ordered_map_reads_ahead_by_two_tasks_per_core_and_yields_in_order(monkeypatch, cores):
+def test_ordered_map_yields_in_order_and_raises_a_task_error_at_its_turn(monkeypatch, cores):
     monkeypatch.setattr(axiscore, "_CORES", cores)
     caller = threading.get_ident()
-    reads, read_threads, task_threads = [], set(), set()
+    task_threads = set()
 
-    def read(item):
-        reads.append(item)
-        read_threads.add(threading.get_ident())
-        return 10 * item
-
-    def task(value):
-        time.sleep(0.002 * (2 - value // 10 % 3))  # later tasks often finish first
+    def task(item):
+        time.sleep(0.002 * (2 - item % 3))  # later tasks often finish first
         task_threads.add(threading.get_ident())
-        if value == 70:
+        if item == 7:
             raise RuntimeError("task 7 failed")
-        return value + 1
+        return 10 * item + 1
 
     items = range(12)
-    window = 1 if cores == 1 else 2 * cores  # reads made ahead of the consumer
-    ahead = []
-    for k, (value, result) in enumerate(axiscore._ordered_map(task, items[:7], read)):
-        assert (value, result) == (10 * k, 10 * k + 1)
-        ahead.append(len(reads) - k)
-    assert reads == list(range(7))
-    assert ahead == [min(window, 7 - k) for k in range(7)]
-    assert read_threads == {caller}
+    assert list(axiscore._ordered_map(task, items[:7])) == [10 * k + 1 for k in range(7)]
     assert (caller in task_threads) == (cores == 1)
 
     # a task's exception is raised when its turn comes, after every earlier result
-    reads.clear()
     got = []
     with pytest.raises(RuntimeError, match="task 7"):
-        for value, _ in axiscore._ordered_map(task, items, read):
-            got.append(value)
-    assert got == [0, 10, 20, 30, 40, 50, 60]
-    assert len(reads) == min(7 + window, len(items))
+        for result in axiscore._ordered_map(task, items):
+            got.append(result)
+    assert got == [10 * k + 1 for k in range(7)]
 
     # a single item runs inline
     inline_threads = []
-    assert list(axiscore._ordered_map(lambda value: inline_threads.append(threading.get_ident()),
-                                      items[:1], read)) == [(0, None)]
+    assert list(axiscore._ordered_map(lambda item: inline_threads.append(threading.get_ident()),
+                                      items[:1])) == [None]
     assert inline_threads == [caller]
+
+
+def test_a_job_started_inside_a_pool_task_runs_inline_on_that_worker(monkeypatch):
+    monkeypatch.setattr(axiscore, "_CORES", 2)
+    monkeypatch.setattr(axiscore, "_POOL", None)
+    list(axiscore._ordered_map(abs, range(2)))  # starts the pool
+    pool, submitted, caller = axiscore._POOL, [], threading.get_ident()
+    submit = pool.submit
+
+    def caller_only_submit(*args, **kwargs):  # a worker that waited on the pool could deadlock it
+        if threading.get_ident() != caller:
+            raise AssertionError("a pool task submitted to the pool")
+        submitted.append(args)
+        return submit(*args, **kwargs)
+
+    monkeypatch.setattr(pool, "submit", caller_only_submit)
+
+    def outer(item):
+        inner = list(axiscore._ordered_map(lambda k: threading.get_ident(), range(3)))
+        return threading.get_ident(), inner
+
+    try:
+        results = list(axiscore._ordered_map(outer, range(4)))
+    finally:
+        pool.shutdown()
+    assert len(submitted) == 4  # the outer tasks only
+    for worker, inner in results:
+        assert worker != caller and inner == [worker] * 3
+
+
+def test_a_scan_task_returns_one_column_not_its_block(monkeypatch):
+    # three 4,096-axis tasks on the pool; each returns its counts and the
+    # column of their first maximum, a copy that holds no block alive
+    monkeypatch.setattr(axiscore, "_CORES", 2)
+    values = np.random.default_rng(15).normal(size=(9, 10000))
+    labels = np.where(np.arange(9) % 2 == 0, 1, -1)
+    results, ordered_map = [], axiscore._ordered_map
+
+    def recording_map(task, items):
+        for result in ordered_map(task, items):
+            results.append(result)
+            yield result
+
+    monkeypatch.setattr(axiscore, "_ordered_map", recording_map)
+    _, best, _ = r_min_deterministic(values, labels)
+    assert len(results) == 3
+    for axes, counts, column in results:
+        axis = axes[int(np.argmax(counts))]
+        assert column.shape == (9,) and column.base is None
+        assert column.tobytes() == values[:, axis].tobytes()
+    assert best.axis_index == np.flatnonzero(np.concatenate([c for _, c, _ in results]) == best.correct_count)[0]

@@ -8,6 +8,8 @@ flip-mask implementation under test never materializes those matrices.
 
 import hashlib
 import math
+import multiprocessing
+import os
 import sys
 
 import numpy as np
@@ -16,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from minacc import axiscore, featmap
-from minacc.axiscore import FeatureMatrix, LabeledDataset, ThresholdClassifier, best_counts, r_min_deterministic
+from minacc.axiscore import FeatureMatrix, LabeledDataset, ScannedFeatures, ThresholdClassifier, best_counts
 from minacc.datagen import CIRCLES
 from minacc.featmap import (
     _philox4x32,
@@ -657,16 +659,29 @@ def test_pooled_pauli_build_bytes_do_not_depend_on_the_cores(monkeypatch, n):
     assert builds[1] == builds[0] and builds[2] == builds[0]
 
 
+def _exit_zero_if_the_lazy_scan_is(source, labels, counts, best):
+    scanned = ScannedFeatures(source, labels)
+    os._exit(0 if (scanned.counts.tobytes(), scanned.best) == (counts, best) else 1)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
 def test_pooled_scan_of_lazy_pauli_columns_equals_the_scan_of_the_matrix(monkeypatch):
-    # each 4,096-axis scan task reads its columns on the calling thread, which
-    # pools their runs while earlier scan tasks are in flight
-    monkeypatch.setattr(axiscore, "_CORES", 2)
+    # each 4,096-axis scan task builds its own columns, two build tasks at n = 7, inline on
+    # its worker; a build that waited on the pool could deadlock it, so each lazy scan runs
+    # in a forked child, given a minute
     data = small_dataset(np.random.default_rng(26), n_samples=20)
     source = PauliFeatures.of(data, EncodingCircuitSpec(7))
-    r_lazy, best_lazy, per_axis_lazy = r_min_deterministic(source, data.labels)
-    r_matrix, best_matrix, per_axis_matrix = r_min_deterministic(source.materialize(), data.labels)
-    assert (r_lazy, best_lazy) == (r_matrix, best_matrix)
-    assert per_axis_lazy.tobytes() == per_axis_matrix.tobytes()
+    matrix = ScannedFeatures(source.materialize(), data.labels)
+    for cores in (2, 3):
+        monkeypatch.setattr(axiscore, "_CORES", cores)
+        child = multiprocessing.get_context("fork").Process(
+            target=_exit_zero_if_the_lazy_scan_is, args=(source, data.labels, matrix.counts.tobytes(), matrix.best))
+        child.start()
+        child.join(60)
+        if child.exitcode is None:
+            child.kill()
+            child.join()
+        assert child.exitcode == 0, f"the lazy scan on {cores} cores exited with {child.exitcode}"
 
 
 def test_pauli_norms_are_computed_once_when_the_source_is_built(monkeypatch):

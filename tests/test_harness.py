@@ -28,6 +28,7 @@ from minacc.datagen import (
     DatasetSpec,
     dataset_to_csv,
     generate,
+    spec_from_json,
     stratified_split,
 )
 from minacc.featmap import EncodingCircuitSpec, PauliString, ProjectionSpec, save_feature_matrix
@@ -227,6 +228,35 @@ def test_library_calls_check_each_value_by_its_rule(case):
     name, call = REJECTED_CALLS[case]
     with pytest.raises(ValueError, match=f"^{name} must "):
         call()
+
+
+# True and False are integers to isinstance(v, numbers.Integral); a flag in an integer
+# field is an error naming the field, as a boolean axis index is, not a 1 or a 0 that
+# builds (and in a dataset spec then fails inside generate)
+BOOLEAN_INTEGERS = {}
+for _label, _build, _defaults, _names in (
+    ("config", ExperimentConfig, {}, ("n_samples", "qubit_count", "repetitions", "subsample_train", "svm_max_iter",
+                                      "n_pilot", "batch_size", "patience")),
+    ("settings", EstimatorSettings, {}, ("n_pilot", "batch_size", "patience")),
+    ("projection", ProjectionSpec, dict(input_dim=2, feature_dim=4, seed=0), ("input_dim", "feature_dim", "seed")),
+    ("circuit", EncodingCircuitSpec, dict(qubit_count=2), ("qubit_count", "layers")),
+    ("coverage", CoverageQuery, dict(d=4, p=0.5, t=0), ("d", "t")),
+    ("split", functools.partial(stratified_split, SPLIT_DATA), {}, ("subsample_train",)),
+    ("json", lambda **fields: spec_from_json(json.dumps(fields)),
+     dict(kind=MULTI_CLUSTER, n_samples=100, informative_features=4, clusters_per_class=2),
+     ("n_samples", "informative_features", "clusters_per_class")),
+):
+    for _name in _names:
+        BOOLEAN_INTEGERS[f"{_label} {_name}"] = (_name, functools.partial(
+            lambda build, defaults, name, value: build(**{**defaults, name: value}), _build, _defaults, _name))
+
+
+@pytest.mark.parametrize("flag", [True, False])
+@pytest.mark.parametrize("case", sorted(BOOLEAN_INTEGERS))
+def test_integer_fields_reject_booleans(case, flag):
+    name, build = BOOLEAN_INTEGERS[case]
+    with pytest.raises(ValueError, match=f"^{name} must "):
+        build(flag)
 
 
 def test_subsample_train_may_take_the_whole_train_split():

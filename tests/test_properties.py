@@ -373,6 +373,27 @@ class _RecordingSource:
 
 @pytest.mark.parametrize("cores", [1, 2, 3])
 def test_pooled_scan_reads_columns_on_the_calling_thread_only(cores):
+    """With the pool on, a batch of one task (up to 4,096 axes, as every sampled
+    batch of the benchmark's workloads is) runs inline: every column read stays
+    on the calling thread, where a single-threaded tracer of source calls sees it."""
+    rng = np.random.default_rng(8)
+    values = rng.choice([0.0, 1.0], size=(5, 40))
+    labels = np.array([1, -1, 1, -1, 1])
+    source = _RecordingSource(values)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(axiscore, "_CORES", cores)
+        r_min, best, per_axis = r_min_deterministic(source, labels)
+        estimate = conservative_estimate(source, labels, p_conservative=0.05, delta=0.05, rng_seed=3)
+    assert source.threads == {threading.get_ident()}
+    expected = r_min_deterministic(values, labels)
+    assert (r_min, best) == expected[:2] and per_axis.tolist() == expected[2].tolist()
+    one_thread = conservative_estimate(values, labels, p_conservative=0.05, delta=0.05, rng_seed=3)
+    assert (estimate.r_hat, estimate.best, estimate.sampled_axes) == (
+        one_thread.r_hat, one_thread.best, one_thread.sampled_axes)
+
+
+@pytest.mark.parametrize("cores", [1, 2, 3])
+def test_pooled_scan_tasks_read_their_own_columns_and_equal_the_one_thread_result(cores):
     rng = np.random.default_rng(8)
     values = rng.choice([0.0, 1.0], size=(5, 40))
     labels = np.array([1, -1, 1, -1, 1])
@@ -386,7 +407,8 @@ def test_pooled_scan_reads_columns_on_the_calling_thread_only(cores):
         patch.setattr(axiscore, "_CORES", cores)
         r_min, best, per_axis = r_min_deterministic(source, labels)
         estimate = sampled(source)
-    assert source.threads == {threading.get_ident()}
+    # two tasks or more read on the pool, and the winners' columns come with their counts
+    assert (threading.get_ident() in source.threads) == (cores == 1)
     expected = r_min_deterministic(values, labels)
     assert (r_min, best) == expected[:2] and per_axis.tolist() == expected[2].tolist()
     one_thread = sampled(values)
