@@ -13,17 +13,16 @@ internally, so results are exact multiples of 1/N.  The exhaustive scan's
 record, ``ScannedFeatures``, keeps its int64 counts as swept, never divided.
 
 Every batch of axes, the exhaustive scan's or a sampled one, is scored in
-tasks of eight ``_SCAN_CHUNK`` blocks (4,096 axes); two or more tasks run on
-a private thread pool, one worker per usable core, created on first use, and
-one task runs inline.  A task reads its own columns, sweeps them and returns
-its counts and one column, never its block, so at most one block is alive
-per worker: from a lazy source, 4,096 x N doubles (3.3 MB at N = 100).  The
-counts fold in task order, so every result is the one-thread result, bit for
-bit.  A job started inside a pool task, such as the column build of a lazy
-source, runs inline on that worker and never waits on the pool.  The SVM
-fits stay off the pool: 4,000 ``np.linalg.solve`` calls on 101 x 101 systems
-took as long on two threads as on one, and fits beside the scan doubled it
-for no gain.
+the tasks its source cuts it into, ``parts``, the partition of its own column
+build; two or more run on a private thread pool, one worker per usable core,
+created on first use, and one runs inline.  A task reads its own columns,
+sweeps them and returns its counts and one column, never its block, so about
+one block is alive per worker: from a lazy source, 4,096 x N doubles (3.3 MB
+at N = 100).  A part's own parts are itself, so the build inside a task runs
+inline on its worker.  The counts are placed at their positions, so every
+result is the one-thread result, bit for bit.  The SVM fits stay off the
+pool: 4,000 ``np.linalg.solve`` calls on 101 x 101 systems took as long on
+two threads as on one, and fits beside the scan doubled it for no gain.
 """
 
 from __future__ import annotations
@@ -31,7 +30,6 @@ from __future__ import annotations
 import math
 import numbers
 import os
-import threading
 from dataclasses import dataclass
 from enum import Enum
 
@@ -54,7 +52,6 @@ _TASK_BLOCKS = 8
 # Workers of the exact-path pool: the cores this process may run on.
 _CORES = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 _POOL = None
-_WORKER = threading.local()  # ``inside`` is set on the pool's own threads
 if hasattr(os, "register_at_fork"):  # a forked child has none of the parent's workers
     os.register_at_fork(after_in_child=lambda: globals().update(_POOL=None))
 
@@ -64,17 +61,20 @@ def _ordered_map(task, items):
 
     The tasks run on the pool through ``Executor.map``, which raises a task's
     exception when its turn comes and cancels the tasks not yet started; they
-    run inline, through ``map``, on one core, for a single item, or when the
-    caller is itself a pool task, so that no worker ever waits on the pool.
+    run inline, through ``map``, on one core or for a single item.
     """
-    if _CORES < 2 or len(items) < 2 or getattr(_WORKER, "inside", False):
+    if _CORES < 2 or len(items) < 2:
         return map(task, items)
     global _POOL
     if _POOL is None:
         from concurrent.futures import ThreadPoolExecutor  # costs import time; load on first use
-        _POOL = ThreadPoolExecutor(max_workers=_CORES, thread_name_prefix="minacc",
-                                   initializer=lambda: setattr(_WORKER, "inside", True))
+        _POOL = ThreadPoolExecutor(max_workers=_CORES, thread_name_prefix="minacc")
     return _POOL.map(task, items)
+
+
+def _at(axes, part):
+    """``axes[part]`` for a part, a slice or an int64 array of positions; a range is never materialized."""
+    return axes.start + axes.step * part if isinstance(axes, range) and not isinstance(part, slice) else axes[part]
 
 
 class Orientation(Enum):
@@ -100,6 +100,7 @@ class Rule:
     def integer_at_least(low: int) -> tuple:
         return f"be an integer >= {low}", lambda v: Rule.is_integer(v) and v >= low
     COUNT = integer_at_least(1)
+    INTEGER = ("be an integer", lambda v: Rule.is_integer(v))
     OPEN_UNIT = ("lie in (0, 1)", lambda v: 0.0 < v < 1.0)
     FRACTION = ("lie in (0, 1]", lambda v: 0.0 < v <= 1.0)
     POSITIVE = ("be a finite number > 0", lambda v: 0.0 < v < math.inf)
@@ -223,6 +224,11 @@ class FeatureMatrix:
     def column(self, axis_index: int) -> np.ndarray:
         return self.values[:, int(checked_axes(axis_index, self.axis_count))]
 
+    def parts(self, axes) -> list[slice]:
+        """The position sets of the tasks over ``axes``: ``_TASK_BLOCKS`` blocks of consecutive positions."""
+        width = _TASK_BLOCKS * _SCAN_CHUNK
+        return [slice(start, start + width) for start in range(0, len(axes), width)]
+
     def columns(self, indices) -> np.ndarray:
         """N x k block of the given axes; an in-range range is a view, not a copy."""
         ascending = isinstance(indices, range) and indices.step > 0
@@ -262,8 +268,8 @@ def as_feature_source(features):
     """The column source every scan reads.
 
     A FeatureMatrix, or a lazy source with ``sample_count``, ``axis_count``,
-    ``column(i)`` and ``columns(indices)``, passes through; anything else is
-    validated into a FeatureMatrix.
+    ``column(i)``, ``columns(indices)`` and ``parts(axes)`` (``_ScoredAxes.score``),
+    passes through; anything else is validated into a FeatureMatrix.
     """
     if hasattr(features, "columns"):
         return features
@@ -449,47 +455,40 @@ class _ScoredAxes:
                 raise ValueError("labels differ from the labels the record was scanned with")
             features, self._scanned = features.source, features.counts
         self.source = as_feature_source(features)
-        self._blocks: list = []               # index slices as given: ranges stay ranges
+        self._blocks: list = []
         self._counts: list[np.ndarray] = []
-        self.best_count = -1
-        self.best_axis = -1
-        self.best_column = None
+        self.best_count, self.best_axis, self.best_column = -1, -1, None
 
     def score(self, indices) -> bool:
-        """Score the axes ``indices``; True if the best count rose.
+        """Score the non-empty batch of axes ``indices``; True if the best count rose.
 
-        The batch is cut into tasks of ``_TASK_BLOCKS`` blocks, on the pool
-        when there are two or more.  A task reads its own columns, sweeps them
-        with ``best_counts`` and returns its counts and the column of their
-        first maximum, not its block; the counts fold in task order.  On a
-        scan record the batch is one slice, its counts one lookup.
+        One task per part of the source (its positions in the batch: each in one
+        part, ascending, a part's own parts itself), pooled when two or more,
+        reads its own columns, sweeps them with ``best_counts`` and returns its
+        positions, counts and the column of their first maximum, not its block;
+        a scan record's batch is one lookup.  The first maximum by position wins.
         """
-        if self._scanned is not None:
-            return self._fold([(indices, self._scanned[checked_axes(indices, self.source.axis_count)], None)])
-        width = _TASK_BLOCKS * _SCAN_CHUNK
+        axes = indices if isinstance(indices, range) else np.asarray(indices)
 
-        def sweep(start):
-            part = indices[start:start + width]
-            block = self.source.columns(part)
+        def sweep(part):
+            block = self.source.columns(_at(axes, part))
             counts = best_counts(block, self.labels)
             return part, counts, block[:, int(np.argmax(counts))].copy()
 
-        return self._fold(_ordered_map(sweep, range(0, len(indices), width)))
-
-    def _fold(self, slices) -> bool:
-        """Fold ``(axes, counts, column)`` slices in order, ``column`` the one of
-        the slice's first maximum; a looked-up slice has none, and its winner
-        is read from the source."""
-        rose = False
-        for axes, counts, column in slices:
-            self._blocks.append(axes)
-            self._counts.append(counts)
-            j = int(np.argmax(counts))  # first max: the earliest axis wins ties, here and across slices
-            if counts[j] > self.best_count:
-                self.best_count, self.best_axis = int(counts[j]), int(axes[j])
-                self.best_column = self.source.column(self.best_axis) if column is None else column
-                rose = True
-        return rose
+        found = (_ordered_map(sweep, self.source.parts(indices)) if self._scanned is None else
+                 [(slice(None), self._scanned[checked_axes(indices, self.source.axis_count)], None)])
+        counts, columns = np.empty(len(indices), dtype=np.int64), {}
+        for part, part_counts, column in found:
+            counts[part] = part_counts
+            columns[_at(range(counts.size), part)[int(np.argmax(part_counts))]] = column
+        self._blocks.append(indices)  # index sets as given: ranges stay ranges
+        self._counts.append(counts)
+        j = int(np.argmax(counts))  # first max: the earliest axis wins ties, in this batch and across batches
+        if counts[j] <= self.best_count:
+            return False
+        self.best_count, self.best_axis = int(counts[j]), int(indices[j])
+        self.best_column = self.source.column(self.best_axis) if columns[j] is None else columns[j]
+        return True
 
     def winner(self, best: AxisResult) -> AxisResult:
         """``best``, the winner's recomputed threshold rule; a rule that misses

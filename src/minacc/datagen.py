@@ -46,7 +46,7 @@ class DatasetSpec(Checked):
     center_magnitude: float = 2.0
     cluster_std: float = 1.0
 
-    _RULES = dict(n_samples=Rule.integer_at_least(4), informative_features=Rule.COUNT,
+    _RULES = dict(n_samples=Rule.integer_at_least(4), seed=Rule.integer_at_least(0), informative_features=Rule.COUNT,
                   clusters_per_class=Rule.optional(Rule.COUNT), radius_factor=Rule.OPEN_UNIT,
                   noise_sigma=Rule.NON_NEGATIVE, center_magnitude=Rule.FINITE, cluster_std=Rule.POSITIVE)
 

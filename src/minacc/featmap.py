@@ -17,20 +17,19 @@ CZ gates, so its amplitudes are real: all N states are encoded in one float64 ba
 ``PauliFeatures`` is the one path from states to expectations: a Walsh-Hadamard
 transform over k of conj(psi[k ^ x]) psi[k] gives every Z-mask of X-mask x; one
 transform covers all N states and a run of the requested X-masks, one exact-path block
-(``axiscore._SCAN_CHUNK`` axes) worth; the squared norms are computed once per source.
+(``axiscore._SCAN_CHUNK`` axes) worth, each once; the squared norms are computed once.
 Columns reach n = 12, the matrix n = 8.  On real states the strings with an odd number
 of Y are exactly 0.0, and every other value within (n + 3) eps/2 of zero becomes 0.0.
 The linear kernel of those features is the fidelity kernel of the states, so
 ``pauli_gram`` builds it from the N states without the N x 4^n matrix.
 
-Both embeddings write only their math, a ``_plan`` of tasks, each filling rows of a
-k x N axis-major buffer (a proxy task: ``_TASK_BLOCKS`` blocks of columns; a Pauli task:
-``_TASK_BLOCKS`` X-mask runs).  One column builder, ``_ColumnSource``, checks the axes
-once, allocates the buffer, runs the tasks on the exact-path pool of ``axiscore`` (the
-n = 6 Pauli matrix is one inline task, and so is a build inside a scan task, on its
-worker) and hands out the N x k transpose, which the scan sorts axis by axis where it was
-written.  Each value depends on its axis and the source's inputs alone, so the bytes do
-not depend on the thread count.
+Both embeddings write only their math: ``_fill``, the rows of one of their ``parts`` of a
+k x N axis-major buffer, the tasks of the build and of the scan alike (``_TASK_BLOCKS``
+blocks of proxy columns; as many Pauli columns, grouped by X-mask).  One column builder,
+``_ColumnSource``, checks the axes once, allocates the buffer, fills the parts on the pool
+of ``axiscore`` (the n = 6 Pauli matrix is one inline task) and hands out the N x k
+transpose, which the scan sorts where it was written.  Each value depends on its axis and
+the source's inputs alone, so the bytes do not depend on the thread count.
 """
 
 from __future__ import annotations
@@ -122,8 +121,10 @@ def _projection_block(spec: ProjectionSpec, axes: np.ndarray) -> np.ndarray:
 
 class _ColumnSource:
     """The column protocol over a subclass's ``sample_count``, ``axis_count`` and
-    ``_plan(axes, buffer)``, which returns ``(task, items)``: ``task(item)`` for every
-    item fills disjoint rows of ``buffer``, row r with the column of ``axes[r]``."""
+    ``_fill(axes, rows, buffer)``, which fills row r of ``buffer`` with the column of
+    ``axes[r]`` for the positions r of the part ``rows``."""
+
+    parts = FeatureMatrix.parts  # a matrix's tasks, unless a subclass groups its axes
 
     def column(self, axis_index: int) -> np.ndarray:
         return self._build([axis_index])[:, 0]
@@ -137,11 +138,10 @@ class _ColumnSource:
         return FeatureMatrix(self.columns(range(self.axis_count)))
 
     def _build(self, indices) -> np.ndarray:
-        """N x k block, the transpose of the k x N buffer the tasks fill, pooled when two or more."""
+        """N x k block, the transpose of the k x N buffer its parts fill, pooled when two or more."""
         axes = checked_axes(indices, self.axis_count)
         buffer = np.empty((axes.size, self.sample_count), dtype=np.float64)
-        for _ in _ordered_map(*self._plan(axes, buffer)):
-            pass
+        list(_ordered_map(lambda rows: self._fill(axes, rows, buffer), self.parts(axes)))
         return buffer.T
 
 
@@ -157,24 +157,18 @@ class LazyProxyFeatures(_ColumnSource):
         self.spec = spec
         self.sample_count, self.axis_count = dataset.sample_count, spec.feature_dim
 
-    def _plan(self, axes, buffer):
-        """tanh(sum_j x_j w_j) in place, a task of ``_TASK_BLOCKS`` blocks of columns
-        at a time: one W block, then its blocks summed over j in order by elementwise
-        ufuncs (a BLAS matmul may order its sums by the block's width), so a value does
-        not depend on the columns beside it."""
-        inputs, width = self._inputs, _TASK_BLOCKS * _SCAN_CHUNK
-
-        def fill(start):
-            task = _projection_block(self.spec, axes[start:start + width])
-            for offset in range(0, task.shape[1], _SCAN_CHUNK):
-                w = task[:, offset:offset + _SCAN_CHUNK]
-                acc = buffer[start + offset:start + offset + w.shape[1]]
-                np.multiply(w[0][:, None], inputs[:, 0], out=acc)
-                for j in range(1, self.spec.input_dim):
-                    acc += w[j][:, None] * inputs[:, j]
-                np.tanh(acc, out=acc)
-
-        return fill, range(0, axes.size, width)
+    def _fill(self, axes, rows, buffer):
+        """tanh(sum_j x_j w_j) in place: one W block for the part, then its blocks summed
+        over j in order by elementwise ufuncs (a BLAS matmul may order its sums by the
+        block's width), so a value does not depend on the columns beside it."""
+        task, out = _projection_block(self.spec, axes[rows]), buffer[rows]
+        for offset in range(0, task.shape[1], _SCAN_CHUNK):
+            w = task[:, offset:offset + _SCAN_CHUNK]
+            acc = out[offset:offset + w.shape[1]]
+            np.multiply(w[0][:, None], self._inputs[:, 0], out=acc)
+            for j in range(1, self.spec.input_dim):
+                acc += w[j][:, None] * self._inputs[:, j]
+            np.tanh(acc, out=acc)
 
 
 # ---------------------------------------------------------------------------
@@ -337,27 +331,33 @@ class PauliFeatures(_ColumnSource):
     def of(cls, dataset: LabeledDataset, spec: EncodingCircuitSpec) -> "PauliFeatures":
         return cls(_encode_states(dataset.inputs, spec))
 
-    def _plan(self, axes, buffer):
-        """Tasks of ``_TASK_BLOCKS`` X-mask runs: each axis's row of its run's transform,
-        times i^{#Y} (its real part on real states), over the squared norms."""
+    def parts(self, axes) -> list[np.ndarray]:
+        """The positions of ``axes`` by X-mask, max(1, 4096 // 2^n) of the requested masks a part
+        in ascending order; the masks are decoded 4,096 axes at a time, never all at once."""
+        n, width = self.qubit_count, _TASK_BLOCKS * _SCAN_CHUNK
+        per = max(1, width // 2 ** n)
+        if len(axes) <= per:  # no more masks than one part holds
+            return [np.arange(len(axes))]
+        x = np.empty(len(axes), dtype=np.min_scalar_type(2 ** n - 1))
+        for start in range(0, x.size, width):
+            x[start:start + width] = _pauli_masks(checked_axes(axes[start:start + width], self.axis_count), n)[0]
+        part = ((np.cumsum(np.bincount(x, minlength=2 ** n) > 0) - 1) // per).astype(x.dtype)[x]  # by mask rank
+        return np.split(np.argsort(part, kind="stable"), np.cumsum(np.bincount(part))[:-1])
+
+    def _fill(self, axes, rows, buffer):
+        """Runs of the part's X-masks, ``_SCAN_CHUNK`` axes' worth each: each axis's row of its
+        run's transform, times i^{#Y} (its real part on real states), over the squared norms."""
         n = self.qubit_count
-        x, z, phase = _pauli_masks(axes, n)
+        x, z, phase = _pauli_masks(axes[rows], n)
         present = np.bincount(x, minlength=2 ** n) > 0  # only the requested X-masks are transformed
         masks, slot = np.flatnonzero(present), (np.cumsum(present) - 1)[x]  # slot: index in masks
         run = max(1, _SCAN_CHUNK // 2 ** n)
-        group = (slot // run).astype(np.min_scalar_type(masks.size))  # each axis's run number
-        order = np.argsort(group, kind="stable")  # a radix sort when the keys fit 16 bits (n <= 16)
-        cuts = np.searchsorted(group[order], np.arange(-(-masks.size // run) + 1))
-
-        def fill(first):  # runs first, ..., first + _TASK_BLOCKS - 1
-            for r in range(first, min(first + _TASK_BLOCKS, cuts.size - 1)):
-                w = _transformed_products(self._states, masks[r * run:(r + 1) * run], n)
-                at = order[cuts[r]:cuts[r + 1]]  # run r's axes
-                raw = np.take(w.reshape(-1, self.sample_count), z[at] * w.shape[1] + slot[at] - r * run, axis=0)
-                raw *= (phase if np.iscomplexobj(raw) else phase.real)[at, None]  # in place: no fresh buffer
-                buffer[at] = _expectation_values(raw, self._norm_sq, n)
-
-        return fill, range(0, cuts.size - 1, _TASK_BLOCKS)
+        for first in range(0, masks.size, run):
+            w = _transformed_products(self._states, masks[first:first + run], n)
+            at = np.flatnonzero(slot // run == first // run)  # this run's axes
+            raw = np.take(w.reshape(-1, self.sample_count), z[at] * w.shape[1] + slot[at] - first, axis=0)
+            raw *= (phase if np.iscomplexobj(raw) else phase.real)[at, None]  # in place: no fresh buffer
+            buffer[rows[at]] = _expectation_values(raw, self._norm_sq, n)
 
 
 def pauli_expectation(state, sigma: PauliString) -> float:

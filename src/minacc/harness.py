@@ -112,7 +112,7 @@ class ExperimentConfig(EstimatorSettings):
     svm_max_iter: int = 10000
     output_dir: str = "results"
 
-    _RULES = dict(EstimatorSettings._RULES, qubit_count=Rule.COUNT, repetitions=Rule.COUNT,
+    _RULES = dict(EstimatorSettings._RULES, qubit_count=Rule.COUNT, repetitions=Rule.COUNT, master_seed=Rule.INTEGER,
                   train_fraction=Rule.OPEN_UNIT, svm_c=Rule.POSITIVE, svm_tol=Rule.POSITIVE, svm_max_iter=Rule.COUNT)
 
     def __post_init__(self):

@@ -8,11 +8,12 @@ import time
 import numpy as np
 import pytest
 
-from minacc import axiscore
+from minacc import axiscore, featmap
 from minacc.axiscore import (
     FeatureMatrix,
     LabeledDataset,
     Orientation,
+    ScannedFeatures,
     ThresholdClassifier,
     as_linear_classifier,
     axis_accuracy,
@@ -21,6 +22,8 @@ from minacc.axiscore import (
     linear_predict,
     r_min_deterministic,
 )
+from minacc.featmap import EncodingCircuitSpec, LazyProxyFeatures, PauliFeatures, ProjectionSpec
+from minacc.sampling import conservative_estimate
 
 
 def oracle_best_count(values, labels):
@@ -418,40 +421,96 @@ def test_ordered_map_yields_in_order_and_raises_a_task_error_at_its_turn(monkeyp
     assert inline_threads == [caller]
 
 
-def test_a_job_started_inside_a_pool_task_runs_inline_on_that_worker(monkeypatch):
+def _partitioned_sources(n):
+    """A matrix, the proxy and the Pauli source over 4^n axes of three samples, and index
+    sets over them: every axis, a draw without repeats, one with repeats, and one axis."""
+    rng = np.random.default_rng(30 + n)
+    data = LabeledDataset(rng.uniform(-2, 2, size=(3, 2)), np.array([1, -1, 1]))
+    d = 4 ** n
+    sources = (FeatureMatrix(rng.uniform(-1, 1, size=(3, d))), LazyProxyFeatures(data, ProjectionSpec(2, d, seed=n)),
+               PauliFeatures.of(data, EncodingCircuitSpec(n)))
+    return sources, (range(d), rng.permutation(d)[:5000].tolist(), rng.integers(0, d, size=300), [d - 1])
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_parts_cover_every_position_once_ascending_within_a_part(n):
+    sources, index_sets = _partitioned_sources(n)
+    for source in sources:
+        for indices in index_sets:
+            positions = [np.arange(len(indices))[part] for part in source.parts(indices)]
+            assert all(p.size and np.all(np.diff(p) > 0) for p in positions)
+            assert np.sort(np.concatenate(positions)).tolist() == list(range(len(indices)))
+            if source is sources[2]:  # no X-mask in two Pauli parts, the parts in ascending mask order
+                masks = [np.unique(featmap._pauli_masks(np.asarray(indices)[p], n)[0]) for p in positions]
+                assert all(a[-1] < b[0] for a, b in zip(masks, masks[1:]))
+    # a full request's Pauli part holds max(1, 4096 // 2^n) X-masks
+    pauli, cap = sources[2], max(1, 4096 // 2 ** n)
+    masks = [np.unique(featmap._pauli_masks(part, n)[0]) for part in pauli.parts(range(4 ** n))]
+    assert all(m.size == cap for m in masks[:-1]) and 0 < masks[-1].size <= cap
+    assert np.concatenate(masks).tolist() == list(range(2 ** n))
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_a_full_pauli_request_transforms_each_x_mask_once(monkeypatch, n):
+    # the build and the lazy scan alike: each X-mask is in one part, and its transform
+    # yields every Z-mask of it
+    source = _partitioned_sources(n)[0][2]
+    transformed, transform = [], featmap._transformed_products
+
+    def spy(psi, x_masks, qubits):
+        transformed.extend(x_masks.tolist())
+        return transform(psi, x_masks, qubits)
+
+    monkeypatch.setattr(featmap, "_transformed_products", spy)
+    for full_request in (source.materialize, lambda: ScannedFeatures(source, np.array([1, -1, 1]))):
+        transformed.clear()
+        full_request()
+        assert sorted(transformed) == list(range(2 ** n))
+
+
+def test_a_parts_own_parts_are_itself(monkeypatch):
+    # the axes of a part are one part, all of it in order, so the column build inside a
+    # scan task is one task, run inline on its worker
+    for n in range(1, 9):
+        sources, index_sets = _partitioned_sources(n)
+        for source in sources:
+            for indices in index_sets:
+                for part in source.parts(indices):
+                    axes = np.asarray(indices)[part]
+                    own = source.parts(axes)
+                    assert len(own) == 1 and np.arange(axes.size)[own[0]].tolist() == list(range(axes.size))
+    # so no pool task submits to the pool: a worker waiting on the pool could deadlock it
     monkeypatch.setattr(axiscore, "_CORES", 2)
     monkeypatch.setattr(axiscore, "_POOL", None)
     list(axiscore._ordered_map(abs, range(2)))  # starts the pool
     pool, submitted, caller = axiscore._POOL, [], threading.get_ident()
     submit = pool.submit
 
-    def caller_only_submit(*args, **kwargs):  # a worker that waited on the pool could deadlock it
+    def caller_only_submit(*args, **kwargs):
         if threading.get_ident() != caller:
             raise AssertionError("a pool task submitted to the pool")
         submitted.append(args)
         return submit(*args, **kwargs)
 
     monkeypatch.setattr(pool, "submit", caller_only_submit)
-
-    def outer(item):
-        inner = list(axiscore._ordered_map(lambda k: threading.get_ident(), range(3)))
-        return threading.get_ident(), inner
-
+    sources, _ = _partitioned_sources(7)
     try:
-        results = list(axiscore._ordered_map(outer, range(4)))
+        for source in sources[1:]:
+            submitted.clear()
+            ScannedFeatures(source, np.array([1, -1, 1]))
+            assert len(submitted) == 4  # the scan's own tasks only, 16,384 axes in four parts
     finally:
         pool.shutdown()
-    assert len(submitted) == 4  # the outer tasks only
-    for worker, inner in results:
-        assert worker != caller and inner == [worker] * 3
 
 
 def test_a_scan_task_returns_one_column_not_its_block(monkeypatch):
-    # three 4,096-axis tasks on the pool; each returns its counts and the
-    # column of their first maximum, a copy that holds no block alive
+    # three 4,096-axis parts of a matrix and four 32-X-mask parts of a lazy n = 7 Pauli source,
+    # on the pool; each task returns its positions, its counts and the column of their first
+    # maximum, a copy that holds no block alive
     monkeypatch.setattr(axiscore, "_CORES", 2)
-    values = np.random.default_rng(15).normal(size=(9, 10000))
+    rng = np.random.default_rng(15)
     labels = np.where(np.arange(9) % 2 == 0, 1, -1)
+    pauli = PauliFeatures.of(LabeledDataset(rng.uniform(-2, 2, size=(9, 3)), labels), EncodingCircuitSpec(7))
     results, ordered_map = [], axiscore._ordered_map
 
     def recording_map(task, items):
@@ -460,10 +519,58 @@ def test_a_scan_task_returns_one_column_not_its_block(monkeypatch):
             yield result
 
     monkeypatch.setattr(axiscore, "_ordered_map", recording_map)
-    _, best, _ = r_min_deterministic(values, labels)
-    assert len(results) == 3
-    for axes, counts, column in results:
-        axis = axes[int(np.argmax(counts))]
-        assert column.shape == (9,) and column.base is None
-        assert column.tobytes() == values[:, axis].tobytes()
-    assert best.axis_index == np.flatnonzero(np.concatenate([c for _, c, _ in results]) == best.correct_count)[0]
+    for values, tasks in ((rng.normal(size=(9, 10000)), 3), (pauli.materialize().values, 4)):
+        results.clear()
+        scanned = ScannedFeatures(FeatureMatrix(values) if tasks == 3 else pauli, labels)
+        assert len(results) == tasks
+        counts = np.empty(values.shape[1], dtype=np.int64)
+        for part, part_counts, column in results:
+            axis = np.arange(values.shape[1])[part][int(np.argmax(part_counts))]
+            assert column.shape == (9,) and column.base is None
+            assert column.tobytes() == values[:, axis].tobytes()
+            counts[part] = part_counts
+        assert counts.tobytes() == scanned.counts.tobytes()
+        assert scanned.best.axis_index == np.flatnonzero(counts == scanned.best.correct_count)[0]
+
+
+def _product_states(n):
+    """|0...0> and |+>|0...0>: they differ on qubit 0 only, the amplitude index's top bit."""
+    states = np.zeros((2, 2 ** n))
+    states[:, 0] = 1.0
+    states[1, 2 ** (n - 1)] = 1.0
+    return PauliFeatures(states)
+
+
+@pytest.mark.parametrize("cores", [1, 2, 3])
+def test_a_tie_across_two_x_mask_parts_goes_to_the_lower_index(monkeypatch, cores):
+    # every string with X or Z on qubit 0 and I or Z elsewhere separates the two states: all
+    # tie at 2 correct.  The lowest, XIIIIIII (16,384, X-mask 128), lies in part 8; ZIIIIIII
+    # (49,152) and the other Z strings lie in part 0 (X-mask 0), which is scored first
+    monkeypatch.setattr(axiscore, "_CORES", cores)
+    source, labels = _product_states(8), np.array([1, -1])
+    parts = source.parts(range(4 ** 8))
+    part_of = {axis: k for k, part in enumerate(parts) for axis in (16384, 49152) if axis in part}
+    assert part_of == {16384: 8, 49152: 0}
+    lazy, matrix = ScannedFeatures(source, labels), ScannedFeatures(source.materialize(), labels)
+    assert lazy.counts.tobytes() == matrix.counts.tobytes() and lazy.counts.max() == 2
+    assert np.count_nonzero(lazy.counts == 2) == 2 * 2 ** 7
+    assert lazy.best == matrix.best and lazy.best.axis_index == 16384
+
+
+@pytest.mark.parametrize("cores", [1, 2, 3])
+def test_a_sampled_pauli_batch_of_several_parts_keeps_draw_order(monkeypatch, cores):
+    # t = 2,996 axes drawn over every X-mask: 16 parts.  The first drawn of the tied winners
+    # lies in a later part than another of them, and it wins, as on the matrix
+    monkeypatch.setattr(axiscore, "_CORES", cores)
+    source, labels = _product_states(8), np.array([1, -1])
+    lazy = conservative_estimate(source, labels, 0.001, 0.05, rng_seed=5)
+    matrix = conservative_estimate(source.materialize(), labels, 0.001, 0.05, rng_seed=5)
+    drawn = lazy.sampled_axes
+    parts = source.parts(drawn)
+    assert len(drawn) == 2996 and len(parts) == 16
+    winners = np.flatnonzero(lazy.axis_accuracies == 1.0).tolist()
+    part_of = {k: p for p, part in enumerate(parts) for k in part.tolist()}
+    assert part_of[winners[0]] > min(part_of[k] for k in winners)
+    assert drawn == matrix.sampled_axes
+    assert lazy.axis_accuracies.tobytes() == matrix.axis_accuracies.tobytes()
+    assert lazy.best == matrix.best and lazy.best.axis_index == drawn[winners[0]]

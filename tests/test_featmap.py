@@ -666,9 +666,9 @@ def _exit_zero_if_the_lazy_scan_is(source, labels, counts, best):
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
 def test_pooled_scan_of_lazy_pauli_columns_equals_the_scan_of_the_matrix(monkeypatch):
-    # each 4,096-axis scan task builds its own columns, two build tasks at n = 7, inline on
-    # its worker; a build that waited on the pool could deadlock it, so each lazy scan runs
-    # in a forked child, given a minute
+    # each scan task is one part, 32 X-masks at n = 7, and builds its own columns in one
+    # inline task on its worker; a build that waited on the pool could deadlock it, so each
+    # lazy scan runs in a forked child, given a minute
     data = small_dataset(np.random.default_rng(26), n_samples=20)
     source = PauliFeatures.of(data, EncodingCircuitSpec(7))
     matrix = ScannedFeatures(source.materialize(), data.labels)
@@ -682,6 +682,15 @@ def test_pooled_scan_of_lazy_pauli_columns_equals_the_scan_of_the_matrix(monkeyp
             child.kill()
             child.join()
         assert child.exitcode == 0, f"the lazy scan on {cores} cores exited with {child.exitcode}"
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_lazy_pauli_scan_is_the_matrix_scan(n):
+    # X-mask-major parts, the counts placed back at their axes: the same bytes and winner
+    data = small_dataset(np.random.default_rng(27 + n), n_samples=12)
+    source = PauliFeatures.of(data, EncodingCircuitSpec(n))
+    lazy, matrix = (ScannedFeatures(s, data.labels) for s in (source, source.materialize()))
+    assert lazy.counts.tobytes() == matrix.counts.tobytes() and lazy.best == matrix.best
 
 
 def test_pauli_norms_are_computed_once_when_the_source_is_built(monkeypatch):

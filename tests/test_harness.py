@@ -218,6 +218,10 @@ for _name, _values, _build in (
     ("clusters_per_class", (0, -1, 2.5), lambda v: DatasetSpec(MULTI_CLUSTER, 12, clusters_per_class=v)),
     ("center_magnitude", (math.nan, math.inf, -math.inf), lambda v: DatasetSpec(LINEAR_SEPARABLE, center_magnitude=v)),
     ("rotation_scale", (math.nan, math.inf, -math.inf), lambda v: EncodingCircuitSpec(2, rotation_scale=v)),
+    # a float or negative dataset seed built and failed inside generate; a float or boolean
+    # master seed ran as int(v)
+    ("seed", (2.5, -1, True), lambda v: DatasetSpec(CIRCLES, 40, seed=v)),
+    ("master_seed", (2.5, True), lambda v: ExperimentConfig(master_seed=v)),
 ):
     for _value in _values:
         REJECTED_CALLS[f"{_name} {_value}"] = (_name, functools.partial(_build, _value))
@@ -228,6 +232,12 @@ def test_library_calls_check_each_value_by_its_rule(case):
     name, call = REJECTED_CALLS[case]
     with pytest.raises(ValueError, match=f"^{name} must "):
         call()
+
+
+def test_a_negative_master_seed_still_derives_every_seed():
+    config = ExperimentConfig(master_seed=-7)
+    assert config.master_seed == -7
+    assert [spec.seed for spec in default_datasets(-7)] == [derive_seed(-7, kind, "datagen") for kind in DATASET_KINDS]
 
 
 # True and False are integers to isinstance(v, numbers.Integral); a flag in an integer

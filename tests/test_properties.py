@@ -342,6 +342,7 @@ def test_lazy_proxy_columns_are_the_eager_bytes(case, chunk, cores):
         eager = lazy.materialize().values
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(featmap, "_SCAN_CHUNK", chunk)
+        patch.setattr(axiscore, "_SCAN_CHUNK", chunk)  # the tasks: the proxy cuts a matrix's parts
         patch.setattr(axiscore, "_CORES", cores)
         assert lazy.materialize().values.tobytes() == eager.tobytes()
         assert lazy.columns(indices).tobytes() == eager[:, indices].tobytes()
@@ -354,6 +355,8 @@ class _RecordingSource:
 
     def __init__(self, values):
         self.values, self.threads = values, set()
+
+    parts = axiscore.FeatureMatrix.parts  # a matrix's tasks
 
     @property
     def sample_count(self):

@@ -357,6 +357,8 @@ class CountingSource:
         self.sample_count, self.axis_count = matrix.sample_count, matrix.axis_count
         self.served = 0
 
+    parts = FeatureMatrix.parts  # a matrix's tasks
+
     def column(self, i):
         self.served += 1
         return self.matrix.column(i)
