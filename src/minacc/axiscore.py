@@ -73,8 +73,11 @@ def _ordered_map(task, items):
 
 
 def _at(axes, part):
-    """``axes[part]`` for a part, a slice or an int64 array of positions; a range is never materialized."""
-    return axes.start + axes.step * part if isinstance(axes, range) and not isinstance(part, slice) else axes[part]
+    """``axes[part]`` for a part, a slice or an array of positions; a range is never materialized, and
+    its axes are int64 whatever the positions' width."""
+    if isinstance(axes, range) and not isinstance(part, slice):
+        return axes.start + axes.step * part.astype(np.int64)
+    return axes[part]
 
 
 class Orientation(Enum):
@@ -504,8 +507,8 @@ class _ScoredAxes:
 
     @property
     def counts(self) -> np.ndarray:
-        """Per-axis best counts of the scored axes, in scoring order."""
-        return np.concatenate(self._counts)
+        """Per-axis best counts of the scored axes, in scoring order: a single batch's own array, uncopied."""
+        return self._counts[0] if len(self._counts) == 1 else np.concatenate(self._counts)
 
 
 def r_min_deterministic(features, labels):

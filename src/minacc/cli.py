@@ -138,7 +138,7 @@ def _cmd_gen_data(args) -> int:
 
 def _cmd_embed(args) -> int:
     dataset = dataset_from_csv(args.data)
-    features = harness.embed_dataset(dataset, args.embedding, args.qubits, args.seed)
+    features = harness.embed_dataset(dataset, args.embedding, args.qubits, args.seed).materialize()
     if args.format == "csv":
         feature_matrix_to_csv(features, args.out)
     else:

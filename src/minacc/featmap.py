@@ -14,14 +14,18 @@ There is also the real thing: an angle-encoding statevector simulator and expect
 values of the 4^n Pauli strings (eigenvalues +-1, so features lie in [-1, 1] and the
 squared entries of one sample sum to 2^n for pure states).  The circuit has only RY and
 CZ gates, so its amplitudes are real: all N states are encoded in one float64 batch.
-``PauliFeatures`` is the one path from states to expectations: a Walsh-Hadamard
-transform over k of conj(psi[k ^ x]) psi[k] gives every Z-mask of X-mask x; one
-transform covers all N states and a run of the requested X-masks, one exact-path block
-(``axiscore._SCAN_CHUNK`` axes) worth, each once; the squared norms are computed once.
-Columns reach n = 12, the matrix n = 8.  On real states the strings with an odd number
-of Y are exactly 0.0, and every other value within (n + 3) eps/2 of zero becomes 0.0.
-The linear kernel of those features is the fidelity kernel of the states, so
-``pauli_gram`` builds it from the N states without the N x 4^n matrix.
+``PauliFeatures`` is the one path from states to expectations; it encodes the N states
+once and keeps them, as given and as a 2^n x N copy, transform axis first.  A batch of
+columns is group transforms: a Walsh-Hadamard transform over k of conj(psi[k ^ x]) psi[k]
+gives every Z-mask of X-mask x, and one transform covers all N states and a run of the
+requested X-masks, one exact-path block (``axiscore._SCAN_CHUNK`` axes) worth, each once.
+A lone column follows only its own output's path through the butterflies, the same float
+operations, so the same bytes; the squared norms are the path of (x = 0, z = 0), computed
+once.  Columns reach n = 12, the matrix n = 8.  On real states the strings with an odd
+number of Y are exactly 0.0, and every other value within (n + 3) eps/2 of zero becomes 0.0.
+The linear kernel of those features is the fidelity kernel of the states, and the sum of a
+state's 4^n features is <psi|(I + X + Y + Z)^(x n)|psi> / <psi|psi>, so ``PauliFeatures.gram``
+builds the SVM baselines' ``Gram`` from the N states without the N x 4^n matrix.
 
 Both embeddings write only their math: ``_fill``, the rows of one of their ``parts`` of a
 k x N axis-major buffer, the tasks of the build and of the scan alike (``_TASK_BLOCKS``
@@ -43,6 +47,7 @@ import numpy as np
 from .axiscore import (_SCAN_CHUNK, _TASK_BLOCKS, Checked, FeatureMatrix, LabeledDataset, Rule, _ordered_map,
                        checked_axes)
 from .datagen import read_numeric_csv, write_numeric_csv
+from .svmref import Gram
 
 _DENSE_QUBIT_LIMIT = 12      # statevector simulation guard
 _MATRIX_QUBIT_LIMIT = 8      # full 4^n-column materialization guard
@@ -266,6 +271,9 @@ def encode_state(x, spec: EncodingCircuitSpec) -> np.ndarray:
     return _encode_states(np.asarray(x, dtype=np.float64).reshape(1, -1), spec)[0]
 
 
+_PHASES = np.array([1, 1j, -1, -1j])  # i^{#Y} by #Y mod 4
+
+
 def _pauli_masks(index, n: int):
     """(X-mask, Z-mask, i^{#Y}) of Pauli index(es): sigma|k> = i^{#Y} (-1)^{|z & k|} |k ^ x>."""
     x = z = y_count = 0
@@ -274,21 +282,19 @@ def _pauli_masks(index, n: int):
         x = (x << 1) | ((digit ^ (digit >> 1)) & 1)
         z = (z << 1) | (digit >> 1)
         y_count = y_count + (digit == 2)
-    return x, z, np.array([1, 1j, -1, -1j])[y_count % 4]
+    return x, z, _PHASES[y_count % 4]
 
 
-def _transformed_products(psi: np.ndarray, x_masks: np.ndarray, n: int) -> np.ndarray:
-    """[z, r, b] = <psi_b| X^{x_masks[r]} Z^z |psi_b> for the rows psi_b of a
-    B x 2^n batch: one Walsh-Hadamard transform along k of the products
-    conj(psi[k ^ x]) psi[k] gives every Z-mask of an X-mask.  Real states give
-    real products.  The transform axis comes first, so each butterfly stage,
-    most significant bit first, is two ufunc calls on contiguous runs of at
-    least R x B entries, written into a second buffer."""
-    states = psi.T
-    w = np.take(states, np.bitwise_xor.outer(np.arange(2 ** n), x_masks), axis=0)
+def _transformed_products(amplitudes: np.ndarray, x_masks: np.ndarray, n: int) -> np.ndarray:
+    """[z, r, b] = <psi_b| X^{x_masks[r]} Z^z |psi_b> for the columns psi_b of the 2^n x B
+    ``amplitudes``: one Walsh-Hadamard transform along k of the products conj(psi[k ^ x])
+    psi[k] gives every Z-mask of an X-mask.  Real states give real products.  The transform
+    axis comes first, so each butterfly stage, most significant bit first, is two ufunc calls
+    on contiguous runs of at least R x B entries, written into a second buffer."""
+    w = np.take(amplitudes, np.bitwise_xor.outer(np.arange(2 ** n), x_masks), axis=0)
     if np.iscomplexobj(w):
         np.conj(w, out=w)
-    w *= states[:, None, :]
+    w *= amplitudes[:, None, :]
     spare = np.empty_like(w)
     for bit in range(n):
         src, dst = w.reshape(2 ** bit, 2, -1), spare.reshape(2 ** bit, 2, -1)
@@ -296,6 +302,9 @@ def _transformed_products(psi: np.ndarray, x_masks: np.ndarray, n: int) -> np.nd
         np.subtract(src[:, 0], src[:, 1], out=dst[:, 1])
         w, spare = spare, w
     return w
+
+
+_EPS = np.finfo(np.float64).eps
 
 
 def _expectation_values(raw, norm_sq, n: int):
@@ -306,14 +315,17 @@ def _expectation_values(raw, norm_sq, n: int):
             raise ValueError("Pauli expectation has a non-negligible imaginary part")
         raw = np.real(raw)
     values = np.divide(raw, norm_sq, out=raw)
-    np.clip(values, -1.0, 1.0, out=values)
-    values[np.abs(values) <= (n + 3) * np.finfo(np.float64).eps / 2] = 0.0
+    np.minimum(np.maximum(values, -1.0, out=values), 1.0, out=values)  # np.clip, without its wrappers
+    values[np.abs(values) <= (n + 3) * _EPS / 2] = 0.0
     return values
 
 
 class PauliFeatures(_ColumnSource):
     """Column-on-demand Pauli expectations of B states, real or complex: entry
-    [b, i] is <psi_b|sigma_i|psi_b> / <psi_b|psi_b> for Pauli index i."""
+    [b, i] is <psi_b|sigma_i|psi_b> / <psi_b|psi_b> for Pauli index i.
+
+    The states are kept twice: as given, B x 2^n, for the Gram, and as a C-contiguous
+    2^n x B copy, transform axis first, that every column is computed from."""
 
     def __init__(self, states):
         self._states = psi = np.asarray(states, dtype=np.complex128 if np.iscomplexobj(states) else np.float64)
@@ -321,9 +333,8 @@ class PauliFeatures(_ColumnSource):
         if n < 1 or psi.shape[1] != 2 ** n:
             raise ValueError(f"states must be B x 2^n, not {psi.shape}")
         self.qubit_count, self.sample_count, self.axis_count = n, psi.shape[0], 4 ** n
-        self._norm_sq = (np.conj(psi) * psi).T.real  # X-mask 0's products, transform axis first
-        for bit in reversed(range(n)):  # the transform's own additions for z = 0; 1 x B at the end
-            self._norm_sq = self._norm_sq[:2 ** bit] + self._norm_sq[2 ** bit:]
+        self._amplitudes, self._k = np.ascontiguousarray(psi.T), np.arange(2 ** n)  # k: gathers psi[k ^ x]
+        self._norm_sq = self._path(0, 0).real  # the (x = 0, z = 0) output, as every transform computes it
         if np.any(self._norm_sq == 0.0):
             raise ValueError("empty dataset: statevector has zero norm")
 
@@ -331,18 +342,44 @@ class PauliFeatures(_ColumnSource):
     def of(cls, dataset: LabeledDataset, spec: EncodingCircuitSpec) -> "PauliFeatures":
         return cls(_encode_states(dataset.inputs, spec))
 
+    def column(self, axis_index: int) -> np.ndarray:
+        """The column of one axis along its own path through the butterflies of its X-mask's
+        transform: the float operations the transform performs for that output, so the bytes
+        of ``columns``, at O(2^n B) instead of O(n 2^n B)."""
+        if not (Rule.is_integer(axis_index) and 0 <= axis_index < self.axis_count):
+            axis_index = int(checked_axes(axis_index, self.axis_count))
+        x, z, phase = _pauli_masks(int(axis_index), self.qubit_count)
+        raw = self._path(x, z)
+        raw *= phase if np.iscomplexobj(raw) else phase.real
+        return _expectation_values(raw, self._norm_sq, self.qubit_count)
+
+    def _path(self, x: int, z: int) -> np.ndarray:
+        """Raw <psi_b|X^x Z^z|psi_b> of the B states: the products conj(psi[k ^ x]) psi[k], halved
+        n times, most significant bit first, into the sum of the halves where z's bit is 0 and
+        their difference where it is 1."""
+        n, amplitudes = self.qubit_count, self._amplitudes
+        w = np.take(amplitudes, self._k ^ x, axis=0)
+        if np.iscomplexobj(w):
+            np.conj(w, out=w)
+        w *= amplitudes
+        for bit in range(n):
+            half = 2 ** (n - 1 - bit)
+            w = w[:half] - w[half:] if (z >> (n - 1 - bit)) & 1 else w[:half] + w[half:]
+        return w[0]
+
     def parts(self, axes) -> list[np.ndarray]:
-        """The positions of ``axes`` by X-mask, max(1, 4096 // 2^n) of the requested masks a part
-        in ascending order; the masks are decoded 4,096 axes at a time, never all at once."""
+        """The int32 positions of ``axes`` by X-mask, max(1, 4096 // 2^n) of the requested masks a
+        part in ascending order; the masks are decoded 4,096 axes at a time, never all at once."""
         n, width = self.qubit_count, _TASK_BLOCKS * _SCAN_CHUNK
         per = max(1, width // 2 ** n)
         if len(axes) <= per:  # no more masks than one part holds
-            return [np.arange(len(axes))]
+            return [np.arange(len(axes), dtype=np.int32)]
         x = np.empty(len(axes), dtype=np.min_scalar_type(2 ** n - 1))
         for start in range(0, x.size, width):
             x[start:start + width] = _pauli_masks(checked_axes(axes[start:start + width], self.axis_count), n)[0]
         part = ((np.cumsum(np.bincount(x, minlength=2 ** n) > 0) - 1) // per).astype(x.dtype)[x]  # by mask rank
-        return np.split(np.argsort(part, kind="stable"), np.cumsum(np.bincount(part))[:-1])
+        positions = np.argsort(part, kind="stable").astype(np.int32)  # 4^12 < 2^31
+        return np.split(positions, np.cumsum(np.bincount(part))[:-1])
 
     def _fill(self, axes, rows, buffer):
         """Runs of the part's X-masks, ``_SCAN_CHUNK`` axes' worth each: each axis's row of its
@@ -353,11 +390,38 @@ class PauliFeatures(_ColumnSource):
         masks, slot = np.flatnonzero(present), (np.cumsum(present) - 1)[x]  # slot: index in masks
         run = max(1, _SCAN_CHUNK // 2 ** n)
         for first in range(0, masks.size, run):
-            w = _transformed_products(self._states, masks[first:first + run], n)
+            w = _transformed_products(self._amplitudes, masks[first:first + run], n)
             at = np.flatnonzero(slot // run == first // run)  # this run's axes
             raw = np.take(w.reshape(-1, self.sample_count), z[at] * w.shape[1] + slot[at] - first, axis=0)
             raw *= (phase if np.iscomplexobj(raw) else phase.real)[at, None]  # in place: no fresh buffer
             buffer[rows[at]] = _expectation_values(raw, self._norm_sq, n)
+
+    def gram(self) -> Gram:
+        """The ``Gram`` of the B x 4^n features F from the states, with no B x 4^n matrix.
+
+        F F' is the fidelity kernel: sum_P <P>_x <P>_x' = 2^n |<psi_x|psi_x'>|^2, each entry
+        divided by the product of the two squared norms, as the features are, so the diagonal
+        is exactly 2^n.  It agrees with the matrix's F F' within rounding (about 3e-12 at n = 8)
+        at O(B^2 2^n), not O(B^2 4^n).
+        """
+        psi, n = self._states, self.qubit_count
+        overlaps = np.conj(psi) @ psi.T if np.iscomplexobj(psi) else psi @ psi.T
+        norms = np.diag(overlaps).real
+        values = 2.0 ** n * (overlaps * np.conj(overlaps)).real / np.outer(norms, norms)
+        return Gram.of_kernel(values, self.axis_count, self._mean())
+
+    def _mean(self) -> float:
+        """mean(F): each state's 4^n expectations sum to <psi|(I + X + Y + Z)^(x n)|psi> / <psi|psi>,
+        n one-qubit passes at O(n 2^n) per state.  The Y factor stays: on real states the strings
+        with an even number of Y are not zero."""
+        psi = self._states
+        summed = psi.astype(np.complex128)
+        for q in range(self.qubit_count):  # I + X + Y + Z = [[2, 1 - i], [1 + i, 0]] on qubit q, as in _encode_states
+            pairs = summed.reshape(psi.shape[0], 2 ** q, 2, -1)
+            lo, hi = pairs[:, :, 0], pairs[:, :, 1]
+            lo[...], hi[...] = 2.0 * lo + (1 - 1j) * hi, (1 + 1j) * lo
+        sums = np.sum(np.conj(psi) * summed, axis=1).real / self._norm_sq
+        return float(np.sum(sums)) / (self.sample_count * self.axis_count)
 
 
 def pauli_expectation(state, sigma: PauliString) -> float:
@@ -370,18 +434,6 @@ def pauli_expectation(state, sigma: PauliString) -> float:
 def pauli_feature_matrix(dataset: LabeledDataset, spec: EncodingCircuitSpec) -> FeatureMatrix:
     """All 4^n Pauli expectations per sample, columns in Pauli index order."""
     return PauliFeatures.of(dataset, spec).materialize()
-
-
-def pauli_gram(dataset: LabeledDataset, spec: EncodingCircuitSpec) -> np.ndarray:
-    """N x N linear kernel F F' of the ``pauli_feature_matrix`` F, from the
-    states alone: sum_P <P>_x <P>_x' = 2^n <psi_x|psi_x'>^2 for real states.
-    Entry (i, j) is divided by the product of the two states' squared norms,
-    as the features are, so the diagonal is exactly 2^n.  It agrees with F F'
-    within rounding (about 3e-12 at n = 8) at O(N^2 2^n) cost, not O(N^2 4^n)."""
-    states = _encode_states(dataset.inputs, spec)
-    overlaps = states @ states.T
-    norms = np.diag(overlaps)
-    return 2.0 ** spec.qubit_count * (overlaps * overlaps) / np.outer(norms, norms)
 
 
 # ---------------------------------------------------------------------------

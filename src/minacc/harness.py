@@ -3,10 +3,15 @@
 One experiment = for each configured dataset: generate, standardize, split,
 subsample the train side, embed, compute the exhaustive ground truth, run the
 configured estimators repeatedly with derived sub-seeds, and train SVM
-baselines for comparison.  Results land in a fixed-format CSV (one row per
-repetition plus mean/min/max aggregate rows) and a JSON document carrying the
-full-precision values, majority rates, survival functions, SVM convergence,
-stage timings, and summary statistics.
+baselines for comparison.  The proxy embedding is built as the N x 4^n
+matrix.  The Pauli embedding is one ``PauliFeatures`` source per dataset: its
+states are encoded once, and the scan, the witness, every estimator cell and
+the embedded baseline's Gram read them, with no N x 4^n matrix; so for Pauli
+``embed_s`` times the encoding only and ``scan_s`` includes the transforms.
+Results land in a fixed-format CSV (one row per repetition plus mean/min/max
+aggregate rows) and a JSON document carrying the full-precision values,
+majority rates, survival functions, SVM convergence, stage timings, and
+summary statistics.
 
 Config files are plain text, one ``key = value`` per line.  ``#`` starts a
 comment, lists are comma separated, and quotes or brackets around values are
@@ -62,15 +67,9 @@ from . import axiscore, datagen
 from .axiscore import Rule, ScannedFeatures, read_text, write_text
 from .axiscore import r_min_deterministic  # not called here: perfbench/spans.py rebinds this name
 from .datagen import DATASET_KINDS, DatasetSpec, generate, standardize, stratified_split
-from .featmap import (
-    _MATRIX_QUBIT_LIMIT,
-    EncodingCircuitSpec,
-    LazyProxyFeatures,
-    ProjectionSpec,
-    pauli_feature_matrix,
-    pauli_gram,
-    pauli_string,
-)
+from .featmap import (_MATRIX_QUBIT_LIMIT, EncodingCircuitSpec, LazyProxyFeatures, PauliFeatures, ProjectionSpec,
+                      pauli_string)
+from .featmap import pauli_feature_matrix  # not called here: perfbench/spans.py rebinds this name
 from .sampling import (
     EstimatorMethod,
     EstimatorSettings,
@@ -139,7 +138,10 @@ class ExperimentConfig(EstimatorSettings):
             raise ValueError(f"subsample_train must be none or an integer in [2, {split}]: {rows}")
         if self.embedding not in _EMBEDDINGS:
             raise ValueError(f"embedding must be one of {_EMBEDDINGS}")
-        if self.qubit_count > _MATRIX_QUBIT_LIMIT:  # either embedding builds the N x 4^n matrix
+        # the proxy builds the N x 4^n matrix; Pauli holds none, but an exhaustive scan of its 4^n
+        # columns takes about 2 s per dataset at n = 10 and a minute at n = 12, and no run above
+        # n = 8 is checked end to end yet
+        if self.qubit_count > _MATRIX_QUBIT_LIMIT:
             raise ValueError(f"dense simulation limit: qubit_count must be <= {_MATRIX_QUBIT_LIMIT}")
         for m in self.methods:
             if m not in _METHOD_NAMES:
@@ -186,9 +188,10 @@ class ExperimentReport:
     errors: list = field(default_factory=list)        # {"dataset", "stage", ..., "message", "type"}
     # dataset -> {"embedded"|"raw": {"linear"|"rbf": {"converged", "sweeps", "duality_gap"}}}
     svm_fits: dict = field(default_factory=dict)
-    # dataset -> seconds per stage that ran: "embed_s", "svm_s" (all four baselines,
-    # with the two Grams they read, embedded and raw), "scan_s", and "<method>_s"
-    # summing the cells of each sampled method
+    # dataset -> seconds per stage that ran: "embed_s" (for Pauli the encoding only),
+    # "svm_s" (all four baselines, with the two Grams they read, embedded and raw),
+    # "scan_s" (for Pauli with the transforms), and "<method>_s" summing the cells
+    # of each sampled method
     timings: dict = field(default_factory=dict)
     # threads of the proxy embedding and the exhaustive scan: one per usable core
     exact_path_threads: int = 1
@@ -254,12 +257,13 @@ def _pauli_spec(qubit_count: int) -> EncodingCircuitSpec:
 
 
 def embed_dataset(dataset, embedding: str, qubit_count: int, seed: int):
-    """The d = 4^qubit_count feature matrix of ``dataset``: the tanh proxy
-    with projection seed ``seed``, or the exact Pauli expectations."""
+    """The column source of the d = 4^qubit_count features of ``dataset``: the
+    tanh proxy with projection seed ``seed``, or the exact Pauli expectations of
+    its encoded states.  Its ``materialize()`` is the N x d matrix."""
     if embedding == "proxy":
         proj = ProjectionSpec(input_dim=dataset.input_dim, feature_dim=4 ** qubit_count, seed=seed)
-        return LazyProxyFeatures(dataset, proj).materialize()
-    return pauli_feature_matrix(dataset, _pauli_spec(qubit_count))
+        return LazyProxyFeatures(dataset, proj)
+    return PauliFeatures.of(dataset, _pauli_spec(qubit_count))
 
 
 def _training_split(kind: str, config: ExperimentConfig):
@@ -325,17 +329,17 @@ def _run_dataset(name: str, config: ExperimentConfig, report: ExperimentReport) 
         train = _training_split(name, config)
         report.majority_rate[name] = max(train.positive_count, train.negative_count) / train.sample_count
         seed = derive_seed(config.master_seed, name, "embed")
-        features = timed("embed_s", embed_dataset, train, config.embedding, config.qubit_count, seed)
+
+        def embed():  # Pauli: the encoded states, whose Gram needs no matrix; the proxy's Gram reads its rows
+            source = embed_dataset(train, config.embedding, config.qubit_count, seed)
+            return source if config.embedding == "pauli" else source.materialize()
+
+        features = timed("embed_s", embed)
     except Exception as exc:  # one bad dataset must not sink the others
         return fail("pipeline", exc)
 
     def fit_baselines():
-        if config.embedding == "pauli":
-            # F F' is the states' fidelity kernel, not read off the N x 4^n matrix; mean(F) is summed axis-major
-            embedded = Gram.of_kernel(pauli_gram(train, _pauli_spec(config.qubit_count)), features.axis_count,
-                                      float(np.ascontiguousarray(features.values.T).mean()))
-        else:
-            embedded = Gram.of(features.values)
+        embedded = features.gram() if config.embedding == "pauli" else Gram.of(features.values)
         return {
             source: {
                 kernel: svm_train(

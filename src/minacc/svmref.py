@@ -15,7 +15,7 @@ input serves both kernels.  ``Gram.of`` sums them from the rows; ``Gram.of_kerne
 reads them off the diagonal and the trace of F F', given q and mean(F).  On Pauli
 features F F' is the fidelity kernel 2^n <psi_x|psi_x'>^2 (Havlicek et al., Nature
 567, 2019; Schuld & Killoran, PRL 122, 2019), built from the N statevectors by
-``featmap.pauli_gram`` without the N x 4^n matrix.
+``featmap.PauliFeatures.gram`` without the N x 4^n matrix.
 """
 
 from __future__ import annotations

@@ -451,6 +451,42 @@ def test_parts_cover_every_position_once_ascending_within_a_part(n):
 
 
 @pytest.mark.parametrize("n", range(1, 9))
+def test_pauli_parts_are_int32_positions_grouped_by_x_mask(n):
+    # 4 bytes a position: the parts a scan holds for its whole run.  The cover is the X-mask
+    # grouping, max(1, 4096 // 2^n) requested masks a part, ascending, positions ascending in each
+    pauli, per = _partitioned_sources(n)[0][2], max(1, 4096 // 2 ** n)
+    for indices in _partitioned_sources(n)[1]:
+        parts = pauli.parts(indices)
+        assert all(part.dtype == np.int32 for part in parts)
+        masks = featmap._pauli_masks(np.asarray(indices), n)[0]
+        groups = np.unique(masks)
+        expected = [np.flatnonzero(np.isin(masks, groups[g:g + per])).tolist() for g in range(0, groups.size, per)]
+        assert [part.tolist() for part in parts] == expected
+        # the axes a range request's parts give are int64, as an index array's are
+        for part in parts:
+            assert axiscore._at(range(len(indices)), part).dtype == np.int64
+
+
+def test_a_scan_record_holds_the_counts_it_scored_uncopied(monkeypatch):
+    # one batch, one count vector: the record's counts are the scored batch's own array;
+    # two batches are joined in scoring order
+    runs, init = [], axiscore._ScoredAxes.__init__
+
+    def recorded(self, *args):
+        init(self, *args)
+        runs.append(self)
+
+    monkeypatch.setattr(axiscore._ScoredAxes, "__init__", recorded)
+    rng = np.random.default_rng(16)
+    values, labels = rng.normal(size=(9, 6000)), np.where(np.arange(9) % 3 == 0, 1, -1)
+    scanned = ScannedFeatures(values, labels)
+    [run] = runs
+    assert len(run._counts) == 1 and scanned.counts is run._counts[0]
+    run.score([5, 1])
+    assert run.counts.tolist() == scanned.counts.tolist() + scanned.counts[[5, 1]].tolist()
+
+
+@pytest.mark.parametrize("n", range(1, 9))
 def test_a_full_pauli_request_transforms_each_x_mask_once(monkeypatch, n):
     # the build and the lazy scan alike: each X-mask is in one part, and its transform
     # yields every Z-mask of it

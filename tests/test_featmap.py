@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from minacc import axiscore, featmap
 from minacc.axiscore import FeatureMatrix, LabeledDataset, ScannedFeatures, ThresholdClassifier, best_counts
-from minacc.datagen import CIRCLES
+from minacc.datagen import CIRCLES, DATASET_KINDS
 from minacc.featmap import (
     _philox4x32,
     EncodingCircuitSpec,
@@ -33,13 +33,13 @@ from minacc.featmap import (
     load_feature_matrix,
     pauli_expectation,
     pauli_feature_matrix,
-    pauli_gram,
     pauli_string,
     projection_block,
     save_feature_matrix,
 )
 from minacc.harness import ExperimentConfig, _training_split
 from minacc.sampling import conservative_estimate
+from minacc.svmref import Gram
 
 _PAULI_MATS = {
     "I": np.eye(2, dtype=np.complex128),
@@ -516,15 +516,18 @@ def test_odd_y_columns_are_exact_zeros():
 
 @pytest.mark.parametrize("n", [2, 6, 8])
 def test_pauli_gram_is_the_linear_kernel_of_the_features(n):
-    # sum_P <P>_x <P>_x' = 2^n <psi_x|psi_x'>^2 on real states, to rounding
-    data = small_dataset(np.random.default_rng(20), n_samples=24, n_features=4)
-    spec = EncodingCircuitSpec(qubit_count=n)
-    features = pauli_feature_matrix(data, spec).values
-    gram = pauli_gram(data, spec)
-    assert gram.shape == (24, 24)
-    assert np.max(np.abs(gram - features @ features.T)) <= 1e-11 * 2 ** n
-    assert np.array_equal(gram, gram.T)
-    assert np.all(np.diag(gram) == 2.0 ** n)
+    # sum_P <P>_x <P>_x' = 2^n |<psi_x|psi_x'>|^2, to rounding, on the circuit's real states
+    # and on complex ones
+    rng = np.random.default_rng(20)
+    data = small_dataset(rng, n_samples=24, n_features=4)
+    for source in (PauliFeatures.of(data, EncodingCircuitSpec(qubit_count=n)),
+                   PauliFeatures(np.stack([random_state(rng, n) for _ in range(24)]))):
+        features = source.materialize().values
+        gram = source.gram().values
+        assert gram.shape == (24, 24)
+        assert np.max(np.abs(gram - features @ features.T)) <= 1e-11 * 2 ** n
+        assert np.array_equal(gram, gram.T)
+        assert np.all(np.diag(gram) == 2.0 ** n)
 
 
 @st.composite
@@ -694,22 +697,76 @@ def test_lazy_pauli_scan_is_the_matrix_scan(n):
 
 
 def test_pauli_norms_are_computed_once_when_the_source_is_built(monkeypatch):
-    source = PauliFeatures(encode_state(np.array([0.3, -1.2, 0.8]), EncodingCircuitSpec(3)).reshape(1, -1))
-    expected = source.column(16)  # XII: X-mask 0b100
-    transformed, transform = [], featmap._transformed_products
+    # the squared norms are the path of (x = 0, z = 0), followed once, when the source is built; a
+    # lone column follows its own path and transforms nothing, a batch transforms and follows none
+    psi = encode_state(np.array([0.3, -1.2, 0.8]), EncodingCircuitSpec(3)).reshape(1, -1)
+    transformed, paths = [], []
+    transform, path = featmap._transformed_products, PauliFeatures._path
 
-    def spy(psi, x_masks, n):
+    def spy_transform(amplitudes, x_masks, n):
         transformed.append(x_masks.tolist())
-        return transform(psi, x_masks, n)
+        return transform(amplitudes, x_masks, n)
 
-    monkeypatch.setattr(featmap, "_transformed_products", spy)
-    assert source.column(16).tobytes() == expected.tobytes()
-    assert transformed == [[0b100]]
+    def spy_path(self, x, z):
+        paths.append((x, z))
+        return path(self, x, z)
+
+    monkeypatch.setattr(featmap, "_transformed_products", spy_transform)
+    monkeypatch.setattr(PauliFeatures, "_path", spy_path)
+    source = PauliFeatures(psi)
+    assert paths == [(0, 0)] and transformed == []
+    lone = source.column(16)  # XII: X-mask 0b100
+    assert paths == [(0, 0), (0b100, 0)] and transformed == []
+    assert source.columns([16])[:, 0].tobytes() == lone.tobytes()
+    assert transformed == [[0b100]] and len(paths) == 2
     transformed.clear()
     assert source.columns([]).shape == (1, 0) and transformed == []
     for states in (np.zeros((1, 4)), np.array([[0.6, 0.8], [0.0, 0.0]])):
         with pytest.raises(ValueError, match="^empty dataset: statevector has zero norm$"):
             PauliFeatures(states)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_a_lone_column_is_the_transform_column_on_every_axis(n):
+    # the path performs the float operations of the group transform for its output: the same bytes
+    rng = np.random.default_rng(50 + n)
+    real = PauliFeatures.of(small_dataset(rng, n_samples=7), EncodingCircuitSpec(n, layers=3))
+    complex_ = PauliFeatures(np.stack([random_state(rng, n) for _ in range(5)]))
+    for source in (real, complex_):
+        block = source.columns(range(4 ** n))
+        for i in range(4 ** n):
+            column = source.column(i)
+            assert column.shape == (source.sample_count,) and column.tobytes() == block[:, i].tobytes(), i
+
+
+@pytest.mark.parametrize("n", [6, 8, 10])
+def test_a_lone_column_is_the_matrix_column_on_seeded_axes(n):
+    # 200 seeded axes: against the matrix at n = 6 and 8, against a one-axis batch above the matrix limit
+    source = PauliFeatures.of(_training_split(CIRCLES, ExperimentConfig(n_samples=200, subsample_train=40)),
+                              EncodingCircuitSpec(n))
+    axes = np.random.default_rng(60 + n).integers(0, 4 ** n, size=200).tolist()
+    matrix = source.materialize().values if n <= 8 else None
+    for i in axes:
+        expected = matrix[:, i] if matrix is not None else source.columns([i])[:, 0]
+        assert source.column(i).tobytes() == expected.tobytes(), i
+    for bad in (4 ** n, -1, 2.0, True):
+        with pytest.raises(ValueError):
+            source.column(bad)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_the_identity_mean_is_the_matrix_mean(n):
+    # <psi|(I + X + Y + Z)^(x n)|psi> / <psi|psi> sums a state's 4^n expectations: the mean is the
+    # matrix's to rounding, and the scale gamma keeps the matrix mean's bits on the default splits
+    for kind in DATASET_KINDS:
+        source = PauliFeatures.of(_training_split(kind, ExperimentConfig()), EncodingCircuitSpec(n))
+        mean = float(np.ascontiguousarray(source.materialize().values.T).mean())
+        assert source._mean() == pytest.approx(mean, rel=1e-12, abs=1e-15)
+        gram = source.gram()
+        assert gram.scale_gamma == Gram.of_kernel(gram.values, 4 ** n, mean).scale_gamma, kind
+    states = np.stack([random_state(np.random.default_rng(70 + n), n) for _ in range(6)])
+    complex_ = PauliFeatures(states)
+    assert complex_._mean() == pytest.approx(complex_.materialize().values.mean(), rel=1e-12, abs=1e-15)
 
 
 # ---------------------------------------------------------------------------

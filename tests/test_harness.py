@@ -18,7 +18,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from minacc import axiscore, cli, harness, svmref
+from minacc import axiscore, cli, featmap, harness, svmref
 from minacc.axiscore import FeatureMatrix, Orientation, ThresholdClassifier
 from minacc.datagen import (
     CIRCLES,
@@ -315,7 +315,7 @@ def test_estimators_check_each_setting_by_the_config_rule(name):
 def minacc_files(tmp_path_factory):
     folder = tmp_path_factory.mktemp("minacc")
     data = generate(DatasetSpec(CIRCLES, 40, seed=3))
-    features = embed_dataset(data, "proxy", 2, seed=0)
+    features = embed_dataset(data, "proxy", 2, seed=0).materialize()
     dataset_to_csv(data, folder / "data.csv")
     save_feature_matrix(features, folder / "features.bin")
     return ["--features", str(folder / "features.bin"), "--data", str(folder / "data.csv")]
@@ -589,7 +589,9 @@ def test_unconverged_baselines_are_reported(tmp_path):
 
 
 def _refuse_pauli_matrices(monkeypatch, axis_count):
-    """Make every Gram, kernel or gamma read of an N x ``axis_count`` matrix raise."""
+    """Make every Gram, kernel or gamma read of an N x ``axis_count`` matrix raise, and so a Pauli
+    matrix built by ``pauli_feature_matrix`` or a source's ``materialize``, or a split's states
+    encoded a second time."""
     for owner, name in ((svmref.Gram, "of"), (svmref, "kernel_matrix"), (svmref, "resolve_gamma")):
         original = getattr(owner, name)
 
@@ -599,6 +601,24 @@ def _refuse_pauli_matrices(monkeypatch, axis_count):
             return _original(*args)
 
         monkeypatch.setattr(owner, name, staticmethod(guarded) if owner is svmref.Gram else guarded)
+
+    def refuse(*args):
+        raise AssertionError("built the Pauli feature matrix")
+
+    for owner, name in ((featmap, "pauli_feature_matrix"), (harness, "pauli_feature_matrix"),
+                        (featmap.PauliFeatures, "materialize")):
+        monkeypatch.setattr(owner, name, refuse)
+    encoded, encode = set(), featmap._encode_states
+
+    def encode_once(inputs, spec):
+        key = (np.asarray(inputs).tobytes(), spec)
+        if key in encoded:
+            raise AssertionError("encoded the same split twice")
+        encoded.add(key)
+        return encode(inputs, spec)
+
+    monkeypatch.setattr(featmap, "_encode_states", encode_once)
+    return encoded
 
 
 @pytest.mark.parametrize("qubits", [6, 8])
@@ -611,7 +631,7 @@ def test_pauli_baselines_read_the_states_not_the_matrix(tmp_path, monkeypatch, q
     assert report.errors == [] and sorted(report.embedded_svm) == sorted(DATASET_KINDS)
     for kind in DATASET_KINDS:
         train = harness._training_split(kind, config)
-        features = embed_dataset(train, "pauli", qubits, seed=0).values
+        features = embed_dataset(train, "pauli", qubits, seed=0).materialize().values
         for kernel in ("linear", "rbf"):
             model = svm_train(features, train.labels, kernel=kernel)
             fit = report.svm_fits[kind]["embedded"][kernel]
@@ -620,27 +640,50 @@ def test_pauli_baselines_read_the_states_not_the_matrix(tmp_path, monkeypatch, q
             assert fit["duality_gap"] == pytest.approx(model.duality_gap, rel=1e-4, abs=1e-9)
 
 
+@pytest.mark.parametrize("qubits", [6, 8])
+def test_a_pauli_experiment_builds_no_matrix_and_encodes_each_split_once(tmp_path, monkeypatch, qubits):
+    # the scan, the witness, every estimator cell and the baselines read one source per dataset
+    config = ExperimentConfig(embedding="pauli", qubit_count=qubits, repetitions=2, output_dir=str(tmp_path))
+    with monkeypatch.context() as patch:
+        encoded = _refuse_pauli_matrices(patch, 4 ** qubits)
+
+        def no_matrix(self):
+            raise AssertionError(f"built a {self.values.shape} FeatureMatrix")
+
+        patch.setattr(FeatureMatrix, "__post_init__", no_matrix)
+        report = run_experiment(config)
+    assert report.errors == [] and len(encoded) == len(DATASET_KINDS)
+    assert sorted(report.r_min) == sorted(report.witness) == sorted(DATASET_KINDS)
+    assert len(report.rows) == len(DATASET_KINDS) * (1 + 5 * config.repetitions)
+
+
 def test_pauli_baselines_do_not_depend_on_the_matrix_layout(tmp_path, monkeypatch):
-    # mean(F) is summed axis-major whatever the layout, so a row-major copy of the
-    # Pauli matrix gives the axis-major matrix's Grams and fits, bit for bit
+    # the run's embedded Grams read no matrix, yet are bit for bit the fidelity kernel with the
+    # matrix's mean, summed axis-major, in either layout: the same Grams and fits
     config = ExperimentConfig(embedding="pauli", qubit_count=2, methods=(), output_dir=str(tmp_path))
+    grams = []
 
-    def baselines(layout):
-        grams = []
+    def spy(gram, *args, **kwargs):
+        grams.append((gram.values.tobytes(), gram.squared_norms.tobytes(), gram.scale_gamma))
+        return svm_train(gram, *args, **kwargs)
 
-        def spy(gram, *args, **kwargs):
-            grams.append((gram.values.tobytes(), gram.squared_norms.tobytes(), gram.scale_gamma))
-            return svm_train(gram, *args, **kwargs)
-
-        with monkeypatch.context() as patch:
-            patch.setattr(harness, "svm_train", spy)
-            patch.setattr(harness, "embed_dataset", lambda *args: FeatureMatrix(layout(embed_dataset(*args).values)))
-            report = run_experiment(config)
-        assert report.errors == [] and len(grams) == 4 * len(DATASET_KINDS)
-        return grams, report.svm_fits
-
-    assert embed_dataset(harness._training_split(MULTI_CLUSTER, config), "pauli", 2, 0).values.flags.f_contiguous
-    assert baselines(np.ascontiguousarray) == baselines(np.asfortranarray)
+    monkeypatch.setattr(harness, "svm_train", spy)
+    report = run_experiment(config)
+    assert report.errors == [] and len(grams) == 4 * len(DATASET_KINDS)
+    for k, kind in enumerate(DATASET_KINDS):  # per dataset: embedded linear, rbf, then raw linear, rbf
+        train = harness._training_split(kind, config)
+        source = embed_dataset(train, "pauli", 2, seed=0)
+        matrix = source.materialize().values
+        assert matrix.flags.f_contiguous
+        for layout in (np.ascontiguousarray, np.asfortranarray):
+            mean = float(np.ascontiguousarray(layout(matrix).T).mean())
+            gram = svmref.Gram.of_kernel(source.gram().values, 16, mean)
+            expected = (gram.values.tobytes(), gram.squared_norms.tobytes(), gram.scale_gamma)
+            assert grams[4 * k:4 * k + 2] == [expected, expected]
+            for kernel in ("linear", "rbf"):
+                model, fit = svm_train(gram, train.labels, kernel=kernel), report.svm_fits[kind]["embedded"][kernel]
+                assert report.embedded_svm[kind][kernel] == model.training_accuracy
+                assert fit == dict(converged=model.converged, sweeps=model.n_sweeps, duality_gap=model.duality_gap)
 
 
 def test_estimator_cells_look_up_the_scan_counts(tmp_path, monkeypatch):

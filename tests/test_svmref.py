@@ -328,7 +328,7 @@ def _one_path_inputs():
     config = ExperimentConfig(qubit_count=3)
     for kind in DATASET_KINDS:
         train = _training_split(kind, config)
-        block = embed_dataset(train, "proxy", config.qubit_count, derive_seed(0, kind, "embed")).values
+        block = embed_dataset(train, "proxy", config.qubit_count, derive_seed(0, kind, "embed")).materialize().values
         assert block.flags.f_contiguous and not block.flags.c_contiguous
         for name, rows in (("raw", train.inputs), ("proxy", block)):
             for order in "CF":
@@ -436,7 +436,7 @@ def test_ill_conditioned_proxy_embedding_converges():
     train, _ = stratified_split(standardized, config.train_fraction, config.subsample_train,
                                 seed=derive_seed(config.master_seed, CIRCLES, "split"))
     seed = derive_seed(config.master_seed, CIRCLES, "embed")
-    x = embed_dataset(train, "proxy", config.qubit_count, seed).values
+    x = embed_dataset(train, "proxy", config.qubit_count, seed).materialize().values
     y = train.labels
     assert x.shape == (100, 4 ** 6)
     model = svm_train(x, y, kernel="linear", C=1.0, max_iter=100)
