@@ -1,6 +1,8 @@
 """Certified lower bounds on linear-classifier accuracy via single-axis
 threshold scans, exact and Monte Carlo, over very wide feature embeddings."""
 
+from types import ModuleType as _ModuleType
+
 from .axiscore import (
     AxisResult,
     FeatureMatrix,
@@ -86,75 +88,6 @@ from .svmref import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AxisResult",
-    "CSV_HEADER",
-    "CoverageQuery",
-    "DATASET_KINDS",
-    "DatasetSpec",
-    "EncodingCircuitSpec",
-    "EstimateResult",
-    "EstimatorMethod",
-    "EstimatorSettings",
-    "ExperimentConfig",
-    "ExperimentReport",
-    "FeatureMatrix",
-    "Gram",
-    "LabeledDataset",
-    "LazyProxyFeatures",
-    "Orientation",
-    "PauliFeatures",
-    "PauliString",
-    "PilotStats",
-    "ProjectionSpec",
-    "ScannedFeatures",
-    "StandardizeRecord",
-    "StopReason",
-    "SurvivalFunction",
-    "SvmModel",
-    "ThresholdClassifier",
-    "adaptive_estimate",
-    "as_linear_classifier",
-    "axis_accuracy",
-    "classifier_accuracy",
-    "conservative_estimate",
-    "coverage_probability_bound",
-    "coverage_probability_exact",
-    "dataset_from_csv",
-    "dataset_to_csv",
-    "decision_function",
-    "default_datasets",
-    "derive_seed",
-    "deterministic_estimate",
-    "emit_report",
-    "encode_state",
-    "feature_matrix_from_csv",
-    "feature_matrix_to_csv",
-    "gen_circles",
-    "gen_linear_separable",
-    "gen_multi_cluster",
-    "generate",
-    "linear_predict",
-    "load_feature_matrix",
-    "model_from_json",
-    "model_to_json",
-    "parse_config",
-    "pauli_expectation",
-    "pauli_feature_matrix",
-    "pauli_string",
-    "pilot_estimate",
-    "projection_block",
-    "r_min_deterministic",
-    "reports_equivalent",
-    "run_experiment",
-    "sample_axes",
-    "sample_size",
-    "save_feature_matrix",
-    "spec_from_json",
-    "spec_to_json",
-    "standardize",
-    "stratified_split",
-    "survival_function",
-    "svm_predict",
-    "svm_train",
-]
+# every public binding above but the submodules the imports load
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _ModuleType))

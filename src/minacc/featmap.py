@@ -19,9 +19,10 @@ once and keeps them, as given and as a 2^n x N copy, transform axis first.  A ba
 columns is group transforms: a Walsh-Hadamard transform over k of conj(psi[k ^ x]) psi[k]
 gives every Z-mask of X-mask x, and one transform covers all N states and a run of the
 requested X-masks, one exact-path block (``axiscore._SCAN_CHUNK`` axes) worth, each once.
-A lone column follows only its own output's path through the butterflies, the same float
-operations, so the same bytes; the squared norms are the path of (x = 0, z = 0), computed
-once.  Columns reach n = 12, the matrix n = 8.  On real states the strings with an odd
+A lone column, and a batch's one axis of an X-mask, follows only its own output's path
+through the butterflies, the same float operations, so the same bytes; a full request asks
+for every Z-mask and follows none.  The squared norms are the path of (x = 0, z = 0),
+computed once.  Columns reach n = 12, the matrix n = 8.  On real states the strings with an odd
 number of Y are exactly 0.0, and every other value within (n + 3) eps/2 of zero becomes 0.0.
 The linear kernel of those features is the fidelity kernel of the states, and the sum of a
 state's 4^n features is <psi|(I + X + Y + Z)^(x n)|psi> / <psi|psi>, so ``PauliFeatures.gram``
@@ -332,6 +333,8 @@ class PauliFeatures(_ColumnSource):
         n = psi.shape[1].bit_length() - 1 if psi.ndim == 2 else 0
         if n < 1 or psi.shape[1] != 2 ** n:
             raise ValueError(f"states must be B x 2^n, not {psi.shape}")
+        if psi.shape[0] == 0:
+            raise ValueError("empty dataset: no states")
         self.qubit_count, self.sample_count, self.axis_count = n, psi.shape[0], 4 ** n
         self._amplitudes, self._k = np.ascontiguousarray(psi.T), np.arange(2 ** n)  # k: gathers psi[k ^ x]
         self._norm_sq = self._path(0, 0).real  # the (x = 0, z = 0) output, as every transform computes it
@@ -383,11 +386,15 @@ class PauliFeatures(_ColumnSource):
 
     def _fill(self, axes, rows, buffer):
         """Runs of the part's X-masks, ``_SCAN_CHUNK`` axes' worth each: each axis's row of its
-        run's transform, times i^{#Y} (its real part on real states), over the squared norms."""
+        run's transform, times i^{#Y} (its real part on real states), over the squared norms.
+        An X-mask asked for one axis is not transformed: that axis follows its own path."""
         n = self.qubit_count
         x, z, phase = _pauli_masks(axes[rows], n)
-        present = np.bincount(x, minlength=2 ** n) > 0  # only the requested X-masks are transformed
-        masks, slot = np.flatnonzero(present), (np.cumsum(present) - 1)[x]  # slot: index in masks
+        asked = np.bincount(x, minlength=2 ** n)
+        for r in rows[asked[x] == 1]:
+            buffer[r] = self.column(axes[r])
+        present = asked > 1  # only the X-masks asked for two or more axes are transformed
+        masks, slot = np.flatnonzero(present), np.where(present, np.cumsum(present) - 1, -1)[x]  # -1: a lone axis
         run = max(1, _SCAN_CHUNK // 2 ** n)
         for first in range(0, masks.size, run):
             w = _transformed_products(self._amplitudes, masks[first:first + run], n)

@@ -44,7 +44,7 @@ defaults:
 Every random choice in the pipeline draws its seed from ``master_seed`` XOR a
 hash of the (dataset, stage, p, repetition) tuple, so any single cell can be
 re-run in isolation and full runs are byte-reproducible at one BLAS thread
-count (wall-clock column aside).
+count, less the fields ``reproducible`` drops.
 """
 
 from __future__ import annotations
@@ -506,6 +506,18 @@ def emit_report(report: ExperimentReport, fmt: str = "csv") -> list[str]:
     else:
         raise ValueError("format must be 'csv' or 'json'")
     return written
+
+
+def reproducible(report: dict) -> dict:
+    """A parsed report.json (or ``asdict`` of a report) less what a run may vary: ``timings``,
+    ``exact_path_threads``, ``config["output_dir"]`` and each row's ``wall_ms``, keys in the
+    document's order.  Equal for equal configs at one BLAS thread count; ``svm_fits`` holds
+    duality gaps that move with that count."""
+    def less(d: dict, *keys) -> dict:
+        return {key: value for key, value in d.items() if key not in keys}
+
+    return {**less(report, "timings", "exact_path_threads"), "config": less(report["config"], "output_dir"),
+            "rows": [less(row, "wall_ms") for row in report["rows"]]}
 
 
 def reports_equivalent(a, b) -> bool:

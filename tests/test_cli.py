@@ -509,3 +509,15 @@ def test_importing_the_package_loads_no_pool_parser_or_scipy():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
     path, loaded = out.stdout.split("\n")[:2]
     assert Path(path) == Path(minacc.__file__) and loaded == ""
+
+
+def test_the_package_exports_its_public_bindings_but_not_its_submodules():
+    # __all__ is read off the package's own bindings: sorted, each name bound, no `_` name and no
+    # module, and a star import binds exactly those names
+    names = minacc.__all__
+    assert names == sorted(set(names))
+    assert not [name for name in names if name.startswith("_") or inspect.ismodule(getattr(minacc, name))]
+    assert {"axiscore", "datagen", "featmap", "harness", "sampling", "svmref"} <= set(vars(minacc)) - set(names)
+    namespace = {}
+    exec("from minacc import *", namespace)
+    assert sorted(namespace.keys() - {"__builtins__"}) == names

@@ -10,6 +10,7 @@ import hashlib
 import math
 import multiprocessing
 import os
+import re
 import sys
 
 import numpy as np
@@ -696,10 +697,8 @@ def test_lazy_pauli_scan_is_the_matrix_scan(n):
     assert lazy.counts.tobytes() == matrix.counts.tobytes() and lazy.best == matrix.best
 
 
-def test_pauli_norms_are_computed_once_when_the_source_is_built(monkeypatch):
-    # the squared norms are the path of (x = 0, z = 0), followed once, when the source is built; a
-    # lone column follows its own path and transforms nothing, a batch transforms and follows none
-    psi = encode_state(np.array([0.3, -1.2, 0.8]), EncodingCircuitSpec(3)).reshape(1, -1)
+def _spy_on_transforms_and_paths(monkeypatch) -> tuple[list, list]:
+    """The X-masks of each group transform and the (x, z) of each path, in call order."""
     transformed, paths = [], []
     transform, path = featmap._transformed_products, PauliFeatures._path
 
@@ -708,22 +707,73 @@ def test_pauli_norms_are_computed_once_when_the_source_is_built(monkeypatch):
         return transform(amplitudes, x_masks, n)
 
     def spy_path(self, x, z):
-        paths.append((x, z))
+        paths.append((int(x), int(z)))
         return path(self, x, z)
 
     monkeypatch.setattr(featmap, "_transformed_products", spy_transform)
     monkeypatch.setattr(PauliFeatures, "_path", spy_path)
+    return transformed, paths
+
+
+def test_pauli_norms_are_computed_once_when_the_source_is_built(monkeypatch):
+    # the squared norms are the path of (x = 0, z = 0), followed once, when the source is built; a
+    # lone column, or a batch's one axis of an X-mask, follows its own path and transforms nothing
+    psi = encode_state(np.array([0.3, -1.2, 0.8]), EncodingCircuitSpec(3)).reshape(1, -1)
+    transformed, paths = _spy_on_transforms_and_paths(monkeypatch)
     source = PauliFeatures(psi)
     assert paths == [(0, 0)] and transformed == []
     lone = source.column(16)  # XII: X-mask 0b100
     assert paths == [(0, 0), (0b100, 0)] and transformed == []
     assert source.columns([16])[:, 0].tobytes() == lone.tobytes()
-    assert transformed == [[0b100]] and len(paths) == 2
+    assert paths == [(0, 0), (0b100, 0), (0b100, 0)] and transformed == []
+    assert source.columns([16, 19])[:, 0].tobytes() == lone.tobytes()  # XII and XIZ: one transform of 0b100
+    assert transformed == [[0b100]] and len(paths) == 3
     transformed.clear()
     assert source.columns([]).shape == (1, 0) and transformed == []
     for states in (np.zeros((1, 4)), np.array([[0.6, 0.8], [0.0, 0.0]])):
         with pytest.raises(ValueError, match="^empty dataset: statevector has zero norm$"):
             PauliFeatures(states)
+
+
+def test_pauli_states_are_a_nonempty_b_by_2n_array():
+    with pytest.raises(ValueError, match="^empty dataset: no states$"):
+        PauliFeatures(np.zeros((0, 4)))
+    for shape in ((4,), (2, 0), (2, 1), (2, 3), (2, 6), (2, 2, 2)):
+        with pytest.raises(ValueError, match=f"^{re.escape(f'states must be B x 2^n, not {shape}')}$"):
+            PauliFeatures(np.ones(shape))
+
+
+def test_lone_x_masks_are_never_transformed_and_a_full_request_follows_no_path(monkeypatch):
+    # in a batch, an X-mask asked for one axis follows that axis's path and the others are transformed,
+    # each once; a full request, the scan's and the matrix's, asks for every Z-mask and follows no path
+    n = 4
+    source = PauliFeatures.of(small_dataset(np.random.default_rng(81), n_samples=6), EncodingCircuitSpec(n))
+    x, z, _ = featmap._pauli_masks(np.arange(4 ** n), n)
+    by_mask = [np.flatnonzero(x == mask) for mask in range(2 ** n)]
+    lone = [by_mask[1][3], by_mask[6][0], by_mask[15][15]]
+    axes = [*by_mask[2][:2], lone[0], *by_mask[9][4:7], lone[1], lone[2], by_mask[2][9]]
+    transformed, paths = _spy_on_transforms_and_paths(monkeypatch)
+    block = source.columns(axes)
+    assert sorted(paths) == sorted((int(x[i]), int(z[i])) for i in lone)
+    assert sorted(mask for run in transformed for mask in run) == [2, 9]
+    matrix = source.materialize()
+    assert len(paths) == len(lone) and sorted(mask for run in transformed[1:] for mask in run) == list(range(2 ** n))
+    assert block.tobytes() == matrix.values[:, axes].tobytes()
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_a_mixed_pauli_batch_is_the_matrix_bytes(n):
+    # one axis of every even X-mask, read by its path, and every axis of each odd one, by the transforms,
+    # shuffled: the same bytes as the matrix, whichever way each column was computed
+    rng = np.random.default_rng(90 + n)
+    source = PauliFeatures.of(_training_split(CIRCLES, ExperimentConfig()), EncodingCircuitSpec(n))
+    x = featmap._pauli_masks(np.arange(4 ** n), n)[0]
+    lone = [rng.choice(np.flatnonzero(x == mask)) for mask in range(0, 2 ** n, 2)]
+    axes = rng.permutation(np.concatenate([lone, np.flatnonzero(x % 2 == 1)]))
+    matrix = source.materialize().values
+    assert source.columns(axes).tobytes() == matrix[:, axes].tobytes()
+    single = rng.integers(0, 4 ** n, size=5)  # one-axis batches, lone by construction
+    assert all(source.columns([i]).tobytes() == matrix[:, [i]].tobytes() for i in single)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -741,13 +791,14 @@ def test_a_lone_column_is_the_transform_column_on_every_axis(n):
 
 @pytest.mark.parametrize("n", [6, 8, 10])
 def test_a_lone_column_is_the_matrix_column_on_seeded_axes(n):
-    # 200 seeded axes: against the matrix at n = 6 and 8, against a one-axis batch above the matrix limit
+    # 200 seeded axes: against the matrix at n = 6 and 8; above the matrix limit, against a group transform,
+    # the batch of the axis and i ^ 3, its X-mask's axis of the other Z bit on the last qubit
     source = PauliFeatures.of(_training_split(CIRCLES, ExperimentConfig(n_samples=200, subsample_train=40)),
                               EncodingCircuitSpec(n))
     axes = np.random.default_rng(60 + n).integers(0, 4 ** n, size=200).tolist()
     matrix = source.materialize().values if n <= 8 else None
     for i in axes:
-        expected = matrix[:, i] if matrix is not None else source.columns([i])[:, 0]
+        expected = matrix[:, i] if matrix is not None else source.columns([i, i ^ 3])[:, 0]
         assert source.column(i).tobytes() == expected.tobytes(), i
     for bad in (4 ** n, -1, 2.0, True):
         with pytest.raises(ValueError):

@@ -45,6 +45,7 @@ from minacc.harness import (
     pearson,
     report_to_csv_text,
     reports_equivalent,
+    reproducible,
     run_estimator,
     run_experiment,
 )
@@ -776,12 +777,9 @@ def test_pauli_report_is_pinned(tmp_path):
     with open(path) as fh:
         report = json.load(fh)
     assert report["errors"] == []
-    for key in ("timings", "svm_fits", "exact_path_threads"):
-        del report[key]
-    del report["config"]["output_dir"]
-    for row in report["rows"]:
-        del row["wall_ms"]
-    assert hashlib.sha256(json.dumps(report, indent=2).encode()).hexdigest() == _PINNED_PAULI_REPORT
+    pinned = reproducible(report)
+    del pinned["svm_fits"]  # the duality gaps move with the BLAS thread count
+    assert hashlib.sha256(json.dumps(pinned, indent=2).encode()).hexdigest() == _PINNED_PAULI_REPORT
 
 
 def test_run_experiment_is_deterministic(tmp_path):
@@ -789,12 +787,7 @@ def test_run_experiment_is_deterministic(tmp_path):
     a = run_experiment(config)
     b = run_experiment(config)
     assert reports_equivalent(report_to_csv_text(a), report_to_csv_text(b))
-    dict_a, dict_b = asdict(a), asdict(b)
-    for d in (dict_a, dict_b):
-        for row in d["rows"]:
-            row.pop("wall_ms")
-        d.pop("timings")  # wall clock, like wall_ms
-    assert dict_a == dict_b
+    assert reproducible(asdict(a)) == reproducible(asdict(b))
 
 
 def test_report_times_every_stage_per_dataset(tmp_path):
