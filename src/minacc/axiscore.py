@@ -305,8 +305,9 @@ class ThresholdClassifier:
             return np.where(above, 1, -1).astype(np.int64)
         return np.where(above, -1, 1).astype(np.int64)
 
-    def predict(self, features: FeatureMatrix) -> np.ndarray:
-        return self.predict_values(features.column(self.axis_index))
+    def predict(self, features) -> np.ndarray:
+        """Predict +/-1 for every sample of ``features``, any source ``as_feature_source`` reads."""
+        return self.predict_values(as_feature_source(features).column(self.axis_index))
 
 
 def _midpoint(lo: float, hi: float) -> float:
@@ -534,12 +535,11 @@ def r_min_deterministic(features, labels):
 
 def classifier_accuracy(classifier: ThresholdClassifier, features, labels) -> float:
     """Empirical accuracy of a threshold rule: fraction of samples it labels correctly."""
-    source = as_feature_source(features)
     y = _as_label_array(labels)
-    if y.shape[0] != source.sample_count:
+    pred = classifier.predict(features)
+    if pred.shape != y.shape:
         raise ValueError("features and labels disagree on N")
-    pred = classifier.predict(source)
-    return float(np.sum(pred == y)) / source.sample_count
+    return float(np.sum(pred == y)) / y.size
 
 
 def as_linear_classifier(classifier: ThresholdClassifier, axis_count: int):

@@ -5,7 +5,8 @@ own: ``gen-data`` writes a dataset CSV, ``embed`` turns one into a feature
 file, ``minacc`` estimates the best single-axis accuracy on a feature file,
 ``coverage`` answers sample-size and coverage-probability queries, ``svm``
 trains a reference baseline, and ``experiment`` drives the full sweep from a
-config file.  Output is key=value lines so results are easy to grep.
+config file and ``--set key=value`` overrides.  Output is key=value lines so
+results are easy to grep.
 """
 
 from __future__ import annotations
@@ -37,13 +38,6 @@ from .sampling import (
 from .svmref import KERNEL_LINEAR, KERNELS, model_to_json, svm_train
 
 _METHOD_ALIASES = {"det": EstimatorMethod.DETERMINISTIC.value, **{m.value: m.value for m in EstimatorMethod}}
-
-
-# experiment flags whose value is not the config field's value as given
-_EXPERIMENT_FLAG_VALUE = {
-    "methods": lambda alias: (_METHOD_ALIASES[alias],),
-    "p_values": lambda p: (p,),
-}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -101,22 +95,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_exp = sub.add_parser("experiment", help="run the full configured sweep")
     p_exp.add_argument("--config", help="key=value config file; defaults used when omitted")
-    # Every dest but config's and format's names the ExperimentConfig field it overrides.
+    p_exp.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
+                       help="override one config key, read as a config file line; repeatable")
+    # --seed and --out name the ExperimentConfig field they override; --out keeps its path verbatim
     p_exp.add_argument("--seed", dest="master_seed", metavar="SEED", type=int,
                        help="override master_seed")
     p_exp.add_argument("--out", dest="output_dir", metavar="OUT", help="override output_dir")
     p_exp.add_argument("--format", choices=("csv", "json", "both"), default="both")
-    p_exp.add_argument("--method", dest="methods", choices=tuple(_METHOD_ALIASES),
-                       help="restrict the run to a single estimator")
-    p_exp.add_argument("--p", dest="p_values", metavar="P", type=float,
-                       help="restrict conservative runs to one prior")
-    p_exp.add_argument("--delta", type=float)
-    p_exp.add_argument("--repetitions", type=int)
-    p_exp.add_argument("--qubits", dest="qubit_count", metavar="QUBITS", type=int)
-    p_exp.add_argument("--n-pilot", type=int)
-    p_exp.add_argument("--batch-size", type=int)
-    p_exp.add_argument("--patience", type=int)
-    p_exp.add_argument("--budget-fraction", type=float)
 
     return parser
 
@@ -206,13 +191,10 @@ def _cmd_svm(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    config = harness.parse_config(pathlib.Path(args.config)) if args.config else harness.ExperimentConfig()
-    overrides = {
-        field.name: _EXPERIMENT_FLAG_VALUE.get(field.name, lambda v: v)(value)
-        for field in dataclasses.fields(config)
-        if (value := getattr(args, field.name, None)) is not None
-    }
-    config = dataclasses.replace(config, **overrides)
+    flags = {key: (flag, value) for flag, key in (("--seed", "master_seed"), ("--out", "output_dir"))
+             if (value := getattr(args, key)) is not None}
+    overrides = harness.config_values(((f"--set {entry}", entry) for entry in args.set), flags)
+    config = harness.parse_config(pathlib.Path(args.config) if args.config else "", overrides)
 
     report = harness.run_experiment(config)
     written = []

@@ -16,8 +16,9 @@ summary statistics.
 Config files are plain text, one ``key = value`` per line.  ``#`` starts a
 comment, lists are comma separated, and quotes or brackets around values are
 tolerated.  The keys are the ``ExperimentConfig`` fields, each read as the
-type of its default and checked when the config is built.  Keys and their
-defaults:
+type of its default and checked when the config is built.  A ``minacc
+experiment --set key=value`` entry is read as one such line and replaces the
+file's value.  Keys and their defaults:
 
     datasets        = linear_separable, multi_cluster, circles
     n_samples       = 1000
@@ -225,36 +226,42 @@ def _field_value(name: str, raw: str):
     return type(default)(value)
 
 
-def parse_config(source) -> ExperimentConfig:
-    """Build an ExperimentConfig from config text, with ``source`` taken as ``read_text`` takes it."""
-    values = {}
-    for lineno, line in enumerate(read_text(source).splitlines(), start=1):
+def config_values(lines, given=None) -> dict:
+    """What the labelled config lines, ``(label, line)`` pairs read by the file's
+    rules, set on top of ``given``, both as ``{key: (label, value)}``.  An error
+    names the line's label, and a key set twice names both labels."""
+    values = dict(given or {})
+    for label, line in lines:
         body = line.split("#", 1)[0].strip()
         if not body or body.startswith(";"):
             continue
         if "=" not in body:
-            raise ValueError(f"config line {lineno}: expected 'key = value', got {line!r}")
+            raise ValueError(f"{label}: expected 'key = value', got {line!r}")
         key, raw = body.split("=", 1)
         key = key.strip().lower()
         if key not in _FIELDS:
-            raise ValueError(f"config line {lineno}: unknown key {key!r}")
+            raise ValueError(f"{label}: unknown key {key!r}")
+        if key in values:
+            raise ValueError(f"{label}: {key} is already set by {values[key][0]}")
         try:
-            values[key] = _field_value(key, raw)
+            values[key] = label, _field_value(key, raw)
         except ValueError as exc:
-            raise ValueError(f"config line {lineno}: {key}: {exc}") from exc
+            raise ValueError(f"{label}: {key}: {exc}") from exc
+    return values
 
-    return ExperimentConfig(**values)
+
+def parse_config(source, overrides=None) -> ExperimentConfig:
+    """Build an ExperimentConfig from config text, with ``source`` taken as ``read_text``
+    takes it; ``overrides``, ``{key: (label, value)}`` as ``config_values`` returns,
+    replace its values."""
+    lines = ((f"config line {n}", line) for n, line in enumerate(read_text(source).splitlines(), start=1))
+    values = {**config_values(lines), **(overrides or {})}
+    return ExperimentConfig(**{key: value for key, (_, value) in values.items()})
 
 
 # ---------------------------------------------------------------------------
 # pipeline
 # ---------------------------------------------------------------------------
-
-def _pauli_spec(qubit_count: int) -> EncodingCircuitSpec:
-    """The encoding circuit of the Pauli embedding: its features and the Gram
-    of its SVM baselines both come from this one circuit."""
-    return EncodingCircuitSpec(qubit_count=qubit_count)
-
 
 def embed_dataset(dataset, embedding: str, qubit_count: int, seed: int):
     """The column source of the d = 4^qubit_count features of ``dataset``: the
@@ -263,7 +270,7 @@ def embed_dataset(dataset, embedding: str, qubit_count: int, seed: int):
     if embedding == "proxy":
         proj = ProjectionSpec(input_dim=dataset.input_dim, feature_dim=4 ** qubit_count, seed=seed)
         return LazyProxyFeatures(dataset, proj)
-    return PauliFeatures.of(dataset, _pauli_spec(qubit_count))
+    return PauliFeatures.of(dataset, EncodingCircuitSpec(qubit_count=qubit_count))
 
 
 def _training_split(kind: str, config: ExperimentConfig):

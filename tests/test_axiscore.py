@@ -310,6 +310,18 @@ def test_linear_form_reproduces_threshold_predictions():
         assert np.array_equal(linear_predict(w, b, fm), clf.predict(fm))
 
 
+def test_threshold_rule_predicts_from_any_feature_source():
+    rng = np.random.default_rng(12)
+    data = LabeledDataset(rng.uniform(-2, 2, size=(20, 2)), np.where(rng.random(20) < 0.5, 1, -1))
+    lazy = LazyProxyFeatures(data, ProjectionSpec(2, 16, seed=3))
+    matrix = lazy.materialize()
+    for orientation in Orientation:
+        rule = ThresholdClassifier(5, float(np.median(matrix.column(5))), orientation)
+        labels = [rule.predict(source) for source in (matrix.values, matrix, lazy)]
+        assert all(np.array_equal(got, labels[0]) for got in labels[1:])
+        assert classifier_accuracy(rule, matrix.values, data.labels) == float(np.mean(labels[0] == data.labels))
+
+
 def test_linear_predict_does_not_depend_on_the_memory_layout():
     # a dense hyperplane whose decision value on row k is exactly 0 in the
     # row-major product and below 0 in the axis-major one

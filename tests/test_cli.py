@@ -8,6 +8,7 @@ import dataclasses
 import inspect
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -304,7 +305,11 @@ def test_estimator_defaults_are_the_config_defaults():
     assert (fit["C"], fit["tol"], fit["max_iter"]) == (config.svm_c, config.svm_tol, config.svm_max_iter)
     assert choices("svm", "--kernel") == KERNELS
     assert cli._METHOD_ALIASES == {"det": "deterministic", **{m.value: m.value for m in EstimatorMethod}}
-    assert choices("minacc", "--method") == choices("experiment", "--method") == tuple(cli._METHOD_ALIASES)
+    assert choices("minacc", "--method") == tuple(cli._METHOD_ALIASES)
+    # the experiment sets every config key through --set; only --seed and --out name one of their own
+    (sub,) = [a for a in parser._actions if a.dest == "command"]
+    assert {flag for a in sub.choices["experiment"]._actions for flag in a.option_strings} == {
+        "-h", "--help", "--config", "--set", "--seed", "--out", "--format"}
 
 
 def test_svm_on_raw_and_embedded(tmp_path, capsys, small_data):
@@ -452,32 +457,97 @@ def test_experiment_rejects_an_empty_dataset_list(tmp_path, capsys):
     assert not (tmp_path / "results").exists()
 
 
-def test_experiment_flag_overrides(tmp_path, capsys):
+# the config file every --set test starts from: a small run, which --set entries override
+SMALL_RUN = ("datasets = circles\nn_samples = 60\nqubit_count = 2\nsubsample_train = 30\n"
+             "methods = deterministic\nrepetitions = 1\n")
+
+# an entry for every ExperimentConfig field, unlike the default and SMALL_RUN: (--set value, report.json value);
+# output_dir's is a path under the test's tmp_path
+SET_VALUES = {
+    "datasets": ("linear_separable", ["linear_separable"]),
+    "n_samples": ("80", 80),
+    "qubit_count": ("3", 3),
+    "embedding": ("pauli", "pauli"),
+    "methods": ("conservative, adaptive", ["conservative", "adaptive"]),
+    "p_values": ("[0.5]", [0.5]),
+    "delta": ("0.5", 0.5),
+    "n_pilot": ("7", 7),
+    "cap_fraction": ("0.5", 0.5),
+    "batch_size": ("8", 8),
+    "patience": ("5", 5),
+    "stability_eps": ("0.01", 0.01),
+    "budget_fraction": ("0.5", 0.5),
+    "repetitions": ("2", 2),
+    "master_seed": ("9", 9),
+    "train_fraction": ("0.5", 0.5),
+    "subsample_train": ("none", None),
+    "svm_c": ("3", 3.0),
+    "svm_tol": ("0.01", 0.01),
+    "svm_max_iter": ("50", 50),
+    "output_dir": (None, None),
+}
+
+
+@pytest.mark.parametrize("key", [f.name for f in dataclasses.fields(ExperimentConfig)])
+def test_experiment_set_overrides_every_key(tmp_path, capsys, key):
     config = tmp_path / "exp.cfg"
-    config.write_text(
-        "datasets = circles\nn_samples = 60\nqubit_count = 2\n"
-        "subsample_train = 30\nrepetitions = 5\n"
-    )
-    code, _, _ = run_cli(
-        capsys, "experiment", "--config", str(config), "--seed", "4",
-        "--method", "adaptive", "--repetitions", "1", "--batch-size", "8",
-        "--budget-fraction", "1.0", "--out", str(tmp_path / "r2"),
-        "--format", "json",
-    )
-    assert code == 0
-    loaded = json.loads((tmp_path / "r2" / "report.json").read_text())
-    assert loaded["config"]["master_seed"] == 4
-    assert loaded["config"]["repetitions"] == 1
-    assert {r["method"] for r in loaded["rows"]} == {"adaptive"}
-    # the seed override reaches the datasets too: the run equals one configured with it
+    config.write_text(SMALL_RUN)
+    text, expected = SET_VALUES[key]
+    out = ["--out", str(tmp_path / "r")]
+    if key == "output_dir":
+        text = expected = str(tmp_path / "set_out")
+        out = []
+    code, _, err = run_cli(capsys, "experiment", "--config", str(config), "--set", f"{key}={text}", *out,
+                           "--format", "json")
+    assert code == 0, err
+    report = json.loads(Path(expected if key == "output_dir" else out[1], "report.json").read_text())
+    default, from_file = ({k: v for k, v in json.loads(json.dumps(dataclasses.asdict(c))).items() if k != "output_dir"}
+                          for c in (ExperimentConfig(), harness.parse_config(SMALL_RUN)))
+    assert report["config"][key] == expected and expected not in (default.get(key), from_file.get(key))
+    # every other key keeps the file's value or its default
+    assert {k: v for k, v in report["config"].items() if k not in (key, "output_dir")} == {
+        k: v for k, v in from_file.items() if k != key}
+
+
+def test_experiment_seed_reaches_the_datasets(tmp_path, capsys):
+    # --seed and --set master_seed give the run configured with that seed, new data included
+    config = tmp_path / "exp.cfg"
+    config.write_text(SMALL_RUN)
     seeded = tmp_path / "seeded.cfg"
-    seeded.write_text(config.read_text() + "master_seed = 4\nmethods = adaptive\nrepetitions = 1\n"
-                      "batch_size = 8\nbudget_fraction = 1.0\n")
-    assert main(["experiment", "--config", str(seeded), "--out", str(tmp_path / "r3"),
-                 "--format", "json"]) == 0
-    capsys.readouterr()
-    again = json.loads((tmp_path / "r3" / "report.json").read_text())
-    assert again["r_min"] == loaded["r_min"] and again["raw_svm"] == loaded["raw_svm"]
+    seeded.write_text(SMALL_RUN + "master_seed = 4\n")
+    runs = {
+        "flag": ("--config", str(config), "--seed", "4"),
+        "set": ("--config", str(config), "--set", "master_seed=4"),
+        "file": ("--config", str(seeded)),
+        "seed 0": ("--config", str(config)),
+    }
+    reports = {}
+    for name, argv in runs.items():
+        code, _, err = run_cli(capsys, "experiment", *argv, "--out", str(tmp_path / name), "--format", "json")
+        assert code == 0, err
+        reports[name] = json.loads((tmp_path / name / "report.json").read_text())
+    assert reports["flag"]["config"]["master_seed"] == 4
+    assert harness.reproducible(reports["flag"]) == harness.reproducible(reports["set"]) == harness.reproducible(
+        reports["file"])
+    assert reports["flag"]["raw_svm"] != reports["seed 0"]["raw_svm"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("--set", "n_pilot=1e2"), r"error: --set n_pilot=1e2: n_pilot: invalid literal .*'1e2'"),
+    (("--set", "qubits=4"), "error: --set qubits=4: unknown key 'qubits'"),
+    (("--set", "qubit_count"), "error: --set qubit_count: expected 'key = value', got 'qubit_count'"),
+    (("--set", "repetitions=1", "--set", "repetitions=2"),
+     "error: --set repetitions=2: repetitions is already set by --set repetitions=1"),
+    (("--seed", "3", "--set", "master_seed=4"), "error: --set master_seed=4: master_seed is already set by --seed"),
+    (("--set", "output_dir=elsewhere"), "error: --set output_dir=elsewhere: output_dir is already set by --out"),
+], ids=["bad value", "unknown key", "no equals", "repeated key", "seed twice", "output dir twice"])
+def test_experiment_set_errors_name_the_entry(tmp_path, capsys, argv, message):
+    config = tmp_path / "exp.cfg"
+    config.write_text(SMALL_RUN)
+    code, _, err = run_cli(capsys, "experiment", "--config", str(config), *argv, "--out", str(tmp_path / "r"))
+    assert code == 1
+    assert re.fullmatch(message, err.strip())
+    assert not (tmp_path / "r").exists()
 
 
 def test_cli_error_paths(tmp_path, capsys):

@@ -422,6 +422,21 @@ def test_parse_config_rejects_unknown_keys_and_bad_lines():
         parse_config("qubit_count = 2\nn_pilot = 1e2")
 
 
+def test_parse_config_rejects_a_key_given_twice():
+    # a repeat would silently keep one of the two values
+    with pytest.raises(ValueError, match="^config line 3: datasets is already set by config line 1$"):
+        parse_config("datasets = circles\nqubit_count = 2\ndatasets = multi_cluster")
+
+
+def test_overrides_replace_the_file_values():
+    # a key given by the file and by an override takes the override's value; only a key given
+    # twice among the overrides, or twice in the file, is an error
+    overrides = harness.config_values([("--set qubit_count=3", "qubit_count=3")], {"master_seed": ("--seed", 4)})
+    assert overrides == {"master_seed": ("--seed", 4), "qubit_count": ("--set qubit_count=3", 3)}
+    config = parse_config("qubit_count = 2\nmaster_seed = 1\nrepetitions = 1", overrides)
+    assert (config.qubit_count, config.master_seed, config.repetitions) == (3, 4, 1)
+
+
 def test_empty_dataset_list_is_rejected():
     with pytest.raises(ValueError, match="datasets"):
         ExperimentConfig(datasets=())
