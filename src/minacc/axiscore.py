@@ -18,11 +18,13 @@ build; two or more run on a private thread pool, one worker per usable core,
 created on first use, and one runs inline.  A task reads its own columns,
 sweeps them and returns its counts and one column, never its block, so about
 one block is alive per worker: from a lazy source, 4,096 x N doubles (3.3 MB
-at N = 100).  A part's own parts are itself, so the build inside a task runs
-inline on its worker.  The counts are placed at their positions, so every
-result is the one-thread result, bit for bit.  The SVM fits stay off the
-pool: 4,000 ``np.linalg.solve`` calls on 101 x 101 systems took as long on
-two threads as on one, and fits beside the scan doubled it for no gain.
+at N = 100).  A map started on a pool worker, such as the column build
+inside a scan task, runs inline on that worker, so no worker waits on the
+pool, however a source cuts its parts.  The counts are placed at their
+positions, so every result is the one-thread result, bit for bit.  The SVM
+fits stay off the pool: 4,000 ``np.linalg.solve`` calls on 101 x 101 systems
+took as long on two threads as on one, and fits beside the scan doubled it
+for no gain.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from __future__ import annotations
 import math
 import numbers
 import os
+import threading
 from dataclasses import dataclass
 from enum import Enum
 
@@ -52,6 +55,7 @@ _TASK_BLOCKS = 8
 # Workers of the exact-path pool: the cores this process may run on.
 _CORES = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 _POOL = None
+_WORKER = threading.local()  # ``inside`` is set on the pool's own threads
 if hasattr(os, "register_at_fork"):  # a forked child has none of the parent's workers
     os.register_at_fork(after_in_child=lambda: globals().update(_POOL=None))
 
@@ -61,14 +65,16 @@ def _ordered_map(task, items):
 
     The tasks run on the pool through ``Executor.map``, which raises a task's
     exception when its turn comes and cancels the tasks not yet started; they
-    run inline, through ``map``, on one core or for a single item.
+    run inline, through ``map``, on one core, for a single item, or when called
+    on a pool worker, which never waits on its own pool.
     """
-    if _CORES < 2 or len(items) < 2:
+    if _CORES < 2 or len(items) < 2 or getattr(_WORKER, "inside", False):
         return map(task, items)
     global _POOL
     if _POOL is None:
         from concurrent.futures import ThreadPoolExecutor  # costs import time; load on first use
-        _POOL = ThreadPoolExecutor(max_workers=_CORES, thread_name_prefix="minacc")
+        _POOL = ThreadPoolExecutor(max_workers=_CORES, thread_name_prefix="minacc",
+                                   initializer=lambda: setattr(_WORKER, "inside", True))
     return _POOL.map(task, items)
 
 
@@ -100,15 +106,20 @@ class Rule:
         return isinstance(v, numbers.Integral) and not isinstance(v, bool)
 
     @staticmethod
+    def is_real(v) -> bool:
+        """A real number, numpy's too, but not a bool, though ``numbers.Real`` takes one."""
+        return isinstance(v, numbers.Real) and not isinstance(v, bool)
+
+    @staticmethod
     def integer_at_least(low: int) -> tuple:
         return f"be an integer >= {low}", lambda v: Rule.is_integer(v) and v >= low
     COUNT = integer_at_least(1)
     INTEGER = ("be an integer", lambda v: Rule.is_integer(v))
-    OPEN_UNIT = ("lie in (0, 1)", lambda v: 0.0 < v < 1.0)
-    FRACTION = ("lie in (0, 1]", lambda v: 0.0 < v <= 1.0)
-    POSITIVE = ("be a finite number > 0", lambda v: 0.0 < v < math.inf)
-    NON_NEGATIVE = ("be a finite number >= 0", lambda v: 0.0 <= v < math.inf)
-    FINITE = ("be a finite number", lambda v: -math.inf < v < math.inf)
+    OPEN_UNIT = ("lie in (0, 1)", lambda v: Rule.is_real(v) and 0.0 < v < 1.0)
+    FRACTION = ("lie in (0, 1]", lambda v: Rule.is_real(v) and 0.0 < v <= 1.0)
+    POSITIVE = ("be a finite number > 0", lambda v: Rule.is_real(v) and 0.0 < v < math.inf)
+    NON_NEGATIVE = ("be a finite number >= 0", lambda v: Rule.is_real(v) and 0.0 <= v < math.inf)
+    FINITE = ("be a finite number", lambda v: Rule.is_real(v) and -math.inf < v < math.inf)
 
     @staticmethod
     def optional(rule: tuple) -> tuple:
@@ -467,10 +478,10 @@ class _ScoredAxes:
         """Score the non-empty batch of axes ``indices``; True if the best count rose.
 
         One task per part of the source (its positions in the batch: each in one
-        part, ascending, a part's own parts itself), pooled when two or more,
-        reads its own columns, sweeps them with ``best_counts`` and returns its
-        positions, counts and the column of their first maximum, not its block;
-        a scan record's batch is one lookup.  The first maximum by position wins.
+        part, ascending within a part), pooled when two or more, reads its own
+        columns, sweeps them with ``best_counts`` and returns its positions,
+        counts and the column of their first maximum, not its block; a scan
+        record's batch is one lookup.  The first maximum by position wins.
         """
         axes = indices if isinstance(indices, range) else np.asarray(indices)
 

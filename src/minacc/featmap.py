@@ -32,7 +32,8 @@ Both embeddings write only their math: ``_fill``, the rows of one of their ``par
 k x N axis-major buffer, the tasks of the build and of the scan alike (``_TASK_BLOCKS``
 blocks of proxy columns; as many Pauli columns, grouped by X-mask).  One column builder,
 ``_ColumnSource``, checks the axes once, allocates the buffer, fills the parts on the pool
-of ``axiscore`` (the n = 6 Pauli matrix is one inline task) and hands out the N x k
+of ``axiscore`` (the n = 6 Pauli matrix is one inline task, and a build inside a scan task
+runs inline on its worker, whatever its parts) and hands out the N x k
 transpose, which the scan sorts where it was written.  Each value depends on its axis and
 the source's inputs alone, so the bytes do not depend on the thread count.
 """
@@ -128,7 +129,8 @@ def _projection_block(spec: ProjectionSpec, axes: np.ndarray) -> np.ndarray:
 class _ColumnSource:
     """The column protocol over a subclass's ``sample_count``, ``axis_count`` and
     ``_fill(axes, rows, buffer)``, which fills row r of ``buffer`` with the column of
-    ``axes[r]`` for the positions r of the part ``rows``."""
+    ``axes[r]`` for the positions r of the part ``rows``; ``parts`` may cut any request
+    into any cover, since a build started on a pool worker fills its parts inline."""
 
     parts = FeatureMatrix.parts  # a matrix's tasks, unless a subclass groups its axes
 
@@ -144,7 +146,8 @@ class _ColumnSource:
         return FeatureMatrix(self.columns(range(self.axis_count)))
 
     def _build(self, indices) -> np.ndarray:
-        """N x k block, the transpose of the k x N buffer its parts fill, pooled when two or more."""
+        """N x k block, the transpose of the k x N buffer its parts fill, pooled when two or more,
+        inline when called on a pool worker (inside a scan task, say)."""
         axes = checked_axes(indices, self.axis_count)
         buffer = np.empty((axes.size, self.sample_count), dtype=np.float64)
         list(_ordered_map(lambda rows: self._fill(axes, rows, buffer), self.parts(axes)))
@@ -335,6 +338,8 @@ class PauliFeatures(_ColumnSource):
             raise ValueError(f"states must be B x 2^n, not {psi.shape}")
         if psi.shape[0] == 0:
             raise ValueError("empty dataset: no states")
+        if not np.isfinite(psi).all():
+            raise ValueError("non-finite amplitudes in states")
         self.qubit_count, self.sample_count, self.axis_count = n, psi.shape[0], 4 ** n
         self._amplitudes, self._k = np.ascontiguousarray(psi.T), np.arange(2 ** n)  # k: gathers psi[k ^ x]
         self._norm_sq = self._path(0, 0).real  # the (x = 0, z = 0) output, as every transform computes it

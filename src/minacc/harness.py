@@ -116,8 +116,11 @@ class ExperimentConfig(EstimatorSettings):
                   train_fraction=Rule.OPEN_UNIT, svm_c=Rule.POSITIVE, svm_tol=Rule.POSITIVE, svm_max_iter=Rule.COUNT)
 
     def __post_init__(self):
-        object.__setattr__(self, "datasets", tuple(self.datasets))
-        object.__setattr__(self, "methods", tuple(self.methods))
+        for name in ("datasets", "methods", "p_values"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
+        text, holds = Rule.FRACTION
+        if not all(holds(p) for p in self.p_values):  # before float() turns True into 1.0
+            raise ValueError(f"p_values must {text}: {self.p_values}")
         object.__setattr__(self, "p_values", tuple(float(p) for p in self.p_values))
         if not self.datasets:
             raise ValueError("datasets must name at least one dataset")
@@ -127,9 +130,6 @@ class ExperimentConfig(EstimatorSettings):
             listed = getattr(self, name)
             if len(set(listed)) < len(listed):  # a repeat would run, and write, its rows twice
                 raise ValueError(f"{name} lists a {noun} twice: {listed}")
-        text, holds = Rule.FRACTION
-        if not all(holds(p) for p in self.p_values):
-            raise ValueError(f"p_values must {text}: {self.p_values}")
         if EstimatorMethod.CONSERVATIVE.value in self.methods and not self.p_values:
             raise ValueError("the conservative method needs at least one value in p_values")
         super().__post_init__()

@@ -84,7 +84,7 @@ class CoverageQuery(Checked):
     p: float
     t: int
 
-    _RULES = dict(d=Rule.COUNT, p=("lie in [0, 1]", lambda v: 0.0 <= v <= 1.0), t=Rule.integer_at_least(0))
+    _RULES = dict(d=Rule.COUNT, p=("lie in [0, 1]", lambda v: Rule.is_real(v) and 0.0 <= v <= 1.0), t=Rule.integer_at_least(0))
 
     def __post_init__(self):
         super().__post_init__()

@@ -516,9 +516,54 @@ def test_a_full_pauli_request_transforms_each_x_mask_once(monkeypatch, n):
         assert sorted(transformed) == list(range(2 ** n))
 
 
+class _HalvingSource(featmap._ColumnSource):
+    """The columns of a matrix, every request of two or more axes cut in two halves, so the
+    build inside each half's scan task is two parts again."""
+
+    def __init__(self, values):
+        self._values = values
+        self.sample_count, self.axis_count = values.shape
+
+    def parts(self, axes) -> list[slice]:
+        half = (len(axes) + 1) // 2
+        return [slice(0, half), slice(half, len(axes))] if len(axes) > 1 else [slice(0, len(axes))]
+
+    def _fill(self, axes, rows, buffer):
+        buffer[rows] = self._values[:, axes[rows]].T
+
+
+def _halving_case():
+    values = np.random.default_rng(17).normal(size=(10, 96))
+    return values, np.where(np.arange(10) % 3 == 0, 1, -1)
+
+
+def _exit_zero_if_the_halving_source_is(values, labels, counts, best):
+    source = _HalvingSource(values)
+    scanned = ScannedFeatures(source, labels)
+    same = (scanned.counts.tobytes(), scanned.best) == (counts, best)
+    os._exit(0 if same and source.materialize().values.tobytes() == values.tobytes() else 1)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+def test_a_source_whose_parts_have_parts_scans_and_builds_on_two_workers(monkeypatch):
+    # each half's scan task builds its columns in two parts, on its own worker, inline: a build
+    # that sent them to the two busy workers and waited would hang, so the child is given a minute
+    monkeypatch.setattr(axiscore, "_CORES", 2)
+    values, labels = _halving_case()
+    matrix = ScannedFeatures(FeatureMatrix(values), labels)
+    child = multiprocessing.get_context("fork").Process(
+        target=_exit_zero_if_the_halving_source_is, args=(values, labels, matrix.counts.tobytes(), matrix.best))
+    child.start()
+    child.join(60)
+    if child.exitcode is None:
+        child.kill()
+        child.join()
+    assert child.exitcode == 0
+
+
 def test_a_parts_own_parts_are_itself(monkeypatch):
-    # the axes of a part are one part, all of it in order, so the column build inside a
-    # scan task is one task, run inline on its worker
+    # the shipped sources cut the axes of a part into one part, all of it in order: a scan
+    # task's column build is then a single task, which runs inline wherever it is started
     for n in range(1, 9):
         sources, index_sets = _partitioned_sources(n)
         for source in sources:
@@ -527,7 +572,8 @@ def test_a_parts_own_parts_are_itself(monkeypatch):
                     axes = np.asarray(indices)[part]
                     own = source.parts(axes)
                     assert len(own) == 1 and np.arange(axes.size)[own[0]].tolist() == list(range(axes.size))
-    # so no pool task submits to the pool: a worker waiting on the pool could deadlock it
+    # no pool task submits to the pool, with those parts or with a source whose parts have
+    # parts: a map started on a pool worker runs inline there
     monkeypatch.setattr(axiscore, "_CORES", 2)
     monkeypatch.setattr(axiscore, "_POOL", None)
     list(axiscore._ordered_map(abs, range(2)))  # starts the pool
@@ -547,6 +593,10 @@ def test_a_parts_own_parts_are_itself(monkeypatch):
             submitted.clear()
             ScannedFeatures(source, np.array([1, -1, 1]))
             assert len(submitted) == 4  # the scan's own tasks only, 16,384 axes in four parts
+        submitted.clear()
+        values, labels = _halving_case()
+        assert ScannedFeatures(_HalvingSource(values), labels).counts.tolist() == best_counts(values, labels).tolist()
+        assert len(submitted) == 2  # the scan's two halves only
     finally:
         pool.shutdown()
 

@@ -671,8 +671,8 @@ def _exit_zero_if_the_lazy_scan_is(source, labels, counts, best):
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
 def test_pooled_scan_of_lazy_pauli_columns_equals_the_scan_of_the_matrix(monkeypatch):
     # each scan task is one part, 32 X-masks at n = 7, and builds its own columns in one
-    # inline task on its worker; a build that waited on the pool could deadlock it, so each
-    # lazy scan runs in a forked child, given a minute
+    # inline task on its worker; each lazy scan runs in a forked child, given a minute, on
+    # a pool of its own
     data = small_dataset(np.random.default_rng(26), n_samples=20)
     source = PauliFeatures.of(data, EncodingCircuitSpec(7))
     matrix = ScannedFeatures(source.materialize(), data.labels)
@@ -741,6 +741,17 @@ def test_pauli_states_are_a_nonempty_b_by_2n_array():
     for shape in ((4,), (2, 0), (2, 1), (2, 3), (2, 6), (2, 2, 2)):
         with pytest.raises(ValueError, match=f"^{re.escape(f'states must be B x 2^n, not {shape}')}$"):
             PauliFeatures(np.ones(shape))
+
+
+def test_pauli_states_with_a_non_finite_amplitude_are_rejected_when_built():
+    # a NaN amplitude built and its columns read NaN; an infinite one built and read NaN, with
+    # a RuntimeWarning from the division by an infinite norm
+    for bad in (np.nan, np.inf, -np.inf, complex(0.0, np.nan), complex(np.inf, 0.0)):
+        states = np.array([[bad, 1.0], [1.0, 0.0]])
+        with pytest.raises(ValueError, match="^non-finite amplitudes in states$"):
+            PauliFeatures(states)
+        with pytest.raises(ValueError, match="^non-finite amplitudes in states$"):
+            pauli_expectation(states[0], pauli_string(1, 1))
 
 
 def test_lone_x_masks_are_never_transformed_and_a_full_request_follows_no_path(monkeypatch):

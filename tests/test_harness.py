@@ -270,6 +270,34 @@ def test_integer_fields_reject_booleans(case, flag):
         build(flag)
 
 
+# a bool is a number to isinstance(v, numbers.Real): True in a real-valued field built as 1.0,
+# and a text or None value failed with a bare TypeError from a comparison, naming no field
+NON_REAL_VALUES = {}
+_REAL_NAMES = ("delta", "cap_fraction", "stability_eps", "budget_fraction")
+for _label, _build, _names in (
+    ("settings", EstimatorSettings, _REAL_NAMES),
+    ("config", ExperimentConfig, _REAL_NAMES + ("train_fraction", "svm_c", "svm_tol")),
+    ("config entry", lambda p_values: ExperimentConfig(p_values=(0.05, p_values)), ("p_values",)),
+    ("dataset", functools.partial(DatasetSpec, CIRCLES),
+     ("noise_sigma", "radius_factor", "center_magnitude", "cluster_std")),
+    ("circuit", functools.partial(EncodingCircuitSpec, 2), ("rotation_scale",)),
+    ("coverage", functools.partial(CoverageQuery, d=4, t=0), ("p",)),
+    ("sample_size", lambda p: sample_size(p, 0.05), ("p",)),
+    ("sample_size", lambda delta: sample_size(0.5, delta), ("delta",)),
+):
+    for _name in _names:
+        NON_REAL_VALUES[f"{_label} {_name}"] = (_name, functools.partial(
+            lambda build, name, value: build(**{name: value}), _build, _name))
+
+
+@pytest.mark.parametrize("value", [True, False, "0.5", None])
+@pytest.mark.parametrize("case", sorted(NON_REAL_VALUES))
+def test_real_fields_reject_booleans_text_and_none(case, value):
+    name, build = NON_REAL_VALUES[case]
+    with pytest.raises(ValueError, match=f"^{name} must "):
+        build(value)
+
+
 def test_subsample_train_may_take_the_whole_train_split():
     # the bound is the split's own per-class rounding, for every kind and odd sizes
     for n_samples, train_fraction in ((61, 0.7), (45, 0.5), (1000, 0.7), (9, 0.35)):
